@@ -29,8 +29,6 @@ import numpy as np
 import yaml
 
 from .fuel import DEFAULT_COEFFICIENTS, FuelCoefficients, ML_PER_GALLON
-from .idm import IdmParams
-from .sequencing import ScoringContext
 from .simulation import (
     CollisionError,
     ControlMode,
@@ -40,7 +38,7 @@ from .simulation import (
     TrajectoryLog,
     run_scenario,
 )
-from .vehicles import ControlLimits, MergeGeometry
+from .vehicles import MergeGeometry
 
 OUT_ENV_VAR = "RAMPMERGE_OUT"
 
@@ -151,7 +149,6 @@ _SCORING_DIMS = {
     "merge_entry": "length",
     "activation_margin": "length",
     "cap": "plain",
-    "workers": "plain",
 }
 _FUEL_DIMS = {name: "plain" for name in ("b0", "b1", "b2", "b3", "c0", "c1", "c2")}
 _PHASE_DIMS = {
@@ -160,7 +157,7 @@ _PHASE_DIMS = {
     "ramp": "rate",
     "suggested": "rate",
 }
-_INT_FIELDS = {"horizon", "max_horizon", "cap", "workers", "seed"}
+_INT_FIELDS = {"horizon", "max_horizon", "cap", "seed"}
 
 _TOP_KEYS = {
     "name", "mode", "seed", "dt", "vehicle_length", "geometry", "limits",
@@ -588,7 +585,7 @@ def _cmd_compare(args) -> int:
             return EXIT_COLLISION
         per_mode[mode] = metrics
         print(_summary_line(mode, metrics))
-    text = report_metrics(per_mode, out_dir / f"compare_seed{args.seed}_report.json")
+    text = report_metrics(per_mode, out_dir / f"compare_seed{config.seed}_report.json")
     print()
     print(text, end="")
     return EXIT_OK

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,11 +40,8 @@ from .tracking import (
     LqSolution,
     PairGapSpec,
     TrackerWeights,
-    build_reference,
     converged_gains,
-    solve_with_repair,
     steady_state_feedforward,
-    weights_for,
 )
 from .vehicles import (
     ControlLimits,
@@ -59,7 +56,6 @@ HARD_BRAKE = -6.0
 
 
 class SetPhase(Enum):
-    FORMING = "forming"
     ACTIVE = "active"
     COMPLETED = "completed"
 
@@ -84,6 +80,10 @@ class WorldSnapshot:
 
     def __post_init__(self) -> None:
         self._index = {int(v): i for i, v in enumerate(self.ids)}
+        self._ordered = {}
+        for lane in Lane:
+            idx = np.nonzero(self.lanes == lane.code)[0]
+            self._ordered[lane] = idx[np.argsort(-self.positions[idx], kind="stable")]
 
     def index_of(self, vehicle_id: int) -> int:
         return self._index[vehicle_id]
@@ -93,9 +93,7 @@ class WorldSnapshot:
 
     def ordered(self, lane: Lane) -> np.ndarray:
         """Indices of the lane's vehicles, downstream first."""
-        mask = self.lanes == lane.code
-        idx = np.nonzero(mask)[0]
-        return idx[np.argsort(-self.positions[idx], kind="stable")]
+        return self._ordered[lane]
 
     def state_of(self, idx: int) -> VehicleState:
         entry = self.entry_speeds[idx]
@@ -221,8 +219,7 @@ class ControlSet:
     r_vec: np.ndarray
     floors: np.ndarray
     specs: list[PairGapSpec]
-    created_t: float
-    phase: SetPhase = SetPhase.FORMING
+    phase: SetPhase = SetPhase.ACTIVE
     repair: LqSolution | None = None
     repair_k: int = 0
     last_repair_t: float = -math.inf
@@ -253,7 +250,6 @@ class CycleRecord:
 class InflowState:
     """Pacing state for the admission meter at the trigger line."""
 
-    t_last_trigger: float = -math.inf
     n_ramp_prev: int = 0
     release_time: float = -math.inf
 
@@ -274,10 +270,8 @@ class MergeCoordinator:
         lookahead_cadence: float = 1.0,
         repair_gap_fraction: float = 0.6,
         repair_cooldown: float = 5.0,
-        gains_tol: float = 1e-10,
         density_window: float = 10.0,
         partner_margin: float = 2.0,
-        gate_density: float = 0.04,
     ) -> None:
         geometry.validate()
         limits.validate()
@@ -292,7 +286,6 @@ class MergeCoordinator:
         self.lookahead_cadence = lookahead_cadence
         self.repair_gap_fraction = repair_gap_fraction
         self.repair_cooldown = repair_cooldown
-        self.gains_tol = gains_tol
         self.density_window = density_window
         self.partner_margin = partner_margin
 
@@ -484,16 +477,8 @@ class MergeCoordinator:
         if hit is not None:
             return hit
         model = build_model(len(lanes), self.scoring.dt)
-        weights = weights_for(
-            lanes,
-            gap_weight_mainline=self.scoring.gap_weight_mainline,
-            gap_weight_ramp=self.scoring.gap_weight_ramp,
-            speed_weight_mainline=self.scoring.speed_weight_mainline,
-            speed_weight_ramp=self.scoring.speed_weight_ramp,
-            control_weight=self.scoring.control_weight,
-            terminal_factor=self.scoring.terminal_factor,
-        )
-        K, Ky = converged_gains(model, weights, tol=self.gains_tol)
+        weights = self.scoring.weights(lanes)
+        K, Ky = converged_gains(model, weights)
         entry = (model, weights, K, Ky)
         self._gains_cache[key] = entry
         return entry
@@ -607,23 +592,11 @@ class MergeCoordinator:
 
         best = optimal_sequence(main_ids, ramp_ids, states, self.scoring)
         seq = best.sequence
-        n = len(seq)
 
         model, weights, K, Ky = self._controller_for(seq.lanes)
         floors = pair_gap_floors(seq, states, self.limits)
-        ref = build_reference(
-            n, floors, self.scoring.desired_speed,
-            self.scoring.desired_time_headway, self.scoring.vehicle_length, 1,
-        )
-        r_vec = ref.r[0]
+        r_vec, specs = self.scoring.targets(seq.lanes, floors)
         V_ss = steady_state_feedforward(model, weights, K, r_vec)
-        specs = [
-            PairGapSpec(
-                min_net_gap=float(floors[i]),
-                cross_lane=seq.lanes[i] is not seq.lanes[i + 1],
-            )
-            for i in range(n - 1)
-        ]
         cset = ControlSet(
             cycle_id=self._cycle_count,
             ids=seq.ids,
@@ -636,9 +609,7 @@ class MergeCoordinator:
             r_vec=r_vec,
             floors=floors,
             specs=specs,
-            created_t=snap.t,
         )
-        cset.phase = SetPhase.ACTIVE
         self.sets.append(cset)
         self.ever_controlled.update(seq.ids)
 
@@ -664,7 +635,6 @@ class MergeCoordinator:
                 f"(horizon {best.horizon})"
             )
         self.inflow = InflowState(
-            t_last_trigger=snap.t,
             n_ramp_prev=len(ramp_ids),
             release_time=snap.t + t_proper,
         )
@@ -687,7 +657,6 @@ class MergeCoordinator:
                 cset.ids = cset.ids[1:]
                 cset.lanes = cset.lanes[1:]
                 cset.floors = cset.floors[1:]
-                cset.specs = cset.specs[1:]
                 changed = True
             if not cset.ids:
                 cset.phase = SetPhase.COMPLETED
@@ -697,19 +666,13 @@ class MergeCoordinator:
 
     def _rebuild_set(self, cset: ControlSet) -> None:
         """Refit the controller after the front of the string released."""
-        n = len(cset.ids)
         model, weights, K, Ky = self._controller_for(cset.lanes)
-        ref = build_reference(
-            n, cset.floors, self.scoring.desired_speed,
-            self.scoring.desired_time_headway, self.scoring.vehicle_length, 1,
-        )
-        r_vec = ref.r[0]
+        cset.r_vec, cset.specs = self.scoring.targets(cset.lanes, cset.floors)
         cset.model = model
         cset.weights = weights
         cset.K = K
         cset.Ky = Ky
-        cset.V_ss = steady_state_feedforward(model, weights, K, r_vec)
-        cset.r_vec = r_vec
+        cset.V_ss = steady_state_feedforward(model, weights, K, cset.r_vec)
         cset.repair = None
         cset.repair_k = 0
 
@@ -797,19 +760,8 @@ class MergeCoordinator:
     def _repair_set(
         self, cset: ControlSet, x: np.ndarray, snap: WorldSnapshot
     ) -> None:
-        result = solve_with_repair(
-            cset.model,
-            cset.weights,
-            cset.r_vec,
-            x,
-            self.limits,
-            cset.specs,
-            self.scoring.vehicle_length,
-            horizon=self.scoring.horizon,
-            merge_entry=self.scoring.merge_entry,
-            activation_margin=self.scoring.activation_margin,
-            growth=self.scoring.horizon_growth,
-            max_horizon=self.scoring.max_horizon,
+        result = self.scoring.solve(
+            cset.model, cset.weights, cset.r_vec, x, cset.specs, self.limits
         )
         cset.repair = result.solution
         cset.repair_k = 0

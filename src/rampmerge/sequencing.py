@@ -10,17 +10,17 @@ the horizon; the minimum-fuel feasible candidate wins.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .fuel import DEFAULT_COEFFICIENTS, FuelCoefficients, trajectory_fuel
-from .statespace import build_model
+from .statespace import LtiModel, build_model
 from .tracking import (
     PairGapSpec,
     RepairResult,
+    TrackerWeights,
     build_reference,
     solve_with_repair,
     weights_for,
@@ -49,12 +49,6 @@ class MergeSequence:
             if lane is Lane.RAMP:
                 return i
         return len(self.ids)
-
-    def respects_lane_order(self, mainline_ids: list[int], ramp_ids: list[int]) -> bool:
-        """True if both per-lane orders survive in this interleaving."""
-        main = [v for v, lane in zip(self.ids, self.lanes) if lane is Lane.MAINLINE]
-        ramp = [v for v, lane in zip(self.ids, self.lanes) if lane is Lane.RAMP]
-        return main == list(mainline_ids) and ramp == list(ramp_ids)
 
 
 def count_sequences(n_mainline: int, n_ramp: int) -> int:
@@ -101,7 +95,12 @@ def enumerate_sequences(
 
 @dataclass
 class ScoringContext:
-    """Everything a candidate rollout needs, bundled once per decision."""
+    """Everything a string plan needs, bundled once per decision.
+
+    The methods below are the one place that turns these fields into a
+    string's tracker weights, reference, pair specs and repaired plan, for
+    candidate scoring and for the coordinator alike.
+    """
 
     dt: float = 0.1
     horizon: int = 300
@@ -121,7 +120,53 @@ class ScoringContext:
     activation_margin: float = 50.0
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     cap: int = 252
-    workers: int = 1
+
+    def weights(self, lanes: tuple[Lane, ...]) -> TrackerWeights:
+        """Tracker weights of a string with these lanes."""
+        return weights_for(
+            lanes,
+            gap_weight_mainline=self.gap_weight_mainline,
+            gap_weight_ramp=self.gap_weight_ramp,
+            speed_weight_mainline=self.speed_weight_mainline,
+            speed_weight_ramp=self.speed_weight_ramp,
+            control_weight=self.control_weight,
+            terminal_factor=self.terminal_factor,
+        )
+
+    def targets(
+        self, lanes: tuple[Lane, ...], floors: np.ndarray
+    ) -> tuple[np.ndarray, list[PairGapSpec]]:
+        """Constant reference vector and per-pair gap specs of a string."""
+        n = len(lanes)
+        r_vec = build_reference(
+            n, floors, self.desired_speed, self.desired_time_headway,
+            self.vehicle_length, 1,
+        ).r[0]
+        specs = [
+            PairGapSpec(
+                min_net_gap=float(floors[i]),
+                cross_lane=lanes[i] is not lanes[i + 1],
+            )
+            for i in range(n - 1)
+        ]
+        return r_vec, specs
+
+    def solve(
+        self,
+        model: LtiModel,
+        weights: TrackerWeights,
+        r_vec: np.ndarray,
+        x0: np.ndarray,
+        specs: list[PairGapSpec],
+        limits: ControlLimits,
+    ) -> RepairResult:
+        """Plan the string from ``x0`` with horizon repair."""
+        return solve_with_repair(
+            model, weights, r_vec, x0, limits, specs, self.vehicle_length,
+            horizon=self.horizon, merge_entry=self.merge_entry,
+            activation_margin=self.activation_margin, growth=self.horizon_growth,
+            max_horizon=self.max_horizon,
+        )
 
 
 @dataclass
@@ -167,32 +212,10 @@ def score_sequence(
         [states[v].position for v in sequence.ids],
         [states[v].speed for v in sequence.ids],
     ])
-    weights = weights_for(
-        sequence.lanes,
-        gap_weight_mainline=ctx.gap_weight_mainline,
-        gap_weight_ramp=ctx.gap_weight_ramp,
-        speed_weight_mainline=ctx.speed_weight_mainline,
-        speed_weight_ramp=ctx.speed_weight_ramp,
-        control_weight=ctx.control_weight,
-        terminal_factor=ctx.terminal_factor,
-    )
     floors = pair_gap_floors(sequence, states, ctx.limits)
-    specs = [
-        PairGapSpec(
-            min_net_gap=float(floors[i]),
-            cross_lane=sequence.lanes[i] is not sequence.lanes[i + 1],
-        )
-        for i in range(n - 1)
-    ]
-    ref = build_reference(
-        n, floors, ctx.desired_speed, ctx.desired_time_headway,
-        ctx.vehicle_length, ctx.horizon,
-    )
-    result = solve_with_repair(
-        model, weights, ref.r[0], x0, ctx.limits, specs, ctx.vehicle_length,
-        horizon=ctx.horizon, merge_entry=ctx.merge_entry,
-        activation_margin=ctx.activation_margin, growth=ctx.horizon_growth,
-        max_horizon=ctx.max_horizon,
+    r_vec, specs = ctx.targets(sequence.lanes, floors)
+    result = ctx.solve(
+        model, ctx.weights(sequence.lanes), r_vec, x0, specs, ctx.limits
     )
     speeds = np.maximum(result.trajectory.x[:-1, n:], 0.0)
     total = sum(
@@ -225,11 +248,6 @@ def optimal_sequence(
     vehicle ids, so the choice is reproducible.
     """
     candidates = enumerate_sequences(mainline_ids, ramp_ids, cap=ctx.cap)
-    if ctx.workers > 1:
-        with ThreadPoolExecutor(max_workers=ctx.workers) as pool:
-            scores = list(pool.map(lambda s: score_sequence(s, states, ctx), candidates))
-    else:
-        scores = [score_sequence(s, states, ctx) for s in candidates]
+    scores = [score_sequence(s, states, ctx) for s in candidates]
     feasible = [s for s in scores if s.feasible]
-    pool_ = feasible if feasible else scores
-    return min(pool_, key=_selection_key)
+    return min(feasible if feasible else scores, key=_selection_key)

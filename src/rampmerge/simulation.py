@@ -31,13 +31,16 @@ from enum import Enum
 import numpy as np
 
 from .coordinator import HARD_BRAKE, MergeCoordinator, WorldSnapshot
-from .fuel import FuelCoefficients, DEFAULT_COEFFICIENTS, fuel_rate
+from .fuel import (
+    DEFAULT_COEFFICIENTS,
+    METERS_PER_MILE,
+    FuelCoefficients,
+    economy_mpg,
+    fuel_rate,
+)
 from .idm import IdmParams, idm_accel
 from .sequencing import ScoringContext
 from .vehicles import ControlLimits, ControlStatus, Lane, MergeGeometry
-
-METERS_PER_MILE = 1609.344
-ML_PER_GALLON = 3785.411784
 
 #: net gap (m) required at a lane entrance before a queued arrival spawns
 SPAWN_CLEARANCE = 8.0
@@ -171,15 +174,21 @@ def generate_arrivals(
         raise ValueError("need rate >= 0 and duration > 0")
     count = int(rng.poisson(rate * duration))
     times = np.sort(rng.uniform(0.0, duration, size=count))
+    return t0 + _keep_headway(times, min_headway, duration)
+
+
+def _keep_headway(times: np.ndarray, min_headway: float, end: float) -> np.ndarray:
+    """Push each sorted arrival forward to ``min_headway`` behind the one
+    before it, dropping every arrival that lands at or after ``end``."""
     kept = []
     prev = -math.inf
     for raw in times:
         t = max(float(raw), prev + min_headway)
-        if t >= duration:
+        if t >= end:
             break
         kept.append(t)
         prev = t
-    return t0 + np.asarray(kept, dtype=float)
+    return np.asarray(kept, dtype=float)
 
 
 class CollisionError(RuntimeError):
@@ -252,20 +261,17 @@ class RunMetrics:
 
 
 def _group_metrics(first_pos, last_pos, row_count, fuel_ml, dt) -> GroupMetrics:
-    vmt = float(np.sum(last_pos - first_pos)) / METERS_PER_MILE
+    distance = float(np.sum(last_pos - first_pos))
+    vmt = distance / METERS_PER_MILE
     vht = row_count * dt / 3600.0
     q = vmt / vht if vht > 0.0 else 0.0
-    if fuel_ml > 0.0:
-        econ = vmt / (fuel_ml / ML_PER_GALLON)
-    else:
-        econ = math.inf if vmt > 0.0 else 0.0
     return GroupMetrics(
         n_vehicles=len(first_pos),
         vmt_miles=vmt,
         vht_hours=vht,
         q_mph=q,
         fuel_ml=fuel_ml,
-        economy_mpg=econ,
+        economy_mpg=economy_mpg(distance, fuel_ml),
     )
 
 
@@ -508,15 +514,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             ))
             t0 += phase.duration
         merged = np.concatenate(pieces) if pieces else np.empty(0)
-        kept = []
-        prev = -math.inf
-        for raw in merged:
-            tt = max(float(raw), prev + config.arrival_min_headway)
-            if tt >= config.total_duration:
-                break
-            kept.append(tt)
-            prev = tt
-        return np.asarray(kept)
+        return _keep_headway(merged, config.arrival_min_headway, config.total_duration)
 
     main_arrivals = lane_arrivals(lambda p: p.mainline_rate)
     ramp_arrivals = lane_arrivals(lambda p: p.ramp_rate)
@@ -859,10 +857,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         counters.degraded_plans = sum(
             1 for r in coordinator.records if not r.feasible
         )
+    arrays = log.arrays()
     return RunResult(
         config=config,
-        metrics=compute_metrics(log.arrays(), dt),
-        log=log.arrays(),
+        metrics=compute_metrics(arrays, dt),
+        log=arrays,
         counters=counters,
         final_vehicle_count=len(world),
         coordinator=coordinator,

@@ -27,7 +27,6 @@ to constant gains, computed here by fixed-point iteration.
 """
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -195,8 +194,6 @@ class RiccatiTable:
 #: recently used tables go first, and a dropped table is rebuilt exactly
 RICCATI_CACHE_BYTES = 128 * 2**20
 _riccati_tables: OrderedDict[tuple, RiccatiTable] = OrderedDict()
-#: candidate scoring may run on a thread pool; tables grow in place
-_riccati_lock = threading.Lock()
 
 
 def _table_key(model: LtiModel, weights: TrackerWeights) -> tuple:
@@ -207,8 +204,7 @@ def _table_key(model: LtiModel, weights: TrackerWeights) -> tuple:
 
 
 def _riccati_table(model: LtiModel, weights: TrackerWeights, N: int) -> RiccatiTable:
-    """Process-wide table for ``(model, weights)``, filled to ``N`` steps;
-    call with ``_riccati_lock`` held."""
+    """Process-wide table for ``(model, weights)``, filled to ``N`` steps."""
     key = _table_key(model, weights)
     table = _riccati_tables.pop(key, None)
     if table is None:
@@ -240,10 +236,9 @@ def solve_finite_horizon(
         raise ValueError(f"horizon must be >= 1, got {N}")
     if ref.horizon != N:
         raise ValueError(f"reference has horizon {ref.horizon}, expected {N}")
-    with _riccati_lock:
-        table = _riccati_table(model, weights, N)
-        K, Ky, S = table.K[N - 1::-1], table.Ky[N - 1::-1], table.S[N::-1]
-        Acl = table.Acl[N - 1::-1]
+    table = _riccati_table(model, weights, N)
+    K, Ky, S = table.K[N - 1::-1], table.Ky[N - 1::-1], table.S[N::-1]
+    Acl = table.Acl[N - 1::-1]
     for view in (K, Ky, S):
         view.flags.writeable = False
     C = model.C
@@ -260,15 +255,8 @@ def solve_finite_horizon(
 class Trajectory:
     """Closed-loop rollout record."""
 
-    x: np.ndarray        # (N+1, 2n)
-    u: np.ndarray        # (N, n)  applied (possibly clipped) inputs
-    u_raw: np.ndarray    # (N, n)  inputs before clipping
-    y: np.ndarray        # (N+1, 2n-1)
-    clipped: np.ndarray  # (N, n) bool
-
-    @property
-    def any_clipping(self) -> bool:
-        return bool(self.clipped.any())
+    x: np.ndarray  # (N+1, 2n)
+    u: np.ndarray  # (N, n)  applied (possibly clipped) inputs
 
 
 def rollout(
@@ -279,13 +267,12 @@ def rollout(
 ) -> Trajectory:
     """Simulate the closed loop from ``x0`` over the solution's horizon.
 
-    When limits are given, each input is clipped before it is applied and
-    the clipping is flagged; speeds are additionally clamped to
-    ``[0, v_max]`` so the recorded states stay physical (vehicles neither
-    reverse nor run away while a large tracking error saturates the
-    actuator).  Positions integrate the trapezoid of successive speeds,
-    which coincides exactly with ``A @ x + B @ u`` whenever no clamp
-    binds.
+    When limits are given, each input is clipped before it is applied;
+    speeds are additionally clamped to ``[0, v_max]`` so the recorded
+    states stay physical (vehicles neither reverse nor run away while a
+    large tracking error saturates the actuator).  Positions integrate
+    the trapezoid of successive speeds, which coincides exactly with
+    ``A @ x + B @ u`` whenever no clamp binds.
     """
     N = solution.horizon
     x0 = np.asarray(x0, dtype=float)
@@ -295,26 +282,19 @@ def rollout(
     dt = model.dt
     x = np.empty((N + 1, model.state_dim))
     u = np.empty((N, n))
-    u_raw = np.empty((N, n))
-    clipped = np.zeros((N, n), dtype=bool)
     x[0] = x0
     for k in range(N):
         uk = solution.control(k, x[k])
-        u_raw[k] = uk
         if limits is not None:
-            uk_applied = np.clip(uk, limits.acc_min, limits.acc_max)
-            clipped[k] = uk_applied != uk
-        else:
-            uk_applied = uk
-        u[k] = uk_applied
+            uk = np.clip(uk, limits.acc_min, limits.acc_max)
+        u[k] = uk
         v = x[k, n:]
-        v_next = v + dt * uk_applied
+        v_next = v + dt * uk
         if limits is not None:
             v_next = np.clip(v_next, 0.0, limits.v_max)
         x[k + 1, :n] = x[k, :n] + 0.5 * dt * (v + v_next)
         x[k + 1, n:] = v_next
-    y = x @ model.C.T
-    return Trajectory(x=x, u=u, u_raw=u_raw, y=y, clipped=clipped)
+    return Trajectory(x=x, u=u)
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,6 @@ _STATUS_CODES = {
 }
 _STATUS_BY_CODE = {v: k for k, v in _STATUS_CODES.items()}
 
-#: Nominal vehicle length in meters.  Used for net (bumper-to-bumper) gap
-#: accounting and reporting; the point-mass dynamics do not depend on it.
-VEHICLE_LENGTH = 5.0
-
 
 @dataclass
 class ControlLimits:
@@ -169,29 +165,6 @@ class VehicleState:
                 )
 
 
-def map_to_axis(raw_lane_position: float, lane: Lane, geometry: MergeGeometry) -> float:
-    """Project a lane-local station onto the shared merge axis.
-
-    Lane stations are measured in meters along the lane in the direction
-    of travel, starting at zero where the modeled lane begins.  The
-    mapping is an exact affine shift, so distance-to-merge is preserved.
-
-    Raises ``ValueError`` for stations outside the modeled lane.
-    """
-    if lane is Lane.MAINLINE:
-        length = geometry.upstream_extent + geometry.downstream_extent
-        if not 0.0 <= raw_lane_position <= length:
-            raise ValueError(
-                f"mainline station {raw_lane_position} outside [0, {length}]"
-            )
-        return raw_lane_position - geometry.upstream_extent
-    if not 0.0 <= raw_lane_position <= geometry.ramp_length:
-        raise ValueError(
-            f"ramp station {raw_lane_position} outside [0, {geometry.ramp_length}]"
-        )
-    return raw_lane_position - geometry.ramp_length
-
-
 def gap_min_for(vehicle: VehicleState, limits: ControlLimits) -> float:
     """Minimum admissible net gap ahead of ``vehicle``.
 
@@ -203,8 +176,3 @@ def gap_min_for(vehicle: VehicleState, limits: ControlLimits) -> float:
         raise ValueError(f"vehicle {vehicle.id} has no recorded entry speed")
     return max(limits.gap_min_headway * v0, limits.gap_floor)
 
-
-def net_gap(leader_position: float, follower_position: float,
-            vehicle_length: float = VEHICLE_LENGTH) -> float:
-    """Bumper-to-bumper gap between two vehicles on the shared axis."""
-    return leader_position - follower_position - vehicle_length

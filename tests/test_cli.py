@@ -113,10 +113,12 @@ class TestLoadConfig:
         assert cfg.mode.value == "metering" and cfg.seed == 11
 
     def test_unknown_field_is_named(self, tmp_path):
-        path = write_config(tmp_path, "scoring: {contrl_weight: 3}\n" + MINIMAL)
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert any(p == "scoring.contrl_weight" for p, _ in err.value.issues)
+        # a typo, and the thread-pool knob that scoring no longer has
+        for name in ("contrl_weight", "workers"):
+            path = write_config(tmp_path, f"scoring: {{{name}: 3}}\n" + MINIMAL)
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert (f"scoring.{name}", "unknown field") in err.value.issues
 
     def test_positive_acc_min_is_named(self, tmp_path):
         path = write_config(tmp_path, "limits: {acc_min: 1.0}\n" + MINIMAL)
@@ -362,6 +364,15 @@ class TestCommands:
         assert (tmp_path / "compare_seed2_report.txt").exists()
         for mode in ("optimal", "metering", "none"):
             assert (tmp_path / f"compare_{mode}_seed2_trajectories.csv").exists()
+
+    def test_compare_report_takes_the_config_seed(self, tmp_path):
+        code = main(["compare", "--config", CONFIG_DIR + "/smoke.yaml",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert (tmp_path / "compare_seed3_report.json").exists()
+        assert (tmp_path / "compare_seed3_report.txt").exists()
+        assert (tmp_path / "compare_optimal_seed3_trajectories.csv").exists()
+        assert not list(tmp_path.glob("*seedNone*"))
 
     def test_sweep_aggregates(self, tmp_path):
         code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml",

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from rampmerge.vehicles import (
@@ -9,49 +7,7 @@ from rampmerge.vehicles import (
     MergeGeometry,
     VehicleState,
     gap_min_for,
-    map_to_axis,
-    net_gap,
 )
-
-
-@pytest.fixture
-def geometry():
-    return MergeGeometry()
-
-
-class TestAxisMapping:
-    def test_ramp_station_before_merge(self, geometry):
-        # 120 m short of the merge point, measured along the ramp
-        axis = map_to_axis(geometry.ramp_length - 120.0, Lane.RAMP, geometry)
-        assert axis == pytest.approx(-120.0, abs=1e-12)
-
-    def test_mainline_station_at_merge(self, geometry):
-        axis = map_to_axis(geometry.upstream_extent, Lane.MAINLINE, geometry)
-        assert axis == pytest.approx(0.0, abs=1e-12)
-
-    def test_mainline_station_past_merge(self, geometry):
-        axis = map_to_axis(geometry.upstream_extent + 250.0, Lane.MAINLINE, geometry)
-        assert axis == pytest.approx(250.0, abs=1e-12)
-
-    def test_out_of_domain_raises(self, geometry):
-        with pytest.raises(ValueError):
-            map_to_axis(-1.0, Lane.MAINLINE, geometry)
-        with pytest.raises(ValueError):
-            map_to_axis(geometry.ramp_length + 0.5, Lane.RAMP, geometry)
-
-    def test_mapping_is_affine_and_injective(self, geometry):
-        # equal station increments map to equal axis increments, per lane
-        for lane, top in ((Lane.MAINLINE, 2500.0), (Lane.RAMP, 900.0)):
-            stations = [0.0, 1.0, top / 3, top / 2, top]
-            axes = [map_to_axis(s, lane, geometry) for s in stations]
-            for (s1, a1), (s2, a2) in zip(zip(stations, axes), zip(stations[1:], axes[1:])):
-                assert a2 - a1 == pytest.approx(s2 - s1, abs=1e-9)
-            assert len(set(axes)) == len(axes)
-
-    def test_lanes_share_merge_origin(self, geometry):
-        ramp_end = map_to_axis(geometry.ramp_length, Lane.RAMP, geometry)
-        main_merge = map_to_axis(geometry.upstream_extent, Lane.MAINLINE, geometry)
-        assert ramp_end == main_merge == 0.0
 
 
 class TestGapMin:
@@ -80,10 +36,6 @@ class TestGapMin:
         v = VehicleState(5, Lane.RAMP, -200.0, 10.0)
         with pytest.raises(ValueError):
             gap_min_for(v, ControlLimits())
-
-
-def test_net_gap_subtracts_vehicle_length():
-    assert net_gap(100.0, 60.0) == pytest.approx(35.0)
 
 
 class TestValidation:
