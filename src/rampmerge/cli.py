@@ -257,12 +257,14 @@ def load_config(path: str | Path, mode: str | None = None,
             q_suggested=kw["suggested"],
         ))
 
-    if issues:
-        raise ConfigError(issues)
-
     # anything a section omits falls back to the scenario defaults
     def scenario_default(name: str):
         return ScenarioConfig.__dataclass_fields__[name].default_factory()
+
+    scoring = replace(scenario_default("scoring"), **scoring_kw)
+    issues += [(f"scoring.{name}", problem) for name, problem in scoring.issues()]
+    if issues:
+        raise ConfigError(issues)
 
     config = ScenarioConfig(
         phases=phases,
@@ -273,7 +275,7 @@ def load_config(path: str | Path, mode: str | None = None,
         limits=replace(scenario_default("limits"), **limits_kw),
         mainline_idm=replace(scenario_default("mainline_idm"), **mainline_kw),
         ramp_idm=replace(scenario_default("ramp_idm"), **ramp_kw),
-        scoring=replace(scenario_default("scoring"), **scoring_kw),
+        scoring=scoring,
         fuel=FuelCoefficients(**fuel_kw) if fuel_kw else DEFAULT_COEFFICIENTS,
         **scalars,
     )

@@ -5,7 +5,8 @@ A merge sequence is an interleaving of the two lane queues that keeps the
 order within each lane (no overtaking on a lane), so for M mainline and N
 ramp vehicles there are C(M+N, N) candidates.  Each candidate is scored
 by rolling out the string tracker and integrating predicted fuel over
-the horizon; the minimum-fuel feasible candidate wins.
+the horizon; the minimum-fuel feasible candidate wins.  A decision
+cycle's candidates are solved and rolled out as one batch.
 """
 from __future__ import annotations
 
@@ -20,9 +21,11 @@ from .statespace import LtiModel, build_model
 from .tracking import (
     PairGapSpec,
     RepairResult,
+    StringProblem,
     TrackerWeights,
     build_reference,
     solve_with_repair,
+    solve_with_repair_batch,
     weights_for,
 )
 from .vehicles import ControlLimits, Lane, VehicleState, gap_min_for
@@ -121,6 +124,26 @@ class ScoringContext:
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     cap: int = 252
 
+    def issues(self) -> list[tuple[str, str]]:
+        """``(field, problem)`` for each field that would break planning:
+        an empty horizon, a repair loop that cannot grow, or a cap that
+        admits no candidate."""
+        return [
+            (name, f"must be {need}, got {getattr(self, name)}")
+            for name, need, ok in (
+                ("horizon", ">= 1", self.horizon >= 1),
+                ("max_horizon", ">= 1", self.max_horizon >= 1),
+                ("horizon_growth", "> 1", self.horizon_growth > 1.0),
+                ("cap", ">= 1", self.cap >= 1),
+            )
+            if not ok
+        ]
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field out of range."""
+        for name, problem in self.issues():
+            raise ValueError(f"{name} {problem}")
+
     def weights(self, lanes: tuple[Lane, ...]) -> TrackerWeights:
         """Tracker weights of a string with these lanes."""
         return weights_for(
@@ -168,6 +191,18 @@ class ScoringContext:
             max_horizon=self.max_horizon,
         )
 
+    def solve_batch(
+        self, problems: list[StringProblem], limits: ControlLimits
+    ) -> list[RepairResult]:
+        """Plan many strings at once; each result is what :meth:`solve`
+        gives that string alone."""
+        return solve_with_repair_batch(
+            problems, limits, self.vehicle_length,
+            horizon=self.horizon, merge_entry=self.merge_entry,
+            activation_margin=self.activation_margin, growth=self.horizon_growth,
+            max_horizon=self.max_horizon,
+        )
+
 
 @dataclass
 class SequenceScore:
@@ -200,35 +235,53 @@ def pair_gap_floors(
     return floors
 
 
+def score_sequences(
+    sequences: list[MergeSequence],
+    states: Mapping[int, VehicleState],
+    ctx: ScoringContext,
+) -> list[SequenceScore]:
+    """Roll out candidate orders as one batch and integrate each one's
+    predicted fuel."""
+    models: dict[int, LtiModel] = {}
+    problems = []
+    for sequence in sequences:
+        n = len(sequence)
+        if n not in models:
+            models[n] = build_model(n, ctx.dt)
+        x0 = np.concatenate([
+            [states[v].position for v in sequence.ids],
+            [states[v].speed for v in sequence.ids],
+        ])
+        floors = pair_gap_floors(sequence, states, ctx.limits)
+        r_vec, specs = ctx.targets(sequence.lanes, floors)
+        problems.append(StringProblem(
+            models[n], ctx.weights(sequence.lanes), r_vec, x0, specs
+        ))
+    scores = []
+    for sequence, result in zip(sequences, ctx.solve_batch(problems, ctx.limits)):
+        n = len(sequence)
+        speeds = np.maximum(result.trajectory.x[:-1, n:], 0.0)
+        total = sum(
+            trajectory_fuel(speeds[:, i], result.trajectory.u[:, i], ctx.dt, ctx.fuel)
+            for i in range(n)
+        )
+        scores.append(SequenceScore(
+            sequence=sequence,
+            total_fuel=float(total),
+            feasible=not result.degraded,
+            horizon=result.horizon,
+            result=result,
+        ))
+    return scores
+
+
 def score_sequence(
     sequence: MergeSequence,
     states: Mapping[int, VehicleState],
     ctx: ScoringContext,
 ) -> SequenceScore:
     """Roll out one candidate order and integrate its predicted fuel."""
-    n = len(sequence)
-    model = build_model(n, ctx.dt)
-    x0 = np.concatenate([
-        [states[v].position for v in sequence.ids],
-        [states[v].speed for v in sequence.ids],
-    ])
-    floors = pair_gap_floors(sequence, states, ctx.limits)
-    r_vec, specs = ctx.targets(sequence.lanes, floors)
-    result = ctx.solve(
-        model, ctx.weights(sequence.lanes), r_vec, x0, specs, ctx.limits
-    )
-    speeds = np.maximum(result.trajectory.x[:-1, n:], 0.0)
-    total = sum(
-        trajectory_fuel(speeds[:, i], result.trajectory.u[:, i], ctx.dt, ctx.fuel)
-        for i in range(n)
-    )
-    return SequenceScore(
-        sequence=sequence,
-        total_fuel=float(total),
-        feasible=not result.degraded,
-        horizon=result.horizon,
-        result=result,
-    )
+    return score_sequences([sequence], states, ctx)[0]
 
 
 def _selection_key(score: SequenceScore) -> tuple:
@@ -248,6 +301,6 @@ def optimal_sequence(
     vehicle ids, so the choice is reproducible.
     """
     candidates = enumerate_sequences(mainline_ids, ramp_ids, cap=ctx.cap)
-    scores = [score_sequence(s, states, ctx) for s in candidates]
+    scores = score_sequences(candidates, states, ctx)
     feasible = [s for s in scores if s.feasible]
     return min(feasible if feasible else scores, key=_selection_key)

@@ -142,6 +142,10 @@ class ScenarioConfig:
             raise ValueError("dt must be positive")
         self.geometry.validate()
         self.limits.validate()
+        try:
+            self.scoring.validate()
+        except ValueError as exc:
+            raise ValueError(f"scoring.{exc}") from exc
 
     @property
     def total_duration(self) -> float:

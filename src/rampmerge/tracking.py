@@ -22,7 +22,10 @@ and the feedforward gain against the next-step costate:
 K_k, Ky_k and S_k depend only on the model, the weights and the steps
 left, so they are kept once per (model, weights) in a table indexed by
 time-to-go; each solve reads its gains from the table and recurses only
-V_k.  Receding-horizon use relies on the backward recursion converging
+V_k.  Problems of one string size are solved, rolled out and repaired as
+stacked batches; a stacked ``matmul`` or ``solve`` makes one BLAS/LAPACK
+call per problem, so each batched result is bitwise the one-problem
+result.  Receding-horizon use relies on the backward recursion converging
 to constant gains, computed here by fixed-point iteration.
 """
 from __future__ import annotations
@@ -173,21 +176,63 @@ class RiccatiTable:
 
     def extend(self, N: int) -> None:
         """Fill the table up to ``N`` steps to go."""
-        if N <= self.size:
-            return
-        self._grow(N)
-        A, B, R, CtQC = self.A, self.B, self.R, self.CtQC
-        K, Ky, Acl, S = self.K, self.Ky, self.Acl, self.S
-        for j in range(self.size, N):
-            Sn = S[j]
-            BtS = B.T @ Sn
-            M = R + BtS @ B
-            K[j] = np.linalg.solve(M, BtS @ A)
-            Ky[j] = np.linalg.solve(M, B.T)
-            Acl[j] = A - B @ K[j]
-            Sk = CtQC + A.T @ Sn @ Acl[j]
-            S[j + 1] = 0.5 * (Sk + Sk.T)  # symmetrize against floating-point drift
-        self.size = N
+        extend_tables([self], N)
+
+
+def extend_tables(tables: list[RiccatiTable], N: int) -> None:
+    """Fill every table up to ``N`` steps to go in one stacked recursion.
+
+    Tables of equal dimensions advance together, one stacked step per
+    time-to-go, and a table joins the stack at the step where its own
+    fill ends.  A stacked ``matmul`` or ``solve`` makes one BLAS/LAPACK
+    call per table, with the operations of the per-table recursion in the
+    same order, so every entry is bitwise what the table computes alone.
+    """
+    groups: dict[tuple, list[RiccatiTable]] = {}
+    for table in dict.fromkeys(tables):
+        if table.size < N:
+            groups.setdefault(table.K.shape[1:], []).append(table)
+    for group in groups.values():
+        starts = sorted({t.size for t in group})
+        for t in group:
+            t._grow(N)
+        for start, stop in zip(starts, starts[1:] + [N]):
+            _fill([t for t in group if t.size <= start], start, stop)
+        for t in group:
+            t.size = N
+
+
+def _fill(tables: list[RiccatiTable], start: int, stop: int) -> None:
+    """Recursion steps ``start`` to ``stop`` of tables filled to ``start``."""
+    A = np.stack([t.A for t in tables])
+    B = np.stack([t.B for t in tables])
+    R = np.stack([t.R for t in tables])
+    CtQC = np.stack([t.CtQC for t in tables])
+    At, Bt = A.swapaxes(1, 2), B.swapaxes(1, 2)
+    steps = (len(tables), stop - start)
+    K = np.empty(steps + tables[0].K.shape[1:])
+    Ky = np.empty_like(K)
+    Acl = np.empty(steps + tables[0].Acl.shape[1:])
+    S = np.empty_like(Acl)
+    nx = A.shape[1]
+    rhs = np.empty(K.shape[:1] + (K.shape[2], 2 * nx))  # [B'S A | B'], one solve
+    rhs[..., nx:] = Bt
+    Sn = np.stack([t.S[start] for t in tables])
+    for j in range(stop - start):
+        BtS = Bt @ Sn
+        M = R + BtS @ B
+        np.matmul(BtS, A, out=rhs[..., :nx])
+        gains = np.linalg.solve(M, rhs)
+        K[:, j] = gains[..., :nx]
+        Ky[:, j] = gains[..., nx:]
+        Acl[:, j] = A - B @ K[:, j]
+        Sk = CtQC + At @ Sn @ Acl[:, j]
+        Sn = S[:, j] = 0.5 * (Sk + Sk.swapaxes(1, 2))  # symmetrize against drift
+    for g, t in enumerate(tables):
+        t.K[start:stop] = K[g]
+        t.Ky[start:stop] = Ky[g]
+        t.Acl[start:stop] = Acl[g]
+        t.S[start + 1:stop + 1] = S[g]
 
 
 #: upper bound on the bytes held by cached Riccati tables; the least
@@ -203,19 +248,63 @@ def _table_key(model: LtiModel, weights: TrackerWeights) -> tuple:
     )
 
 
-def _riccati_table(model: LtiModel, weights: TrackerWeights, N: int) -> RiccatiTable:
-    """Process-wide table for ``(model, weights)``, filled to ``N`` steps."""
-    key = _table_key(model, weights)
-    table = _riccati_tables.pop(key, None)
-    if table is None:
-        table = RiccatiTable(model, weights)
-    table.extend(N)
-    _riccati_tables[key] = table
+def _riccati_tables_for(
+    models: list[LtiModel], weights: list[TrackerWeights], N: int
+) -> list[RiccatiTable]:
+    """Process-wide tables for each ``(model, weights)``, filled to ``N`` steps.
+
+    The caller must hold the returned tables while it reads them: once the
+    cache is over its byte budget it may drop any of them.
+    """
+    tables = []
+    for model, w in zip(models, weights):
+        key = _table_key(model, w)
+        table = _riccati_tables.get(key)
+        if table is None:
+            table = _riccati_tables[key] = RiccatiTable(model, w)
+        _riccati_tables.move_to_end(key)
+        tables.append(table)
+    extend_tables(tables, N)
     held = sum(t.nbytes for t in _riccati_tables.values())
     while held > RICCATI_CACHE_BYTES and len(_riccati_tables) > 1:
         _, dropped = _riccati_tables.popitem(last=False)
         held -= dropped.nbytes
-    return table
+    return tables
+
+
+def solve_finite_horizon_batch(
+    models: list[LtiModel], weights: list[TrackerWeights], r: np.ndarray
+) -> list[LqSolution]:
+    """Finite-horizon solutions of equal-sized problems over one horizon.
+
+    ``r`` stacks each problem's reference rows, shape ``(G, N+1, 2n-1)``.
+    The gains and quadratic terms come from the shared time-to-go tables
+    (see :class:`RiccatiTable`), filled by one stacked recursion; the
+    linear term ``V`` is recursed for all problems at once, one stacked
+    step per time step.  The returned ``K``, ``Ky`` and ``S`` are
+    read-only views into the tables.
+    """
+    N = r.shape[1] - 1
+    tables = _riccati_tables_for(models, weights, N)
+    C = np.stack([m.C for m in models])
+    Q = np.stack([w.Q for w in weights])
+    Q_N = np.stack([w.Q_N for w in weights])
+    Ct = C.swapaxes(1, 2)
+    CtQ = Ct @ Q
+    forcing = (CtQ[:, None] @ r[..., None])[..., 0]  # C' Q r_k for every k
+
+    V = np.empty((len(models), N + 1, C.shape[2]))
+    V[:, N] = (Ct @ (Q_N @ r[:, N, :, None]))[..., 0]
+    AclT = np.stack([t.Acl[:N] for t in tables]).swapaxes(2, 3)
+    for k in range(N - 1, -1, -1):
+        V[:, k] = (AclT[:, N - 1 - k] @ V[:, k + 1, :, None])[..., 0] + forcing[:, k]
+    solutions = []
+    for table, Vg in zip(tables, V):
+        K, Ky, S = table.K[N - 1::-1], table.Ky[N - 1::-1], table.S[N::-1]
+        for view in (K, Ky, S):
+            view.flags.writeable = False
+        solutions.append(LqSolution(K=K, Ky=Ky, S=S, V=Vg))
+    return solutions
 
 
 def solve_finite_horizon(
@@ -226,29 +315,14 @@ def solve_finite_horizon(
 ) -> LqSolution:
     """Backward Riccati recursion over the reference's horizon.
 
-    The gains and quadratic terms are read from the shared time-to-go
-    table (see :class:`RiccatiTable`); only the linear term ``V``, which
-    depends on the reference, is recursed per call.  The returned
-    ``K``, ``Ky`` and ``S`` are read-only views into that table.
+    The one-problem case of :func:`solve_finite_horizon_batch`.
     """
     N = ref.horizon if horizon is None else horizon
     if N < 1:
         raise ValueError(f"horizon must be >= 1, got {N}")
     if ref.horizon != N:
         raise ValueError(f"reference has horizon {ref.horizon}, expected {N}")
-    table = _riccati_table(model, weights, N)
-    K, Ky, S = table.K[N - 1::-1], table.Ky[N - 1::-1], table.S[N::-1]
-    Acl = table.Acl[N - 1::-1]
-    for view in (K, Ky, S):
-        view.flags.writeable = False
-    C = model.C
-    CtQ = C.T @ weights.Q
-
-    V = np.empty((N + 1, model.state_dim))
-    V[N] = C.T @ (weights.Q_N @ ref.r[N])
-    for k in range(N - 1, -1, -1):
-        V[k] = Acl[k].T @ V[k + 1] + CtQ @ ref.r[k]
-    return LqSolution(K=K, Ky=Ky, S=S, V=V)
+    return solve_finite_horizon_batch([model], [weights], ref.r[None])[0]
 
 
 @dataclass
@@ -259,6 +333,49 @@ class Trajectory:
     u: np.ndarray  # (N, n)  applied (possibly clipped) inputs
 
 
+def rollout_batch(
+    model: LtiModel,
+    solutions: list[LqSolution],
+    x0: np.ndarray,
+    limits: ControlLimits | None = None,
+) -> list[Trajectory]:
+    """Simulate the closed loops of equal-horizon solutions at once.
+
+    ``x0`` stacks the start states, shape ``(G, 2n)``.  Each step is one
+    stacked update of every loop, with the operations of :func:`rollout`,
+    so each trajectory is bitwise what it would be alone.
+    """
+    N = solutions[0].horizon
+    if any(s.horizon != N for s in solutions):
+        raise ValueError("batched rollouts need one horizon")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (len(solutions), model.state_dim):
+        raise ValueError(
+            f"x0 must have shape ({len(solutions)}, {model.state_dim}), got {x0.shape}"
+        )
+    n = model.n
+    dt = model.dt
+    neg_K = np.stack([s.K for s in solutions])
+    np.negative(neg_K, out=neg_K)
+    V_next = np.stack([s.V[1:] for s in solutions])
+    feedforward = (np.stack([s.Ky for s in solutions]) @ V_next[..., None])[..., 0]
+    x = np.empty((len(solutions), N + 1, model.state_dim))
+    u = np.empty((len(solutions), N, n))
+    x[:, 0] = x0
+    for k in range(N):
+        uk = (neg_K[:, k] @ x[:, k, :, None])[..., 0] + feedforward[:, k]
+        if limits is not None:
+            uk = np.clip(uk, limits.acc_min, limits.acc_max)
+        u[:, k] = uk
+        v = x[:, k, n:]
+        v_next = v + dt * uk
+        if limits is not None:
+            v_next = np.clip(v_next, 0.0, limits.v_max)
+        x[:, k + 1, :n] = x[:, k, :n] + 0.5 * dt * (v + v_next)
+        x[:, k + 1, n:] = v_next
+    return [Trajectory(x=xg, u=ug) for xg, ug in zip(x, u)]
+
+
 def rollout(
     model: LtiModel,
     solution: LqSolution,
@@ -267,34 +384,18 @@ def rollout(
 ) -> Trajectory:
     """Simulate the closed loop from ``x0`` over the solution's horizon.
 
-    When limits are given, each input is clipped before it is applied;
-    speeds are additionally clamped to ``[0, v_max]`` so the recorded
-    states stay physical (vehicles neither reverse nor run away while a
-    large tracking error saturates the actuator).  Positions integrate
-    the trapezoid of successive speeds, which coincides exactly with
-    ``A @ x + B @ u`` whenever no clamp binds.
+    Each input is ``-K_k x_k + Ky_k V_{k+1}``.  When limits are given, it
+    is clipped before it is applied; speeds are additionally clamped to
+    ``[0, v_max]`` so the recorded states stay physical (vehicles neither
+    reverse nor run away while a large tracking error saturates the
+    actuator).  Positions integrate the trapezoid of successive speeds,
+    which coincides exactly with ``A @ x + B @ u`` whenever no clamp
+    binds.  The one-loop case of :func:`rollout_batch`.
     """
-    N = solution.horizon
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.state_dim,):
         raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
-    n = model.n
-    dt = model.dt
-    x = np.empty((N + 1, model.state_dim))
-    u = np.empty((N, n))
-    x[0] = x0
-    for k in range(N):
-        uk = solution.control(k, x[k])
-        if limits is not None:
-            uk = np.clip(uk, limits.acc_min, limits.acc_max)
-        u[k] = uk
-        v = x[k, n:]
-        v_next = v + dt * uk
-        if limits is not None:
-            v_next = np.clip(v_next, 0.0, limits.v_max)
-        x[k + 1, :n] = x[k, :n] + 0.5 * dt * (v + v_next)
-        x[k + 1, n:] = v_next
-    return Trajectory(x=x, u=u)
+    return rollout_batch(model, [solution], x0[None], limits)[0]
 
 
 @dataclass(frozen=True)
@@ -405,6 +506,102 @@ class RepairResult:
     degraded: bool
 
 
+@dataclass(frozen=True)
+class StringProblem:
+    """One string to plan: model, weights, constant reference, start state
+    and per-pair gap specs."""
+
+    model: LtiModel
+    weights: TrackerWeights
+    r_vec: np.ndarray      # (2n-1,)
+    x0: np.ndarray         # (2n,)
+    pair_specs: list[PairGapSpec]
+
+
+#: one chunk's stacked arrays stay within this share of RICCATI_CACHE_BYTES
+_CHUNK_SHARE = 8
+
+
+def _chunks(problems: list[StringProblem], pending: list[int], N: int):
+    """Split ``pending`` into runs of equal-sized problems whose stacked
+    arrays at horizon ``N`` fit the chunk budget.
+
+    The largest stack is a fill's: ``K``, ``Ky``, ``A - B K`` and ``S``
+    for every step of every table in the chunk.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i in pending:
+        model = problems[i].model
+        groups.setdefault((model.n, model.dt), []).append(i)
+    budget = RICCATI_CACHE_BYTES // _CHUNK_SHARE
+    for (n, _), group in groups.items():
+        per_problem = 8 * N * 2 * (2 * n) * (2 * n + n)
+        size = max(1, budget // per_problem)
+        for c in range(0, len(group), size):
+            yield group[c:c + size]
+
+
+def solve_with_repair_batch(
+    problems: list[StringProblem],
+    limits: ControlLimits,
+    vehicle_length: float,
+    horizon: int = 300,
+    merge_entry: float = 0.0,
+    activation_margin: float = 50.0,
+    growth: float = 1.5,
+    max_horizon: int = 1200,
+) -> list[RepairResult]:
+    """Solve, roll out clipped, and re-solve over longer horizons until clean.
+
+    The applied inputs respect the actuation range by construction, so
+    what can go wrong is the physical trajectory: under clipping a short
+    horizon may not leave enough time to form the required gaps.  The
+    horizon grows geometrically until the clipped rollout is clean; if
+    the cap is reached with violations remaining, the longest-horizon
+    solution is returned flagged as degraded (still executable, since
+    its inputs are clipped).
+
+    Repair runs in rounds: every problem starts at ``horizon``, each
+    round solves and rolls out its problems in stacked chunks, and the
+    problems whose rollout still violates a constraint go on to the next
+    horizon together.  Each result is bitwise what the problem gets
+    alone.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if growth <= 1.0:
+        raise ValueError(f"horizon growth must exceed 1, got {growth}")
+    results: list[RepairResult | None] = [None] * len(problems)
+    pending = list(range(len(problems)))
+    N = min(horizon, max_horizon)
+    while pending:
+        retry = []
+        for chunk in _chunks(problems, pending, N):
+            batch = [problems[i] for i in chunk]
+            r_vecs = np.stack([np.asarray(p.r_vec, dtype=float) for p in batch])
+            solutions = solve_finite_horizon_batch(
+                [p.model for p in batch], [p.weights for p in batch],
+                np.broadcast_to(r_vecs[:, None], (len(batch), N + 1, r_vecs.shape[1])),
+            )
+            trajectories = rollout_batch(
+                batch[0].model, solutions, np.stack([p.x0 for p in batch]), limits
+            )
+            for i, p, solution, traj in zip(chunk, batch, solutions, trajectories):
+                report = check_constraints(
+                    p.model, traj, limits, p.pair_specs, vehicle_length,
+                    merge_entry=merge_entry, activation_margin=activation_margin,
+                )
+                if report.ok or N >= max_horizon:
+                    results[i] = RepairResult(
+                        solution, traj, report, N, degraded=not report.ok
+                    )
+                else:
+                    retry.append(i)
+        pending = retry
+        N = min(int(np.ceil(N * growth)), max_horizon)
+    return results
+
+
 def solve_with_repair(
     model: LtiModel,
     weights: TrackerWeights,
@@ -419,32 +616,13 @@ def solve_with_repair(
     growth: float = 1.5,
     max_horizon: int = 1200,
 ) -> RepairResult:
-    """Solve, roll out clipped, and re-solve over longer horizons until clean.
-
-    The applied inputs respect the actuation range by construction, so
-    what can go wrong is the physical trajectory: under clipping a short
-    horizon may not leave enough time to form the required gaps.  The
-    horizon grows geometrically until the clipped rollout is clean; if
-    the cap is reached with violations remaining, the longest-horizon
-    solution is returned flagged as degraded (still executable, since
-    its inputs are clipped).
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    N = min(horizon, max_horizon)
-    while True:
-        ref = constant_reference(r_vec, N)
-        solution = solve_finite_horizon(model, weights, ref)
-        traj = rollout(model, solution, x0, limits)
-        report = check_constraints(
-            model, traj, limits, pair_specs, vehicle_length,
-            merge_entry=merge_entry, activation_margin=activation_margin,
-        )
-        if report.ok:
-            return RepairResult(solution, traj, report, N, degraded=False)
-        if N >= max_horizon:
-            return RepairResult(solution, traj, report, N, degraded=not report.ok)
-        N = min(int(np.ceil(N * growth)), max_horizon)
+    """The one-string case of :func:`solve_with_repair_batch`."""
+    problem = StringProblem(model, weights, r_vec, np.asarray(x0, dtype=float), pair_specs)
+    return solve_with_repair_batch(
+        [problem], limits, vehicle_length, horizon=horizon,
+        merge_entry=merge_entry, activation_margin=activation_margin,
+        growth=growth, max_horizon=max_horizon,
+    )[0]
 
 
 def converged_gains(

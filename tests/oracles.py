@@ -4,7 +4,8 @@ Everything here is deliberately written against the problem statement,
 not against the library internals: the QP solve stacks the dynamics into
 one dense least-squares problem, the Riccati reference is the plain
 per-horizon backward recursion, the interleaving counter is a direct
-recursion, and the quadrature helpers are plain Python loops.
+recursion, the quadrature helpers are plain Python loops, and the
+candidate scorer scores one candidate at a time, one step at a time.
 """
 from __future__ import annotations
 
@@ -88,3 +89,55 @@ def fuel_by_loop(speeds, accels, dt, coeffs) -> float:
                 + a * (coeffs.c0 + coeffs.c1 * v + coeffs.c2 * v**2))
         total += max(rate, 0.0) * dt
     return total
+
+
+def score_by_loop(sequence, states, ctx):
+    """One candidate scored alone, as the scorer ran before batching.
+
+    Per horizon: the from-scratch recursion above, then the clipped
+    closed loop stepped one input at a time; the horizon grows until the
+    rollout is clean or capped, and the fuel of every vehicle is summed.
+    Returns ``(total_fuel, feasible, horizon, x, u)``.
+    """
+    from rampmerge.fuel import trajectory_fuel
+    from rampmerge.sequencing import pair_gap_floors
+    from rampmerge.statespace import build_model
+    from rampmerge.tracking import Trajectory, check_constraints, constant_reference
+
+    n = len(sequence)
+    model = build_model(n, ctx.dt)
+    weights = ctx.weights(sequence.lanes)
+    x0 = np.concatenate([
+        [states[v].position for v in sequence.ids],
+        [states[v].speed for v in sequence.ids],
+    ])
+    r_vec, specs = ctx.targets(
+        sequence.lanes, pair_gap_floors(sequence, states, ctx.limits)
+    )
+    limits, dt = ctx.limits, ctx.dt
+    N = min(ctx.horizon, ctx.max_horizon)
+    while True:
+        K, Ky, _, V = riccati_recursion(model, weights, constant_reference(r_vec, N))
+        x = np.empty((N + 1, 2 * n))
+        u = np.empty((N, n))
+        x[0] = x0
+        for k in range(N):
+            uk = -K[k] @ x[k] + Ky[k] @ V[k + 1]
+            uk = np.clip(uk, limits.acc_min, limits.acc_max)
+            u[k] = uk
+            v = x[k, n:]
+            v_next = np.clip(v + dt * uk, 0.0, limits.v_max)
+            x[k + 1, :n] = x[k, :n] + 0.5 * dt * (v + v_next)
+            x[k + 1, n:] = v_next
+        ok = check_constraints(
+            model, Trajectory(x=x, u=u), limits, specs, ctx.vehicle_length,
+            merge_entry=ctx.merge_entry, activation_margin=ctx.activation_margin,
+        ).ok
+        if ok or N >= ctx.max_horizon:
+            break
+        N = min(int(np.ceil(N * ctx.horizon_growth)), ctx.max_horizon)
+    speeds = np.maximum(x[:-1, n:], 0.0)
+    total = sum(
+        trajectory_fuel(speeds[:, i], u[:, i], dt, ctx.fuel) for i in range(n)
+    )
+    return float(total), ok, N, x, u

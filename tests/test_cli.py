@@ -120,6 +120,17 @@ class TestLoadConfig:
                 load_config(path)
             assert (f"scoring.{name}", "unknown field") in err.value.issues
 
+    @pytest.mark.parametrize("field,value", [
+        ("horizon_growth", 1.0), ("horizon", 0), ("max_horizon", 0), ("cap", 0),
+    ])
+    def test_scoring_range_is_named(self, tmp_path, field, value):
+        # growth 1 never lengthens the repair horizon; zero horizons and
+        # a zero cap used to fail mid-run with a traceback
+        path = write_config(tmp_path, f"scoring: {{{field}: {value}}}\n" + MINIMAL)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert [p for p, _ in err.value.issues] == [f"scoring.{field}"]
+
     def test_positive_acc_min_is_named(self, tmp_path):
         path = write_config(tmp_path, "limits: {acc_min: 1.0}\n" + MINIMAL)
         with pytest.raises(ConfigError) as err:
@@ -346,6 +357,12 @@ class TestCommands:
         monkeypatch.setenv("RAMPMERGE_OUT", str(tmp_path / "env_out"))
         code = main(["validate", "--config", CONFIG_DIR + "/smoke.yaml"])
         assert code == EXIT_OK
+
+    def test_validate_rejects_scoring_range(self, tmp_path, capsys):
+        bad = write_config(tmp_path, "scoring: {horizon_growth: 1.0}\n" + MINIMAL)
+        code = main(["validate", "--config", str(bad)])
+        assert code == EXIT_CONFIG
+        assert "scoring.horizon_growth: must be > 1" in capsys.readouterr().err
 
     def test_validate_prints_resolved_set(self, capsys):
         code = main(["validate", "--config", CONFIG_DIR + "/smoke.yaml"])

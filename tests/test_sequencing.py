@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import fuel_by_loop, interleaving_count
+from collections import OrderedDict
+
+from oracles import fuel_by_loop, interleaving_count, score_by_loop
+from rampmerge import tracking
 from rampmerge.sequencing import (
     MergeSequence,
     ScoringContext,
@@ -11,7 +14,10 @@ from rampmerge.sequencing import (
     optimal_sequence,
     pair_gap_floors,
     score_sequence,
+    score_sequences,
 )
+from rampmerge.statespace import build_model
+from rampmerge.tracking import constant_reference, solve_finite_horizon
 from rampmerge.vehicles import ControlLimits, Lane, VehicleState
 
 
@@ -150,3 +156,69 @@ class TestSelection:
         best = optimal_sequence([1], [2], states, ctx)
         assert best.sequence.ids == (2, 1)
         assert best.sequence.first_ramp_index == 0
+
+
+class TestBatchedScoring:
+    """A cycle scored as one batch gives every candidate its lone score."""
+
+    CTX = ScoringContext(control_weight=100.0, desired_speed=30.0,
+                         horizon=60, max_horizon=150)
+    MAIN, RAMP = [1, 2, 3], [11, 12, 13]
+    STATES = {
+        1: _state(1, Lane.MAINLINE, -28.0, 30.0),
+        2: _state(2, Lane.MAINLINE, -66.5, 27.5),
+        3: _state(3, Lane.MAINLINE, -85.0, 28.5),
+        11: _state(11, Lane.RAMP, -29.0, 12.0),
+        12: _state(12, Lane.RAMP, -45.0, 16.5),
+        13: _state(13, Lane.RAMP, -63.5, 15.0),
+    }
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return [score_by_loop(seq, self.STATES, self.CTX) for seq in self.candidates()]
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(tracking, "_riccati_tables", OrderedDict())
+
+    def candidates(self):
+        return enumerate_sequences(self.MAIN, self.RAMP)
+
+    def assert_exact(self, expected):
+        seqs = self.candidates()
+        scores = score_sequences(seqs, self.STATES, self.CTX)
+        assert len(scores) == len(expected) == 20
+        for seq, score, (fuel, feasible, horizon, x, u) in zip(seqs, scores, expected):
+            assert score.sequence == seq
+            assert (score.total_fuel, score.feasible, score.horizon) == (
+                fuel, feasible, horizon), seq.ids
+            assert np.array_equal(score.result.trajectory.x, x), seq.ids
+            assert np.array_equal(score.result.trajectory.u, u), seq.ids
+
+    def test_candidates_finishing_at_different_horizons(self, expected):
+        # feasible at 135, feasible at the 150 cap, and degraded at the cap
+        assert {(h, ok) for _, ok, h, _, _ in expected} == {
+            (135, True), (150, True), (150, False)}
+        self.assert_exact(expected)
+        best = optimal_sequence(self.MAIN, self.RAMP, self.STATES, self.CTX)
+        lone = min(
+            (e for e in zip(expected, self.candidates()) if e[0][1]),
+            key=lambda e: (e[0][0], e[1].first_ramp_index, e[1].ids),
+        )
+        assert best.sequence == lone[1]
+
+    def test_tables_evicted_during_the_batch(self, expected, monkeypatch):
+        monkeypatch.setattr(tracking, "RICCATI_CACHE_BYTES", 0)
+        self.assert_exact(expected)
+        assert len(tracking._riccati_tables) == 1
+
+    def test_tables_entering_at_different_fill_levels(self, expected):
+        seqs = self.candidates()
+        model = build_model(6, self.CTX.dt)
+        r = np.full(11, 30.0)
+        for seq, N in zip(seqs[:12], (40, 150, 90) * 4):
+            solve_finite_horizon(model, self.CTX.weights(seq.lanes),
+                                 constant_reference(r, N))
+        sizes = {t.size for t in tracking._riccati_tables.values()}
+        assert sizes == {40, 90, 150}
+        self.assert_exact(expected)

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from oracles import qp_control_sequence, riccati_recursion
 from rampmerge import tracking
+from rampmerge.sequencing import ScoringContext
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
     LqSolution,
@@ -16,6 +17,7 @@ from rampmerge.tracking import (
     check_constraints,
     constant_reference,
     converged_gains,
+    extend_tables,
     rollout,
     solve_finite_horizon,
     solve_with_repair,
@@ -193,6 +195,27 @@ class TestSharedRiccatiTable:
         for lanes in self.PATTERNS[1:3]:
             self.assert_bitwise(lanes, (300, 450))
         assert len(tracking._riccati_tables) == 1
+
+    def test_stacked_fill_matches_the_oracle(self):
+        # three 3-vehicle tables enter at different fill levels and stack;
+        # the 2-vehicle table fills in its own stack, once though passed twice
+        patterns = self.PATTERNS[1:3] + (
+            (Lane.RAMP, Lane.MAINLINE, Lane.MAINLINE),
+            (Lane.MAINLINE, Lane.MAINLINE, Lane.RAMP),
+        )
+        tables = []
+        for lanes, filled in zip(patterns, (40, 0, 120, 250)):
+            model, weights, _ = self.problem(lanes, 1)
+            table = tracking.RiccatiTable(model, weights)
+            table.extend(filled)
+            tables.append(table)
+        extend_tables(tables + tables[:1], 300)
+        for lanes, table in zip(patterns, tables):
+            K, Ky, S, _ = riccati_recursion(*self.problem(lanes, 300))
+            assert table.size == 300
+            assert np.array_equal(table.K, K[::-1]), lanes
+            assert np.array_equal(table.Ky, Ky[::-1]), lanes
+            assert np.array_equal(table.S, S[::-1]), lanes
 
     def test_solution_is_read_only(self):
         model = build_model(2, 0.1)
@@ -402,6 +425,16 @@ class TestRepair:
         assert result.horizon > 30
         assert not result.degraded
         assert result.report.ok
+
+    @pytest.mark.parametrize("growth", [1.0, 0.5])
+    def test_growth_must_lengthen_the_horizon(self, growth):
+        with pytest.raises(ValueError, match="growth"):
+            self._setup(follower_pos=-10.0, floor=40.0, horizon=30, growth=growth)
+
+    def test_scoring_context_rejects_stalled_growth(self):
+        ScoringContext().validate()
+        with pytest.raises(ValueError, match="horizon_growth"):
+            ScoringContext(horizon_growth=1.0).validate()
 
     def test_unreachable_spec_degrades_at_cap(self):
         result = self._setup(
