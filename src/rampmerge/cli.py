@@ -79,12 +79,23 @@ def convert_quantity(value, dimension: str) -> float:
 
     Plain numbers pass through unchanged (SI assumed).  Strings must be
     "<number> <unit>" with a unit known for ``dimension``; dimensionless
-    fields ("plain") reject unit suffixes outright.
+    fields ("plain") reject unit suffixes outright.  Infinities and NaN
+    are rejected.
     """
+    si = _to_si(value, dimension)
+    if not math.isfinite(si):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return si
+
+
+def _to_si(value, dimension: str) -> float:
     if isinstance(value, bool):
         raise ValueError("expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
     if not isinstance(value, str):
         raise ValueError(f"expected a number or '<value> <unit>' string, got {value!r}")
     text = value.replace("−", "-").strip()
@@ -159,6 +170,17 @@ _PHASE_DIMS = {
 }
 _INT_FIELDS = {"horizon", "max_horizon", "cap", "seed"}
 
+
+def _convert_field(key: str, value, dimension: str):
+    """``convert_quantity``, plus an integral check for ``_INT_FIELDS``."""
+    si = convert_quantity(value, dimension)
+    if key not in _INT_FIELDS:
+        return si
+    if not si.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(si)
+
+
 _TOP_KEYS = {
     "name", "mode", "seed", "dt", "vehicle_length", "geometry", "limits",
     "mainline_idm", "ramp_idm", "scoring", "fuel", "demand",
@@ -177,11 +199,9 @@ def _parse_section(raw, dims, path, issues) -> dict:
             issues.append((f"{path}.{key}", "unknown field"))
             continue
         try:
-            si = convert_quantity(value, dims[key])
+            out[key] = _convert_field(key, value, dims[key])
         except ValueError as exc:
             issues.append((f"{path}.{key}", str(exc)))
-            continue
-        out[key] = int(si) if key in _INT_FIELDS else si
     return out
 
 
@@ -219,7 +239,7 @@ def load_config(path: str | Path, mode: str | None = None,
         run_seed = seed
     else:
         try:
-            run_seed = int(convert_quantity(raw.get("seed", 0), "plain"))
+            run_seed = _convert_field("seed", raw.get("seed", 0), "plain")
         except ValueError as exc:
             issues.append(("seed", str(exc)))
             run_seed = 0

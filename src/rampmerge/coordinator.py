@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .idm import IdmParams, idm_accel, predict_eta, regulate_leader, PredecessorTrack
+from .idm import IdmParams, idm_accel, predict_eta, regulate_leader
 from .sequencing import (
     ScoringContext,
     count_sequences,
@@ -40,7 +40,9 @@ from .tracking import (
     LqSolution,
     PairGapSpec,
     TrackerWeights,
+    active_pairs,
     converged_gains,
+    rollout,
     steady_state_feedforward,
 )
 from .vehicles import (
@@ -53,6 +55,25 @@ from .vehicles import (
 #: Hard deceleration available to safety interventions (m/s^2).  Comfort
 #: limits bound planned commands; holds and last-resort braking may use this.
 HARD_BRAKE = -6.0
+#: proportional gain pacing an early ramp leader toward its arrival (1/s)
+K_P = 0.5
+#: distance upstream of the trigger line (m) where an early leader is held
+GATE_WINDOW = 40.0
+#: age (s) after which the leader's predicted arrival is recomputed
+ETA_REFRESH = 0.5
+#: steps of each string's short-range forecast
+LOOKAHEAD_STEPS = 30
+#: interval (s) between forecasts
+LOOKAHEAD_CADENCE = 1.0
+#: a forecast gap below this share of its floor triggers a re-plan
+REPAIR_GAP_FRACTION = 0.6
+#: minimum interval (s) between re-plans of one string
+REPAIR_COOLDOWN = 5.0
+#: span (s) of the moving-average mainline density
+DENSITY_WINDOW = 10.0
+#: mainline vehicles arriving up to this long (s) before the ramp leader
+#: still join its cycle
+PARTNER_MARGIN = 2.0
 
 
 class SetPhase(Enum):
@@ -77,13 +98,10 @@ class WorldSnapshot:
     positions: np.ndarray
     speeds: np.ndarray
     entry_speeds: np.ndarray
+    orders: dict[Lane, np.ndarray]  # lane_orders(lanes, positions)
 
     def __post_init__(self) -> None:
         self._index = {int(v): i for i, v in enumerate(self.ids)}
-        self._ordered = {}
-        for lane in Lane:
-            idx = np.nonzero(self.lanes == lane.code)[0]
-            self._ordered[lane] = idx[np.argsort(-self.positions[idx], kind="stable")]
 
     def index_of(self, vehicle_id: int) -> int:
         return self._index[vehicle_id]
@@ -93,7 +111,7 @@ class WorldSnapshot:
 
     def ordered(self, lane: Lane) -> np.ndarray:
         """Indices of the lane's vehicles, downstream first."""
-        return self._ordered[lane]
+        return self.orders[lane]
 
     def state_of(self, idx: int) -> VehicleState:
         entry = self.entry_speeds[idx]
@@ -213,9 +231,7 @@ class ControlSet:
     lanes: tuple[Lane, ...]
     model: LtiModel
     weights: TrackerWeights
-    K: np.ndarray
-    Ky: np.ndarray
-    V_ss: np.ndarray
+    law: LqSolution  # converged receding-horizon law, LOOKAHEAD_STEPS long
     r_vec: np.ndarray
     floors: np.ndarray
     specs: list[PairGapSpec]
@@ -223,10 +239,6 @@ class ControlSet:
     repair: LqSolution | None = None
     repair_k: int = 0
     last_repair_t: float = -math.inf
-
-    @property
-    def n_members(self) -> int:
-        return len(self.ids)
 
 
 @dataclass
@@ -246,14 +258,6 @@ class CycleRecord:
     release_time: float
 
 
-@dataclass
-class InflowState:
-    """Pacing state for the admission meter at the trigger line."""
-
-    n_ramp_prev: int = 0
-    release_time: float = -math.inf
-
-
 class MergeCoordinator:
     """Runs decision cycles and serves per-step acceleration commands."""
 
@@ -263,15 +267,6 @@ class MergeCoordinator:
         limits: ControlLimits,
         scoring: ScoringContext,
         ramp_idm: IdmParams,
-        k_p: float = 0.5,
-        gate_window: float = 40.0,
-        eta_refresh: float = 0.5,
-        lookahead_steps: int = 30,
-        lookahead_cadence: float = 1.0,
-        repair_gap_fraction: float = 0.6,
-        repair_cooldown: float = 5.0,
-        density_window: float = 10.0,
-        partner_margin: float = 2.0,
     ) -> None:
         geometry.validate()
         limits.validate()
@@ -279,21 +274,13 @@ class MergeCoordinator:
         self.limits = limits
         self.scoring = scoring
         self.ramp_idm = ramp_idm
-        self.k_p = k_p
-        self.gate_window = gate_window
-        self.eta_refresh = eta_refresh
-        self.lookahead_steps = lookahead_steps
-        self.lookahead_cadence = lookahead_cadence
-        self.repair_gap_fraction = repair_gap_fraction
-        self.repair_cooldown = repair_cooldown
-        self.density_window = density_window
-        self.partner_margin = partner_margin
 
         self.sets: list[ControlSet] = []
         self.ever_controlled: set[int] = set()
         self.records: list[CycleRecord] = []
         self.events: list[str] = []
-        self.inflow = InflowState()
+        #: the pending leader may not cross the trigger line before this
+        self.release_time = -math.inf
         self._cycle_count = 0
         self._leader_id: int | None = None
         self._leader_regulating = False
@@ -340,7 +327,7 @@ class MergeCoordinator:
         on_main = snap.lanes == Lane.MAINLINE.code
         in_zone = on_main & (snap.positions >= -zone) & (snap.positions < 0.0)
         self._density_samples.append((snap.t, float(np.count_nonzero(in_zone)) / zone))
-        cutoff = snap.t - self.density_window
+        cutoff = snap.t - DENSITY_WINDOW
         while self._density_samples and self._density_samples[0][0] < cutoff:
             self._density_samples.popleft()
 
@@ -398,7 +385,7 @@ class MergeCoordinator:
         distance = trigger - pos
         if distance <= 0.0:
             return {}
-        remaining = self.inflow.release_time - snap.t
+        remaining = self.release_time - snap.t
 
         # IDM fallback toward the actual ramp predecessor
         order = snap.ordered(Lane.RAMP)
@@ -408,12 +395,11 @@ class MergeCoordinator:
                 pred_idx = int(j)
             else:
                 break
+        gap, dv = math.inf, 0.0
         if pred_idx >= 0:
             gap = float(snap.positions[pred_idx] - pos) - self.scoring.vehicle_length
             dv = v - float(snap.speeds[pred_idx])
-            idm_now = idm_accel(v, max(gap, 0.1), dv, self.ramp_idm)
-        else:
-            idm_now = idm_accel(v, math.inf, 0.0, self.ramp_idm)
+        idm_now = idm_accel(v, max(gap, 0.1), dv, self.ramp_idm)
 
         command = idm_now
         if remaining > 0.0:
@@ -421,11 +407,11 @@ class MergeCoordinator:
             state = snap.state_of(idx)
             command, regulating = regulate_leader(
                 state, idm_now, distance, remaining, eta,
-                k_p=self.k_p, limits=self.limits,
+                k_p=K_P, limits=self.limits,
             )
             self._leader_regulating = regulating
             # hard hold: do not let an early leader reach the line
-            if distance <= self.gate_window:
+            if distance <= GATE_WINDOW:
                 stop_dist = max(distance - 0.5, 0.3)
                 hold = -(v * v) / (2.0 * stop_dist)
                 if hold < command:
@@ -446,15 +432,12 @@ class MergeCoordinator:
         """Predicted unregulated arrival at the trigger, cached briefly."""
         if self._eta_cache is not None:
             cached_id, cached_t, cached_eta = self._eta_cache
-            if cached_id == leader and snap.t - cached_t < self.eta_refresh:
+            if cached_id == leader and snap.t - cached_t < ETA_REFRESH:
                 return max(cached_eta - (snap.t - cached_t), 0.0)
         state = snap.state_of(idx)
         track = None
         if pred_idx >= 0:
-            track = PredecessorTrack(
-                positions=np.array([float(snap.positions[pred_idx])]),
-                speeds=np.array([float(snap.speeds[pred_idx])]),
-            )
+            track = (float(snap.positions[pred_idx]), float(snap.speeds[pred_idx]))
         eta = predict_eta(
             state,
             self.geometry.trigger_point,
@@ -470,18 +453,24 @@ class MergeCoordinator:
     # -- decision cycle ------------------------------------------------
 
     def _controller_for(
-        self, lanes: tuple[Lane, ...]
-    ) -> tuple[LtiModel, TrackerWeights, np.ndarray, np.ndarray]:
+        self, lanes: tuple[Lane, ...], r_vec: np.ndarray
+    ) -> tuple[LtiModel, TrackerWeights, LqSolution]:
+        """Model, weights and converged law of a string tracking ``r_vec``."""
         key = tuple(lane.code for lane in lanes)
         hit = self._gains_cache.get(key)
-        if hit is not None:
-            return hit
-        model = build_model(len(lanes), self.scoring.dt)
-        weights = self.scoring.weights(lanes)
-        K, Ky = converged_gains(model, weights)
-        entry = (model, weights, K, Ky)
-        self._gains_cache[key] = entry
-        return entry
+        if hit is None:
+            model = build_model(len(lanes), self.scoring.dt)
+            weights = self.scoring.weights(lanes)
+            K, Ky = converged_gains(model, weights)
+            hit = self._gains_cache[key] = (model, weights, K, Ky)
+        model, weights, K, Ky = hit
+        V = steady_state_feedforward(model, weights, K, r_vec)
+        law = LqSolution(
+            K=np.broadcast_to(K, (LOOKAHEAD_STEPS,) + K.shape),
+            Ky=np.broadcast_to(Ky, (LOOKAHEAD_STEPS,) + Ky.shape),
+            V=np.broadcast_to(V, (LOOKAHEAD_STEPS + 1,) + V.shape),
+        )
+        return model, weights, law
 
     def _collect_ramp_members(self, leader: int, snap: WorldSnapshot) -> list[int]:
         cap = inflow_group_cap(snap.q_suggested)
@@ -535,7 +524,7 @@ class MergeCoordinator:
             self._density_estimate(snap),
             upper=zone,
         )
-        lo = max(leader_eta - self.partner_margin, 0.0)
+        lo = max(leader_eta - PARTNER_MARGIN, 0.0)
         hi = tail_eta + self.scoring.desired_time_headway + length / v_des
         out: list[int] = []
         for idx in snap.ordered(Lane.MAINLINE):
@@ -593,19 +582,16 @@ class MergeCoordinator:
         best = optimal_sequence(main_ids, ramp_ids, states, self.scoring)
         seq = best.sequence
 
-        model, weights, K, Ky = self._controller_for(seq.lanes)
         floors = pair_gap_floors(seq, states, self.limits)
         r_vec, specs = self.scoring.targets(seq.lanes, floors)
-        V_ss = steady_state_feedforward(model, weights, K, r_vec)
+        model, weights, law = self._controller_for(seq.lanes, r_vec)
         cset = ControlSet(
             cycle_id=self._cycle_count,
             ids=seq.ids,
             lanes=seq.lanes,
             model=model,
             weights=weights,
-            K=K,
-            Ky=Ky,
-            V_ss=V_ss,
+            law=law,
             r_vec=r_vec,
             floors=floors,
             specs=specs,
@@ -634,10 +620,7 @@ class MergeCoordinator:
                 f"t={snap.t:.1f} cycle {self._cycle_count}: degraded plan "
                 f"(horizon {best.horizon})"
             )
-        self.inflow = InflowState(
-            n_ramp_prev=len(ramp_ids),
-            release_time=snap.t + t_proper,
-        )
+        self.release_time = snap.t + t_proper
         self._cycle_count += 1
 
     # -- releases ------------------------------------------------------
@@ -666,13 +649,8 @@ class MergeCoordinator:
 
     def _rebuild_set(self, cset: ControlSet) -> None:
         """Refit the controller after the front of the string released."""
-        model, weights, K, Ky = self._controller_for(cset.lanes)
         cset.r_vec, cset.specs = self.scoring.targets(cset.lanes, cset.floors)
-        cset.model = model
-        cset.weights = weights
-        cset.K = K
-        cset.Ky = Ky
-        cset.V_ss = steady_state_feedforward(model, weights, K, cset.r_vec)
+        cset.model, cset.weights, cset.law = self._controller_for(cset.lanes, cset.r_vec)
         cset.repair = None
         cset.repair_k = 0
 
@@ -689,29 +667,22 @@ class MergeCoordinator:
 
     def _set_commands(self, snap: WorldSnapshot) -> dict[int, float]:
         commands: dict[int, float] = {}
-        run_lookahead = (
-            snap.t - self._last_lookahead >= self.lookahead_cadence - 1e-9
-        )
+        run_lookahead = snap.t - self._last_lookahead >= LOOKAHEAD_CADENCE - 1e-9
         if run_lookahead:
             self._last_lookahead = snap.t
         for cset in self.sets:
             if cset.phase is not SetPhase.ACTIVE:
                 continue
             x = self._assemble_state(cset, snap)
+            if cset.repair is not None and cset.repair_k >= cset.repair.horizon:
+                cset.repair = None
+            if cset.repair is None and run_lookahead and len(cset.ids) > 1:
+                self._check_prediction(cset, x, snap)
             if cset.repair is not None:
-                k = cset.repair_k
-                if k >= cset.repair.horizon:
-                    cset.repair = None
-                else:
-                    u = cset.repair.control(k, x)
-                    cset.repair_k += 1
-            if cset.repair is None:
-                u = -cset.K @ x + cset.Ky @ cset.V_ss
-                if run_lookahead and len(cset.ids) > 1:
-                    self._check_prediction(cset, x, snap)
-                    if cset.repair is not None:
-                        u = cset.repair.control(0, x)
-                        cset.repair_k = 1
+                u = cset.repair.control(cset.repair_k, x)
+                cset.repair_k += 1
+            else:
+                u = cset.law.control(0, x)
             u = np.clip(u, self.limits.acc_min, self.limits.acc_max)
             for i, vid in enumerate(cset.ids):
                 commands[vid] = float(u[i])
@@ -721,41 +692,24 @@ class MergeCoordinator:
         self, cset: ControlSet, x: np.ndarray, snap: WorldSnapshot
     ) -> None:
         """Re-plan when the short-range forecast shows a developing breach."""
-        if snap.t - cset.last_repair_t < self.repair_cooldown:
+        if snap.t - cset.last_repair_t < REPAIR_COOLDOWN:
             return
         n = len(cset.ids)
-        dt = cset.model.dt
-        L = self.scoring.vehicle_length
-        floors = cset.floors
-        # quick screen: comfortably formed strings skip the rollout
-        gaps_now = (x[:n - 1] - x[1:n]) - L
-        margin = self.repair_gap_fraction * floors
-        active_now = np.array([
-            (not cset.specs[i].cross_lane)
-            or x[i + 1] >= self.scoring.merge_entry - self.scoring.activation_margin
-            for i in range(n - 1)
-        ])
-        if not np.any(active_now & (gaps_now < 1.5 * floors)):
-            return
-        xp = x.copy()
-        for _ in range(self.lookahead_steps):
-            u = np.clip(
-                -cset.K @ xp + cset.Ky @ cset.V_ss,
-                self.limits.acc_min,
-                self.limits.acc_max,
+
+        def breaches(states: np.ndarray, floors: np.ndarray) -> bool:
+            gaps = (states[..., :n - 1] - states[..., 1:n]) - self.scoring.vehicle_length
+            active = active_pairs(
+                states[..., :n], cset.specs,
+                self.scoring.merge_entry, self.scoring.activation_margin,
             )
-            v = xp[n:]
-            v_next = np.clip(v + dt * u, 0.0, self.limits.v_max)
-            xp = np.concatenate([xp[:n] + 0.5 * dt * (v + v_next), v_next])
-            gaps = (xp[: n - 1] - xp[1:n]) - L
-            for i in range(n - 1):
-                if not cset.specs[i].cross_lane or (
-                    xp[i + 1]
-                    >= self.scoring.merge_entry - self.scoring.activation_margin
-                ):
-                    if gaps[i] < margin[i]:
-                        self._repair_set(cset, x, snap)
-                        return
+            return bool(np.any(active & (gaps < floors)))
+
+        # quick screen: comfortably formed strings skip the rollout
+        if not breaches(x, 1.5 * cset.floors):
+            return
+        forecast = rollout(cset.model, cset.law, x, self.limits).x[1:]
+        if breaches(forecast, REPAIR_GAP_FRACTION * cset.floors):
+            self._repair_set(cset, x, snap)
 
     def _repair_set(
         self, cset: ControlSet, x: np.ndarray, snap: WorldSnapshot

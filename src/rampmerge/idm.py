@@ -61,39 +61,22 @@ def equilibrium_gap(speed: float, params: IdmParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PredecessorTrack:
-    """Sampled future trajectory of the vehicle ahead, one row per step.
-
-    Past its last sample the predecessor is extrapolated at constant
-    speed.
-    """
-
-    positions: np.ndarray
-    speeds: np.ndarray
-
-    def at(self, k: int, dt: float) -> tuple[float, float]:
-        last = len(self.positions) - 1
-        if k <= last:
-            return float(self.positions[k]), float(self.speeds[k])
-        extra = (k - last) * dt * float(self.speeds[last])
-        return float(self.positions[last]) + extra, float(self.speeds[last])
-
-
 def predict_eta(
     leader: VehicleState,
     trigger_point: float,
     params: IdmParams,
     dt: float,
-    predecessor: PredecessorTrack | None = None,
+    predecessor: tuple[float, float] | None = None,
     max_time: float = 300.0,
     vehicle_length: float = 5.0,
 ) -> float:
     """Predicted time for ``leader`` to reach ``trigger_point`` under IDM.
 
     Forward-Euler at the simulation step with the same speed floor the
-    simulation uses.  Returns 0.0 if already at or past the line and
-    ``math.inf`` if the line is not reached within ``max_time``.
+    simulation uses.  ``predecessor`` is the vehicle ahead as
+    ``(position, speed)``, extrapolated at constant speed.  Returns 0.0
+    if already at or past the line and ``math.inf`` if the line is not
+    reached within ``max_time``.
     """
     p = leader.position
     v = leader.speed
@@ -104,8 +87,8 @@ def predict_eta(
         if predecessor is None:
             gap, dv = math.inf, 0.0
         else:
-            pred_pos, pred_speed = predecessor.at(k, dt)
-            gap = pred_pos - p - vehicle_length
+            pred_pos, pred_speed = predecessor
+            gap = pred_pos + k * dt * pred_speed - p - vehicle_length
             dv = v - pred_speed
             if gap <= 0.0:
                 gap = 0.1  # overlapped prediction input; brake hard

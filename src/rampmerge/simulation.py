@@ -40,7 +40,7 @@ from .fuel import (
 )
 from .idm import IdmParams, idm_accel
 from .sequencing import ScoringContext
-from .vehicles import ControlLimits, ControlStatus, Lane, MergeGeometry
+from .vehicles import ControlLimits, ControlStatus, Lane, MergeGeometry, lane_orders
 
 #: net gap (m) required at a lane entrance before a queued arrival spawns
 SPAWN_CLEARANCE = 8.0
@@ -371,43 +371,35 @@ class RunResult:
 class _World:
     """Structure-of-arrays vehicle population."""
 
+    #: one array per field: its dtype and the value a new vehicle starts with
+    #: (``None`` for the values :meth:`add` takes)
+    FIELDS = {
+        "ids": (np.int64, None),
+        "lane": (np.int64, None),
+        "origin": (np.int64, None),
+        "pos": (float, None),
+        "v": (float, None),
+        "entry": (float, np.nan),
+        "stand": (float, 0.0),
+        "released": (bool, False),
+    }
+
     def __init__(self) -> None:
-        self.ids = np.empty(0, dtype=np.int64)
-        self.lane = np.empty(0, dtype=np.int64)
-        self.origin = np.empty(0, dtype=np.int64)
-        self.pos = np.empty(0)
-        self.v = np.empty(0)
-        self.entry = np.empty(0)
-        self.stand = np.empty(0)
-        self.released = np.empty(0, dtype=bool)
+        for name, (dtype, _) in self.FIELDS.items():
+            setattr(self, name, np.empty(0, dtype=dtype))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def add(self, vid: int, lane_code: int, pos: float, speed: float) -> None:
-        self.ids = np.append(self.ids, vid)
-        self.lane = np.append(self.lane, lane_code)
-        self.origin = np.append(self.origin, lane_code)
-        self.pos = np.append(self.pos, pos)
-        self.v = np.append(self.v, speed)
-        self.entry = np.append(self.entry, np.nan)
-        self.stand = np.append(self.stand, 0.0)
-        self.released = np.append(self.released, False)
+        given = {"ids": vid, "lane": lane_code, "origin": lane_code, "pos": pos, "v": speed}
+        for name, (_, start) in self.FIELDS.items():
+            setattr(self, name, np.append(getattr(self, name), given.get(name, start)))
 
     def remove(self, mask: np.ndarray) -> None:
         keep = ~mask
-        self.ids = self.ids[keep]
-        self.lane = self.lane[keep]
-        self.origin = self.origin[keep]
-        self.pos = self.pos[keep]
-        self.v = self.v[keep]
-        self.entry = self.entry[keep]
-        self.stand = self.stand[keep]
-        self.released = self.released[keep]
-
-    def chain(self, lane_code: int) -> np.ndarray:
-        idx = np.nonzero(self.lane == lane_code)[0]
-        return idx[np.argsort(-self.pos[idx], kind="stable")]
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
 
 
 def _safe_entry_speed(v_pred: float, net_gap: float, params: IdmParams) -> float:
@@ -490,6 +482,11 @@ def stopping_bound(acc, net_gap, v, v_lead, dt: float):
 def _can_stop(net_gap: float, v: float, v_lead: float, dt: float) -> bool:
     """True if a follower in this state can meet the stopping bound."""
     return bool(safe_next_speed(net_gap, v, v_lead, dt) >= max(v + HARD_BRAKE * dt, 0.0))
+
+
+def _bar_hold(v: float, distance: float, params: IdmParams) -> float:
+    """IDM braking toward a stop line ``distance`` ahead."""
+    return idm_accel(v, max(distance, 1e-3), v, params)
 
 
 def _forced_gap(closing: float) -> float:
@@ -608,10 +605,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         gap_all = np.full(n, np.inf)
         dv_all = np.zeros(n)
         pred_of = np.full(n, -1, dtype=int)  # same-lane predecessor index
-        chains = {}
-        for lane_code in (Lane.MAINLINE.code, Lane.RAMP.code):
-            order = world.chain(lane_code)
-            chains[lane_code] = order
+        chains = lane_orders(world.lane, world.pos)
+        for lane, order in chains.items():
             if len(order) == 0:
                 continue
             pred_of[order[1:]] = order[:-1]
@@ -623,7 +618,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             gap_all[order] = gaps
             dv_all[order] = dvs
             acc[order] = idm_accel(
-                world.v[order], np.maximum(gaps, 1e-3), dvs, lane_params[lane_code]
+                world.v[order], np.maximum(gaps, 1e-3), dvs, lane_params[lane.code]
             )
 
         # acceleration-lane behavior: an uncontrolled ramp vehicle close
@@ -653,44 +648,33 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 positions=world.pos,
                 speeds=world.v,
                 entry_speeds=world.entry,
+                orders=chains,
             )
             commands = coordinator.step(snap)
             counters.coordinator_commands += len(commands)
             active_ids = coordinator.active_member_ids
             leader_id = coordinator.regulated_leader
-            id_to_idx = {int(v): i for i, v in enumerate(world.ids)}
             for vid, u in commands.items():
-                i = id_to_idx[vid]
+                i = snap.index_of(vid)
                 j = pred_of[i]
                 if j >= 0:
                     net = world.pos[j] - world.pos[i] - L
-                    guard = idm_accel(
-                        world.v[i],
-                        max(net, 1e-3),
-                        world.v[i] - world.v[j],
-                        envelope_idm,
-                    )
+                    pair = (world.v[i], max(net, 1e-3), world.v[i] - world.v[j])
+                    guard = idm_accel(*pair, envelope_idm)
                     # emergency only: the guard must itself demand braking
                     # and demand more of it than the plan already applies.
                     # No deadband: near standstill even a mildly negative
                     # guard must win, or the vehicle creeps through the
                     # envelope's standstill floor a step at a time
                     if world.v[j] < STALL_SPEED:
-                        soft = idm_accel(
-                            world.v[i],
-                            max(net, 1e-3),
-                            world.v[i] - world.v[j],
-                            stall_guard_idm,
-                        )
-                        guard = min(guard, soft)
+                        guard = min(guard, idm_accel(*pair, stall_guard_idm))
                     if guard < 0.0 and guard < u:
                         u = guard
                         counters.envelope_interventions += 1
                 acc[i] = u
         elif config.mode is ControlMode.METERING:
             # hold the first unreleased vehicle at the stop bar
-            order = chains[Lane.RAMP.code]
-            for j in order:
+            for j in chains[Lane.RAMP]:
                 if world.pos[j] >= METERING_BAR:
                     continue
                 if not world.released[j]:
@@ -701,40 +685,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                         counters.meter_releases += 1
                         meter_next_green = t + 1.0 / phase.q_suggested
                     else:
-                        hold = idm_accel(
-                            world.v[j], max(gap, 1e-3), world.v[j],
-                            config.ramp_idm,
-                        )
-                        acc[j] = min(acc[j], hold)
+                        acc[j] = min(acc[j], _bar_hold(world.v[j], gap, config.ramp_idm))
                     break
 
         # ---- unmerged ramp vehicles must not run off the lane end
-        order = chains[Lane.RAMP.code]
-        for j in order:
+        for j in chains[Lane.RAMP]:
             if world.pos[j] >= merge_bar:
                 continue  # past the stop point; the transfer logic owns it
             if config.mode is ControlMode.METERING and not world.released[j]:
                 break  # still held upstream at the metering bar
             vid = int(world.ids[j])
-            if vid in active_ids or vid == leader_id:
-                # a planned merge deferred this long is an anomaly: stop
-                # at the bar instead of overriding the plan early
-                if world.pos[j] > merge_bar - 25.0:
-                    hold = idm_accel(
-                        world.v[j],
-                        max(merge_bar - world.pos[j], 1e-3),
-                        world.v[j],
-                        envelope_idm,
-                    )
-                    acc[j] = min(acc[j], hold)
-            else:
-                hold = idm_accel(
-                    world.v[j],
-                    max(merge_bar - world.pos[j], 1e-3),
-                    world.v[j],
-                    config.ramp_idm,
-                )
-                acc[j] = min(acc[j], hold)
+            planned = vid in active_ids or vid == leader_id
+            # a planned merge deferred this long is an anomaly: stop at the
+            # bar instead of overriding the plan early
+            if not planned or world.pos[j] > merge_bar - 25.0:
+                params = envelope_idm if planned else config.ramp_idm
+                acc[j] = min(acc[j], _bar_hold(world.v[j], merge_bar - world.pos[j], params))
             break
 
         # ---- stopping-distance bound: whatever the layers above asked
@@ -755,13 +721,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
         status = np.zeros(n, dtype=np.int64)
         if active_ids:
-            for i, vid in enumerate(world.ids):
-                if int(vid) in active_ids:
-                    status[i] = ControlStatus.OPTIMAL_CONTROLLED.code
+            status[np.isin(world.ids, list(active_ids))] = ControlStatus.OPTIMAL_CONTROLLED.code
         if leader_id is not None:
-            hit = np.nonzero(world.ids == leader_id)[0]
-            if len(hit):
-                status[hit[0]] = ControlStatus.RAMP_LEADER_REGULATED.code
+            status[world.ids == leader_id] = ControlStatus.RAMP_LEADER_REGULATED.code
         merged_mask = (
             (world.origin == Lane.RAMP.code)
             & (world.lane == Lane.MAINLINE.code)
@@ -792,52 +754,46 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             lead, lag = _insertion_neighbors(world, world.pos[j])
             front = world.pos[lead] - world.pos[j] - L if lead >= 0 else math.inf
             rear = world.pos[j] - world.pos[lag] - L if lag >= 0 else math.inf
+            v_j = world.v[j]
+            closing_front = v_j - world.v[lead] if lead >= 0 else 0.0
+            closing_rear = world.v[lag] - v_j if lag >= 0 else 0.0
+            # a slot the neighbors could survive with hard braking
+            survivable = (
+                front >= _forced_gap(closing_front) and rear >= _forced_gap(closing_rear)
+            )
             if vid in active_ids:
-                # planned merge, but never into a slot the neighbors
-                # could not survive with hard braking, nor one where the
-                # merger or its new follower starts outside the stopping
-                # bound; an unsafe slot defers the lane change along the
-                # acceleration lane
-                v_j = world.v[j]
-                front_rel = v_j - (world.v[lead] if lead >= 0 else v_j)
-                rear_rel = (world.v[lag] if lag >= 0 else v_j) - v_j
+                # planned merge, but never into an unsurvivable slot, nor
+                # one where the merger or its new follower starts outside
+                # the stopping bound; an unsafe slot defers the lane change
+                # along the acceleration lane
                 if (
-                    front >= _forced_gap(front_rel)
-                    and rear >= _forced_gap(rear_rel)
+                    survivable
                     and (lead < 0 or _can_stop(front, v_j, world.v[lead], dt))
                     and (lag < 0 or _can_stop(rear, world.v[lag], v_j, dt))
                 ):
                     world.lane[j] = Lane.MAINLINE.code
                 continue
-            v_j = world.v[j]
             front_ok = front > 0.5 and (
                 lead < 0
                 or front
-                >= v_j * ACCEPT_TAU
-                + max(v_j - world.v[lead], 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
+                >= v_j * ACCEPT_TAU + max(closing_front, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
             )
             rear_ok = rear > 0.5 and (
                 lag < 0
                 or rear
                 >= world.v[lag] * ACCEPT_TAU
-                + max(world.v[lag] - v_j, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
+                + max(closing_rear, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
             )
             if front_ok and rear_ok:
                 world.lane[j] = Lane.MAINLINE.code
                 continue
-            if world.stand[j] >= FORCE_TIMEOUT:
-                closing_front = v_j - (world.v[lead] if lead >= 0 else v_j)
-                closing_rear = (world.v[lag] if lag >= 0 else 0.0) - v_j
-                if front >= _forced_gap(closing_front) and rear >= _forced_gap(
-                    closing_rear
-                ):
-                    world.lane[j] = Lane.MAINLINE.code
-                    world.stand[j] = 0.0
-                    counters.forced_merges += 1
+            if world.stand[j] >= FORCE_TIMEOUT and survivable:
+                world.lane[j] = Lane.MAINLINE.code
+                world.stand[j] = 0.0
+                counters.forced_merges += 1
 
         # ---- collision audit
-        for lane_code in (Lane.MAINLINE.code, Lane.RAMP.code):
-            order = world.chain(lane_code)
+        for order in lane_orders(world.lane, world.pos).values():
             if len(order) > 1:
                 gaps = world.pos[order[:-1]] - world.pos[order[1:]] - L
                 bad = np.nonzero(gaps <= 0.0)[0]

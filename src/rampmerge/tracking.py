@@ -122,12 +122,16 @@ def build_reference(
 
 @dataclass
 class LqSolution:
-    """Backward-recursion products over one horizon."""
+    """Backward-recursion products over one horizon.
+
+    A stationary (receding-horizon) law repeats its converged gains and
+    costate on every row and carries no ``S``.
+    """
 
     K: np.ndarray    # (N, n, 2n)   feedback gains
     Ky: np.ndarray   # (N, n, 2n)   feedforward gains
-    S: np.ndarray    # (N+1, 2n, 2n) cost-to-go quadratic terms
     V: np.ndarray    # (N+1, 2n)    cost-to-go linear terms
+    S: np.ndarray | None = None  # (N+1, 2n, 2n) cost-to-go quadratic terms
 
     @property
     def horizon(self) -> int:
@@ -355,10 +359,12 @@ def rollout_batch(
         )
     n = model.n
     dt = model.dt
-    neg_K = np.stack([s.K for s in solutions])
+    # np.array, unlike np.stack, lays broadcast views out C-contiguously,
+    # which keeps every product below on the BLAS path of a lone matvec
+    neg_K = np.array([s.K for s in solutions])
     np.negative(neg_K, out=neg_K)
-    V_next = np.stack([s.V[1:] for s in solutions])
-    feedforward = (np.stack([s.Ky for s in solutions]) @ V_next[..., None])[..., 0]
+    V_next = np.array([s.V[1:] for s in solutions])
+    feedforward = (np.array([s.Ky for s in solutions]) @ V_next[..., None])[..., 0]
     x = np.empty((len(solutions), N + 1, model.state_dim))
     u = np.empty((len(solutions), N, n))
     x[:, 0] = x0
@@ -410,6 +416,22 @@ class PairGapSpec:
 
     min_net_gap: float
     cross_lane: bool
+
+
+def active_pairs(
+    positions: np.ndarray,
+    pair_specs: list[PairGapSpec],
+    merge_entry: float,
+    activation_margin: float,
+) -> np.ndarray:
+    """Which pairs' gap floors apply, for positions of shape ``(..., n)``.
+
+    Returns a ``(..., n-1)`` mask: a same-lane pair always applies, a
+    cross-lane pair once its follower is at or past
+    ``merge_entry - activation_margin``.
+    """
+    cross = np.array([spec.cross_lane for spec in pair_specs], dtype=bool)
+    return ~cross | (positions[..., 1:] >= merge_entry - activation_margin)
 
 
 @dataclass(frozen=True)
@@ -478,13 +500,10 @@ def check_constraints(
     gap_tol = 1e-3
     hold = max(1, int(round(settle_time / model.dt)))
     positions = traj.x[:, :n]
+    active = active_pairs(positions, pair_specs, merge_entry, activation_margin)
     for i, spec in enumerate(pair_specs):
         gaps = positions[:, i] - positions[:, i + 1] - vehicle_length
-        if spec.cross_lane:
-            active = positions[:, i + 1] >= merge_entry - activation_margin
-        else:
-            active = np.ones(len(gaps), dtype=bool)
-        act = np.nonzero(active)[0]
+        act = np.nonzero(active[:, i])[0]
         if act.size == 0:
             continue
         tail = act[-hold:]

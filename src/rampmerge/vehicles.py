@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Lane(enum.Enum):
     MAINLINE = "mainline"
@@ -26,6 +28,19 @@ class Lane(enum.Enum):
         return Lane.MAINLINE if code == 0 else Lane.RAMP
 
 
+_LANE_CODES = tuple((lane, lane.code) for lane in Lane)  # once, not per step
+
+
+def lane_orders(lanes: np.ndarray, positions: np.ndarray) -> dict[Lane, np.ndarray]:
+    """Indices of each lane's vehicles, downstream first (ties keep index
+    order), from per-vehicle lane codes and positions."""
+    orders = {}
+    for lane, code in _LANE_CODES:
+        idx = np.nonzero(lanes == code)[0]
+        orders[lane] = idx[np.argsort(-positions[idx], kind="stable")]
+    return orders
+
+
 class ControlStatus(enum.Enum):
     UNCONTROLLED = "uncontrolled"
     RAMP_LEADER_REGULATED = "ramp_leader_regulated"
@@ -36,10 +51,6 @@ class ControlStatus(enum.Enum):
     def code(self) -> int:
         return _STATUS_CODES[self]
 
-    @classmethod
-    def from_code(cls, code: int) -> "ControlStatus":
-        return _STATUS_BY_CODE[code]
-
 
 _STATUS_CODES = {
     ControlStatus.UNCONTROLLED: 0,
@@ -47,7 +58,6 @@ _STATUS_CODES = {
     ControlStatus.OPTIMAL_CONTROLLED: 2,
     ControlStatus.MERGED: 3,
 }
-_STATUS_BY_CODE = {v: k for k, v in _STATUS_CODES.items()}
 
 
 @dataclass
@@ -121,9 +131,9 @@ class MergeGeometry:
                 raise ValueError(f"{name} must be positive")
         if self.trigger_point >= 0.0:
             raise ValueError("trigger_point must lie upstream of the merge point")
-        # buffer zone must fit on the modeled ramp, upstream of the control zone
-        if self.ramp_control_zone_len + self.ramp_buffer_zone_len > self.ramp_length:
-            raise ValueError("ramp_length too short for control + buffer zones")
+        # the buffer zone upstream of the trigger line must fit on the modeled ramp
+        if self.ramp_buffer_start < -self.ramp_length:
+            raise ValueError("ramp_length too short for the buffer zone before the trigger")
         if self.merge_zone_len > self.downstream_extent:
             raise ValueError("merge zone extends past the modeled downstream extent")
 
@@ -150,19 +160,7 @@ class VehicleState:
     lane: Lane
     position: float
     speed: float
-    accel: float = 0.0
-    status: ControlStatus = ControlStatus.UNCONTROLLED
     entry_speed: float | None = None
-
-    def validate(self, limits: ControlLimits | None = None) -> None:
-        if self.speed < 0.0:
-            raise ValueError(f"vehicle {self.id}: speed {self.speed} < 0")
-        if limits is not None and self.status is not ControlStatus.UNCONTROLLED:
-            if not limits.acc_min - 1e-9 <= self.accel <= limits.acc_max + 1e-9:
-                raise ValueError(
-                    f"vehicle {self.id}: accel {self.accel} outside "
-                    f"[{limits.acc_min}, {limits.acc_max}] while {self.status.value}"
-                )
 
 
 def gap_min_for(vehicle: VehicleState, limits: ControlLimits) -> float:

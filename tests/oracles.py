@@ -4,8 +4,9 @@ Everything here is deliberately written against the problem statement,
 not against the library internals: the QP solve stacks the dynamics into
 one dense least-squares problem, the Riccati reference is the plain
 per-horizon backward recursion, the interleaving counter is a direct
-recursion, the quadrature helpers are plain Python loops, and the
-candidate scorer scores one candidate at a time, one step at a time.
+recursion, the quadrature helpers are plain Python loops, the candidate
+scorer scores one candidate at a time, one step at a time, and the
+coordinator's forecast is its own clipped step loop under constant gains.
 """
 from __future__ import annotations
 
@@ -72,6 +73,26 @@ def riccati_recursion(model, weights, ref):
         S[k] = 0.5 * (Sk + Sk.T)
         V[k] = Acl.T @ V[k + 1] + CtQ @ ref.r[k]
     return K, Ky, S, V
+
+
+def lookahead_by_loop(K, Ky, V_ss, x, dt, limits, steps) -> np.ndarray:
+    """Forecast of a string under its converged law, one step at a time.
+
+    The coordinator's short-range forecast as it ran before it went
+    through the tracker's rollout: clipped commands ``-K x + Ky V_ss``,
+    speeds clamped to ``[0, v_max]``, trapezoid positions.  Returns the
+    ``steps`` states after ``x``.
+    """
+    n = len(x) // 2
+    out = np.empty((steps, len(x)))
+    xp = x.copy()
+    for k in range(steps):
+        u = np.clip(-K @ xp + Ky @ V_ss, limits.acc_min, limits.acc_max)
+        v = xp[n:]
+        v_next = np.clip(v + dt * u, 0.0, limits.v_max)
+        xp = np.concatenate([xp[:n] + 0.5 * dt * (v + v_next), v_next])
+        out[k] = xp
+    return out
 
 
 def interleaving_count(m: int, n: int) -> int:

@@ -88,6 +88,14 @@ class TestUnits:
         with pytest.raises(ValueError):
             convert_quantity([30], "speed")
 
+    @pytest.mark.parametrize("value,dimension", [
+        (math.nan, "plain"), (math.inf, "time"), ("-inf mph", "speed"),
+        ("nan", "plain"), (10**400, "plain"),
+    ], ids=["nan", "inf", "-inf mph", "nan text", "10**400"])
+    def test_non_finite_rejected(self, value, dimension):
+        with pytest.raises(ValueError, match="finite"):
+            convert_quantity(value, dimension)
+
 
 class TestLoadConfig:
     def test_shipped_configs_match_builders(self):
@@ -130,6 +138,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert [p for p, _ in err.value.issues] == [f"scoring.{field}"]
+
+    @pytest.mark.parametrize("text,path", [
+        ("scoring: {horizon: 2.5}", "scoring.horizon"),
+        ("scoring: {cap: 3.7}", "scoring.cap"),
+        ("scoring: {max_horizon: 1200.9}", "scoring.max_horizon"),
+        ("seed: 3.9", "seed"),
+        ("scoring: {horizon: .nan}", "scoring.horizon"),
+        ("scoring: {cap: .inf}", "scoring.cap"),
+        ("dt: .nan", "dt"),
+        ("limits: {v_max: .inf}", "limits.v_max"),
+    ])
+    def test_fractional_or_non_finite_number_is_named(self, tmp_path, capsys, text, path):
+        # integer fields used to truncate silently, NaN and infinities to
+        # pass validation or stop with a traceback
+        bad = write_config(tmp_path, text + "\n" + MINIMAL)
+        assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
+        assert f"{path}: expected " in capsys.readouterr().err
+
+    def test_integral_float_counts_as_integer(self, tmp_path):
+        path = write_config(tmp_path, "seed: 4.0\nscoring: {horizon: 250.0, cap: '1e2'}\n"
+                            + MINIMAL)
+        cfg = load_config(path)
+        assert (cfg.seed, cfg.scoring.horizon, cfg.scoring.cap) == (4, 250, 100)
+        assert all(type(v) is int for v in (cfg.seed, cfg.scoring.horizon, cfg.scoring.cap))
 
     def test_positive_acc_min_is_named(self, tmp_path):
         path = write_config(tmp_path, "limits: {acc_min: 1.0}\n" + MINIMAL)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import lookahead_by_loop
 from rampmerge.coordinator import (
     HARD_BRAKE,
+    LOOKAHEAD_STEPS,
     MergeCoordinator,
     SetPhase,
     WorldSnapshot,
@@ -17,7 +19,8 @@ from rampmerge.coordinator import (
 )
 from rampmerge.idm import IdmParams
 from rampmerge.sequencing import ScoringContext
-from rampmerge.vehicles import ControlLimits, Lane, MergeGeometry
+from rampmerge.tracking import rollout
+from rampmerge.vehicles import ControlLimits, Lane, MergeGeometry, lane_orders
 
 LIMITS = ControlLimits()
 GEO = MergeGeometry()
@@ -33,21 +36,24 @@ def make_snapshot(t, rows, q_main=1600 / 3600, q_sug=200 / 3600):
         pos.append(row[2])
         spd.append(row[3])
         entry.append(row[4] if len(row) > 4 else math.nan)
+    lanes = np.array(lanes, dtype=int)
+    pos = np.array(pos, dtype=float)
     return WorldSnapshot(
         t=t,
         q_mainline=q_main,
         q_suggested=q_sug,
         ids=np.array(ids, dtype=int),
-        lanes=np.array(lanes, dtype=int),
-        positions=np.array(pos, dtype=float),
+        lanes=lanes,
+        positions=pos,
         speeds=np.array(spd, dtype=float),
         entry_speeds=np.array(entry, dtype=float),
+        orders=lane_orders(lanes, pos),
     )
 
 
-def make_coordinator(q_cap=252, **kwargs):
+def make_coordinator(q_cap=252):
     ctx = ScoringContext(limits=LIMITS, cap=q_cap)
-    return MergeCoordinator(GEO, LIMITS, ctx, RAMP_IDM, **kwargs)
+    return MergeCoordinator(GEO, LIMITS, ctx, RAMP_IDM)
 
 
 class TestBufferLength:
@@ -188,8 +194,7 @@ class TestDecisionCycle:
         assert rec.n_candidates == 3
         # one admitted vehicle at 200 veh/h holds the next leader 18 s
         assert rec.release_time == pytest.approx(12.0 + 18.0)
-        assert coord.inflow.release_time == pytest.approx(30.0)
-        assert coord.inflow.n_ramp_prev == 1
+        assert coord.release_time == pytest.approx(30.0)
 
     def test_sets_stay_disjoint(self):
         coord = make_coordinator()
@@ -274,7 +279,7 @@ class TestDecisionCycle:
 class TestLeaderRegulation:
     def test_gate_holds_early_leader_at_line(self):
         coord = make_coordinator()
-        coord.inflow.release_time = 100.0
+        coord.release_time = 100.0
         snap = make_snapshot(50.0, [(4, Lane.RAMP, -312.0, 10.0, 10.0)])
         cmds = coord.step(snap)
         assert coord.regulated_leader == 4
@@ -292,7 +297,7 @@ class TestLeaderRegulation:
     def closed_loop_crossing_time(self, release_offset):
         """Integrate a lone ramp leader until it crosses the trigger."""
         coord = make_coordinator()
-        coord.inflow.release_time = release_offset
+        coord.release_time = release_offset
         dt = 0.1
         pos, v = -600.0, 14.98
         t = 0.0
@@ -361,6 +366,34 @@ class TestPredictionRepair:
         assert any("re-planned" in e for e in coord.events)
         for u in cmds.values():
             assert LIMITS.acc_min - 1e-12 <= u <= LIMITS.acc_max + 1e-12
+
+
+class TestStringLaw:
+    @pytest.mark.parametrize("clipped", [True, False])
+    def test_forecast_is_the_step_loop(self, clipped):
+        coord = make_coordinator()
+        snap = TestDecisionCycle().trigger_snapshot()
+        coord.step(snap)
+        cset = coord.sets[0]
+        law = cset.law
+        assert law.S is None and not law.K.flags.writeable
+        n = len(cset.ids)
+        if clipped:
+            # the string as the cycle found it: a 15 m/s ramp vehicle
+            # among 33 m/s mainline traffic saturates the commands
+            x = coord._assemble_state(cset, snap)
+        else:
+            # formed on its reference, just off the desired speed
+            gaps = cset.r_vec[:n - 1]
+            positions = -100.0 - np.concatenate([[0.0], np.cumsum(gaps)])
+            x = np.concatenate([positions, cset.r_vec[n - 1:] - 0.5])
+        forecast = rollout(cset.model, law, x, LIMITS)
+        want = lookahead_by_loop(
+            law.K[0], law.Ky[0], law.V[0], x, cset.model.dt, LIMITS, LOOKAHEAD_STEPS
+        )
+        assert np.array_equal(forecast.x[1:], want)
+        inside = (forecast.u > LIMITS.acc_min) & (forecast.u < LIMITS.acc_max)
+        assert inside.all() != clipped
 
 
 class TestDensityEstimate:

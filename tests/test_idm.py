@@ -5,7 +5,6 @@ import pytest
 
 from rampmerge.idm import (
     IdmParams,
-    PredecessorTrack,
     equilibrium_gap,
     idm_accel,
     predict_eta,
@@ -97,7 +96,7 @@ class TestPredictEta:
         assert eta < 10.0
 
     def test_blocked_by_stopped_car_times_out(self):
-        pred = PredecessorTrack(np.array([-148.0]), np.array([0.0]))
+        pred = (-148.0, 0.0)
         eta = predict_eta(
             _leader(-150.0, 0.0), 0.0, PARAMS, 0.1, predecessor=pred, max_time=30.0
         )
@@ -106,7 +105,7 @@ class TestPredictEta:
     def test_slow_predecessor_delays_arrival(self):
         params = IdmParams(v0=15.0)
         free = predict_eta(_leader(-150.0, 15.0), 0.0, params, 0.1)
-        pred = PredecessorTrack(np.array([-130.0]), np.array([6.0]))
+        pred = (-130.0, 6.0)
         held = predict_eta(_leader(-150.0, 15.0), 0.0, params, 0.1, predecessor=pred)
         assert held > free + 2.0
 

@@ -13,6 +13,7 @@ from rampmerge.tracking import (
     PairGapSpec,
     Trajectory,
     TrackerWeights,
+    active_pairs,
     build_reference,
     check_constraints,
     constant_reference,
@@ -333,6 +334,20 @@ def _gap_trajectory(gaps, floor, cross_lane=False, follower_positions=None,
         model, traj, LIMITS, [PairGapSpec(floor, cross_lane)], 5.0,
         merge_entry=merge_entry, activation_margin=activation_margin,
     )
+
+
+class TestActivePairs:
+    def test_same_lane_always_cross_lane_from_the_margin(self):
+        specs = [PairGapSpec(10.0, cross_lane=False), PairGapSpec(10.0, cross_lane=True)]
+        edge = 10.0 - 60.0  # merge_entry - activation_margin
+        positions = np.array([
+            [0.0, -900.0, -900.0],
+            [0.0, -900.0, edge],
+            [0.0, -900.0, np.nextafter(edge, -np.inf)],
+        ])
+        got = active_pairs(positions, specs, merge_entry=10.0, activation_margin=60.0)
+        assert got.tolist() == [[True, False], [True, True], [True, False]]
+        assert active_pairs(positions[1], specs, 10.0, 60.0).tolist() == [True, True]
 
 
 class TestConstraintChecks:

@@ -2,7 +2,6 @@ import pytest
 
 from rampmerge.vehicles import (
     ControlLimits,
-    ControlStatus,
     Lane,
     MergeGeometry,
     VehicleState,
@@ -39,21 +38,6 @@ class TestGapMin:
 
 
 class TestValidation:
-    def test_negative_speed_rejected(self):
-        with pytest.raises(ValueError):
-            VehicleState(1, Lane.MAINLINE, 0.0, -0.1).validate()
-
-    def test_controlled_accel_outside_limits_rejected(self):
-        limits = ControlLimits()
-        v = VehicleState(1, Lane.MAINLINE, 0.0, 10.0, accel=3.2,
-                         status=ControlStatus.OPTIMAL_CONTROLLED)
-        with pytest.raises(ValueError):
-            v.validate(limits)
-
-    def test_uncontrolled_accel_not_bounded(self):
-        v = VehicleState(1, Lane.MAINLINE, 0.0, 10.0, accel=-6.0)
-        v.validate(ControlLimits())
-
     def test_geometry_rejects_nonpositive_zone(self):
         with pytest.raises(ValueError):
             MergeGeometry(ramp_buffer_zone_len=0.0).validate()
@@ -61,6 +45,17 @@ class TestValidation:
     def test_geometry_rejects_downstream_trigger(self):
         with pytest.raises(ValueError):
             MergeGeometry(trigger_point=10.0).validate()
+
+    @pytest.mark.parametrize("trigger, ok", [(-750.0, True), (-750.5, False), (-1000.0, False)])
+    def test_buffer_zone_must_fit_upstream_of_the_trigger(self, trigger, ok):
+        # the 150 m buffer zone upstream of an explicit trigger point has to
+        # start on the 900 m ramp; the control zone length does not enter
+        geometry = MergeGeometry(trigger_point=trigger)
+        if ok:
+            geometry.validate()
+        else:
+            with pytest.raises(ValueError, match="ramp_length too short"):
+                geometry.validate()
 
     def test_geometry_trigger_defaults_to_buffer_exit(self):
         g = MergeGeometry(ramp_control_zone_len=250.0)
