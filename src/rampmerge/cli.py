@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import Field, asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import mean, stdev
@@ -28,7 +28,8 @@ from statistics import mean, stdev
 import numpy as np
 import yaml
 
-from .fuel import DEFAULT_COEFFICIENTS, FuelCoefficients, ML_PER_GALLON
+from .fuel import ML_PER_GALLON
+from .params import parts, settable
 from .simulation import (
     CollisionError,
     ControlMode,
@@ -38,7 +39,6 @@ from .simulation import (
     TrajectoryLog,
     run_scenario,
 )
-from .vehicles import MergeGeometry
 
 OUT_ENV_VAR = "RAMPMERGE_OUT"
 
@@ -122,87 +122,58 @@ def _to_si(value, dimension: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# config schema: (field name, dimension) per section
+# config schema: units, integer fields and accepted keys come from the
+# param() declarations on the config dataclasses
 
-_GEOMETRY_DIMS = {
-    "ramp_control_zone_len": "length",
-    "ramp_buffer_zone_len": "length",
-    "mainline_control_zone_len": "length",
-    "merge_zone_len": "length",
-    "trigger_point": "length",
-    "upstream_extent": "length",
-    "downstream_extent": "length",
-    "ramp_length": "length",
-}
-_LIMITS_DIMS = {
-    "acc_min": "accel",
-    "acc_max": "accel",
-    "gap_min_headway": "time",
-    "gap_floor": "length",
-    "v_max": "speed",
-}
-_IDM_DIMS = {
-    "v0": "speed", "T": "time", "a": "accel", "b": "accel",
-    "s0": "length", "delta": "plain",
-}
-_SCORING_DIMS = {
-    "horizon": "plain",
-    "horizon_growth": "plain",
-    "max_horizon": "plain",
-    "gap_weight_mainline": "plain",
-    "gap_weight_ramp": "plain",
-    "speed_weight_mainline": "plain",
-    "speed_weight_ramp": "plain",
-    "control_weight": "plain",
-    "terminal_factor": "plain",
-    "desired_speed": "speed",
-    "desired_time_headway": "time",
-    "merge_entry": "length",
-    "activation_margin": "length",
-    "cap": "plain",
-}
-_FUEL_DIMS = {name: "plain" for name in ("b0", "b1", "b2", "b3", "c0", "c1", "c2")}
-_PHASE_DIMS = {
-    "duration": "time",
-    "mainline": "rate",
-    "ramp": "rate",
-    "suggested": "rate",
-}
-_INT_FIELDS = {"horizon", "max_horizon", "cap", "seed"}
+#: demand-phase YAML keys and the DemandPhase fields they set
+_PHASE_KEYS = {"duration": "duration", "mainline": "mainline_rate",
+               "ramp": "ramp_rate", "suggested": "q_suggested"}
+_PHASE_FIELDS = {name: key for key, name in _PHASE_KEYS.items()}
 
 
-def _convert_field(key: str, value, dimension: str):
-    """``convert_quantity``, plus an integral check for ``_INT_FIELDS``."""
-    si = convert_quantity(value, dimension)
-    if key not in _INT_FIELDS:
+def _convert_field(declared: Field, value):
+    """``convert_quantity`` in the field's unit; ``int`` fields must be integral."""
+    si = convert_quantity(value, declared.metadata["unit"])
+    if declared.type not in (int, "int"):
         return si
     if not si.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(si)
 
 
-_TOP_KEYS = {
-    "name", "mode", "seed", "dt", "vehicle_length", "geometry", "limits",
-    "mainline_idm", "ramp_idm", "scoring", "fuel", "demand",
-}
-
-
-def _parse_section(raw, dims, path, issues) -> dict:
-    out = {}
+def _parse_fields(raw, declared: dict[str, Field], path: str, issues) -> dict:
+    """Convert each key of the mapping ``raw`` by its declaration, logging
+    every key that is unknown or fails to convert under ``path``."""
     if raw is None:
-        return out
+        return {}
     if not isinstance(raw, dict):
         issues.append((path, "expected a mapping"))
-        return out
+        return {}
+    out = {}
     for key, value in raw.items():
-        if key not in dims:
-            issues.append((f"{path}.{key}", "unknown field"))
+        key_path = f"{path}.{key}" if path else key
+        if key not in declared:
+            issues.append((key_path, "unknown field"))
             continue
         try:
-            out[key] = _convert_field(key, value, dims[key])
+            out[key] = _convert_field(declared[key], value)
         except ValueError as exc:
-            issues.append((f"{path}.{key}", str(exc)))
+            issues.append((key_path, str(exc)))
     return out
+
+
+def _section(default, values: dict):
+    """``default`` with the file's values set.  A field declared with a
+    None default is derived from the others unless the file sets it."""
+    derived = {name: None for name, f in settable(default).items() if f.default is None}
+    return replace(default, **{**derived, **values})
+
+
+def _file_path(path: str) -> str:
+    """A config issue's path in the file's keys: demand rates are named
+    as in YAML (``demand[0].mainline_rate`` -> ``demand[0].mainline``)."""
+    head, _, name = path.rpartition(".")
+    return f"{head}.{_PHASE_FIELDS[name]}" if head.startswith("demand[") else path
 
 
 def load_config(path: str | Path, mode: str | None = None,
@@ -223,10 +194,6 @@ def load_config(path: str | Path, mode: str | None = None,
         raise ConfigError([(str(path), "top level must be a mapping")])
 
     issues: list[tuple[str, str]] = []
-    for key in raw:
-        if key not in _TOP_KEYS:
-            issues.append((key, "unknown field"))
-
     mode_text = mode if mode is not None else raw.get("mode", "optimal")
     try:
         run_mode = ControlMode(str(mode_text).lower())
@@ -235,75 +202,44 @@ def load_config(path: str | Path, mode: str | None = None,
         issues.append(("mode", f"unknown mode {mode_text!r} (expected one of {names})"))
         run_mode = ControlMode.OPTIMAL
 
+    # anything the file omits falls back to the scenario defaults
+    sections = dict(parts(ScenarioConfig(phases=[])))
+    top = {key: value for key, value in raw.items()
+           if key not in sections and key not in ("name", "mode", "demand")}
+    kw = _parse_fields(top, settable(ScenarioConfig), "", issues)
     if seed is not None:
-        run_seed = seed
-    else:
-        try:
-            run_seed = _convert_field("seed", raw.get("seed", 0), "plain")
-        except ValueError as exc:
-            issues.append(("seed", str(exc)))
-            run_seed = 0
+        kw["seed"] = seed
+    for name, default in sections.items():
+        kw[name] = _section(default, _parse_fields(raw.get(name), settable(default), name, issues))
 
-    scalars = {}
-    for key, dim in (("dt", "time"), ("vehicle_length", "length")):
-        if key in raw:
-            try:
-                scalars[key] = convert_quantity(raw[key], dim)
-            except ValueError as exc:
-                issues.append((key, str(exc)))
-
-    geometry_kw = _parse_section(raw.get("geometry"), _GEOMETRY_DIMS, "geometry", issues)
-    limits_kw = _parse_section(raw.get("limits"), _LIMITS_DIMS, "limits", issues)
-    mainline_kw = _parse_section(raw.get("mainline_idm"), _IDM_DIMS, "mainline_idm", issues)
-    ramp_kw = _parse_section(raw.get("ramp_idm"), _IDM_DIMS, "ramp_idm", issues)
-    scoring_kw = _parse_section(raw.get("scoring"), _SCORING_DIMS, "scoring", issues)
-    fuel_kw = _parse_section(raw.get("fuel"), _FUEL_DIMS, "fuel", issues)
-
-    phases = []
+    phase_fields = settable(DemandPhase)
+    declared = {key: phase_fields[name] for key, name in _PHASE_KEYS.items()}
     raw_demand = raw.get("demand")
-    if not isinstance(raw_demand, list) or not raw_demand:
-        issues.append(("demand", "at least one demand phase is required"))
-        raw_demand = []
-    for i, entry in enumerate(raw_demand):
-        kw = _parse_section(entry, _PHASE_DIMS, f"demand[{i}]", issues)
-        missing = sorted(set(_PHASE_DIMS) - set(kw))
+    phases = []
+    # a missing or bad phase value is reported here; NaN holds its place
+    placeholders = set()
+    for i, entry in enumerate(raw_demand if isinstance(raw_demand, list) else []):
+        got = _parse_fields(entry, declared, f"demand[{i}]", issues)
+        missing = [key for key in _PHASE_KEYS if not isinstance(entry, dict) or key not in entry]
         if missing:
             issues.append((f"demand[{i}]", f"missing fields: {', '.join(missing)}"))
-            continue
-        phases.append(DemandPhase(
-            duration=kw["duration"],
-            mainline_rate=kw["mainline"],
-            ramp_rate=kw["ramp"],
-            q_suggested=kw["suggested"],
-        ))
+        placeholders.update(f"demand[{i}].{key}" for key in _PHASE_KEYS if key not in got)
+        phases.append(DemandPhase(**{name: got.get(key, math.nan)
+                                     for key, name in _PHASE_KEYS.items()}))
 
-    # anything a section omits falls back to the scenario defaults
-    def scenario_default(name: str):
-        return ScenarioConfig.__dataclass_fields__[name].default_factory()
-
-    scoring = replace(scenario_default("scoring"), **scoring_kw)
-    issues += [(f"scoring.{name}", problem) for name, problem in scoring.issues()]
+    config = ScenarioConfig(phases=phases, mode=run_mode,
+                            name=str(raw.get("name", path.stem)), **kw)
+    for issue_path, problem in config.issues():
+        issue_path = _file_path(issue_path)
+        if issue_path not in placeholders:
+            issues.append((issue_path, problem))
     if issues:
         raise ConfigError(issues)
-
-    config = ScenarioConfig(
-        phases=phases,
-        mode=run_mode,
-        seed=run_seed,
-        name=str(raw.get("name", path.stem)),
-        geometry=MergeGeometry(**geometry_kw),
-        limits=replace(scenario_default("limits"), **limits_kw),
-        mainline_idm=replace(scenario_default("mainline_idm"), **mainline_kw),
-        ramp_idm=replace(scenario_default("ramp_idm"), **ramp_kw),
-        scoring=scoring,
-        fuel=FuelCoefficients(**fuel_kw) if fuel_kw else DEFAULT_COEFFICIENTS,
-        **scalars,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError([("config", str(exc))]) from exc
     return config
+
+
+def _values(obj) -> dict:
+    return {name: getattr(obj, name) for name in settable(obj)}
 
 
 def resolved_parameters(config: ScenarioConfig) -> dict:
@@ -311,26 +247,11 @@ def resolved_parameters(config: ScenarioConfig) -> dict:
     return {
         "name": config.name,
         "mode": config.mode.value,
-        "seed": config.seed,
-        "dt": config.dt,
-        "vehicle_length": config.vehicle_length,
-        "geometry": asdict(config.geometry),
-        "limits": asdict(config.limits),
-        "mainline_idm": asdict(config.mainline_idm),
-        "ramp_idm": asdict(config.ramp_idm),
-        "scoring": {
-            k: v for k, v in asdict(config.scoring).items()
-            if k not in ("limits", "fuel", "dt", "vehicle_length")
-        },
-        "fuel": asdict(config.fuel),
+        **_values(config),
+        **{name: _values(part) for name, part in parts(config)},
         "demand": [
-            {
-                "duration": p.duration,
-                "mainline": p.mainline_rate,
-                "ramp": p.ramp_rate,
-                "suggested": p.q_suggested,
-            }
-            for p in config.phases
+            {key: getattr(phase, name) for key, name in _PHASE_KEYS.items()}
+            for phase in config.phases
         ],
     }
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -74,11 +73,6 @@ DENSITY_WINDOW = 10.0
 #: mainline vehicles arriving up to this long (s) before the ramp leader
 #: still join its cycle
 PARTNER_MARGIN = 2.0
-
-
-class SetPhase(Enum):
-    ACTIVE = "active"
-    COMPLETED = "completed"
 
 
 @dataclass
@@ -235,7 +229,6 @@ class ControlSet:
     r_vec: np.ndarray
     floors: np.ndarray
     specs: list[PairGapSpec]
-    phase: SetPhase = SetPhase.ACTIVE
     repair: LqSolution | None = None
     repair_k: int = 0
     last_repair_t: float = -math.inf
@@ -275,6 +268,7 @@ class MergeCoordinator:
         self.scoring = scoring
         self.ramp_idm = ramp_idm
 
+        #: live sets in creation order; a set leaves with its last member
         self.sets: list[ControlSet] = []
         self.ever_controlled: set[int] = set()
         self.records: list[CycleRecord] = []
@@ -298,11 +292,7 @@ class MergeCoordinator:
 
     @property
     def active_member_ids(self) -> set[int]:
-        out: set[int] = set()
-        for s in self.sets:
-            if s.phase is SetPhase.ACTIVE:
-                out.update(s.ids)
-        return out
+        return {vid for s in self.sets for vid in s.ids}
 
     @property
     def regulated_leader(self) -> int | None:
@@ -627,9 +617,8 @@ class MergeCoordinator:
 
     def _retire_and_shrink(self, snap: WorldSnapshot) -> None:
         end = self.geometry.merge_zone_end
+        live = []
         for cset in self.sets:
-            if cset.phase is not SetPhase.ACTIVE:
-                continue
             changed = False
             while cset.ids:
                 front = cset.ids[0]
@@ -642,10 +631,11 @@ class MergeCoordinator:
                 cset.floors = cset.floors[1:]
                 changed = True
             if not cset.ids:
-                cset.phase = SetPhase.COMPLETED
-                continue
+                continue  # the last member left: the set is done
             if changed:
                 self._rebuild_set(cset)
+            live.append(cset)
+        self.sets = live
 
     def _rebuild_set(self, cset: ControlSet) -> None:
         """Refit the controller after the front of the string released."""
@@ -671,8 +661,6 @@ class MergeCoordinator:
         if run_lookahead:
             self._last_lookahead = snap.t
         for cset in self.sets:
-            if cset.phase is not SetPhase.ACTIVE:
-                continue
             x = self._assemble_state(cset, snap)
             if cset.repair is not None and cset.repair_k >= cset.repair.horizon:
                 cset.repair = None

@@ -15,19 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import Checked, param
+
 METERS_PER_MILE = 1609.344
 ML_PER_GALLON = 3785.411784
 
 
 @dataclass(frozen=True)
-class FuelCoefficients:
-    b0: float = 0.1569
-    b1: float = 2.450e-2
-    b2: float = -7.415e-4
-    b3: float = 5.975e-5
-    c0: float = 0.07224
-    c1: float = 9.681e-2
-    c2: float = 1.075e-3
+class FuelCoefficients(Checked):
+    b0: float = param("plain", 0.1569)
+    b1: float = param("plain", 2.450e-2)
+    b2: float = param("plain", -7.415e-4)
+    b3: float = param("plain", 5.975e-5)
+    c0: float = param("plain", 0.07224)
+    c1: float = param("plain", 9.681e-2)
+    c2: float = param("plain", 1.075e-3)
 
 
 DEFAULT_COEFFICIENTS = FuelCoefficients()

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import Checked, param
 from .vehicles import ControlLimits, VehicleState
 
 
 @dataclass(frozen=True)
-class IdmParams:
+class IdmParams(Checked):
     """Canonical IDM parameter set.
 
     ``v0`` desired speed (m/s), ``T`` desired time headway (s), ``a``
@@ -23,12 +24,12 @@ class IdmParams:
     ``s0`` standstill gap (m), ``delta`` free-flow exponent.
     """
 
-    v0: float
-    T: float = 1.5
-    a: float = 1.4
-    b: float = 2.0
-    s0: float = 2.0
-    delta: float = 4.0
+    v0: float = param("speed", bounds="> 0")
+    T: float = param("time", 1.5)
+    a: float = param("accel", 1.4, "> 0")
+    b: float = param("accel", 2.0, "> 0")
+    s0: float = param("length", 2.0)
+    delta: float = param("plain", 4.0, "> 0")
 
 
 def idm_accel(speed, gap, closing_speed, params: IdmParams):

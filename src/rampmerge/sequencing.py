@@ -17,6 +17,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .fuel import DEFAULT_COEFFICIENTS, FuelCoefficients, trajectory_fuel
+from .params import Checked, param
 from .statespace import LtiModel, build_model
 from .tracking import (
     PairGapSpec,
@@ -97,7 +98,7 @@ def enumerate_sequences(
 
 
 @dataclass
-class ScoringContext:
+class ScoringContext(Checked):
     """Everything a string plan needs, bundled once per decision.
 
     The methods below are the one place that turns these fields into a
@@ -106,43 +107,24 @@ class ScoringContext:
     """
 
     dt: float = 0.1
-    horizon: int = 300
-    horizon_growth: float = 1.5
-    max_horizon: int = 1200
+    horizon: int = param("plain", 300, ">= 1")
+    # a repair that cannot lengthen its horizon never gets anywhere
+    horizon_growth: float = param("plain", 1.5, "> 1")
+    max_horizon: int = param("plain", 1200, ">= 1")
     limits: ControlLimits = field(default_factory=ControlLimits)
     vehicle_length: float = 5.0
-    gap_weight_mainline: float = 1.0
-    gap_weight_ramp: float = 2.0
-    speed_weight_mainline: float = 0.5
-    speed_weight_ramp: float = 1.0
-    control_weight: float = 1.0
-    terminal_factor: float = 10.0
-    desired_speed: float = 32.99
-    desired_time_headway: float = 1.2
-    merge_entry: float = 0.0
-    activation_margin: float = 50.0
+    gap_weight_mainline: float = param("plain", 1.0)
+    gap_weight_ramp: float = param("plain", 2.0)
+    speed_weight_mainline: float = param("plain", 0.5)
+    speed_weight_ramp: float = param("plain", 1.0)
+    control_weight: float = param("plain", 1.0, "> 0")
+    terminal_factor: float = param("plain", 10.0)
+    desired_speed: float = param("speed", 32.99, "> 0")
+    desired_time_headway: float = param("time", 1.2)
+    merge_entry: float = param("length", 0.0)
+    activation_margin: float = param("length", 50.0)
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
-    cap: int = 252
-
-    def issues(self) -> list[tuple[str, str]]:
-        """``(field, problem)`` for each field that would break planning:
-        an empty horizon, a repair loop that cannot grow, or a cap that
-        admits no candidate."""
-        return [
-            (name, f"must be {need}, got {getattr(self, name)}")
-            for name, need, ok in (
-                ("horizon", ">= 1", self.horizon >= 1),
-                ("max_horizon", ">= 1", self.max_horizon >= 1),
-                ("horizon_growth", "> 1", self.horizon_growth > 1.0),
-                ("cap", ">= 1", self.cap >= 1),
-            )
-            if not ok
-        ]
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` naming the first field out of range."""
-        for name, problem in self.issues():
-            raise ValueError(f"{name} {problem}")
+    cap: int = param("plain", 252, ">= 1")
 
     def weights(self, lanes: tuple[Lane, ...]) -> TrackerWeights:
         """Tracker weights of a string with these lanes."""

@@ -39,6 +39,7 @@ from .fuel import (
     fuel_rate,
 )
 from .idm import IdmParams, idm_accel
+from .params import Checked, param, parts
 from .sequencing import ScoringContext
 from .vehicles import ControlLimits, ControlStatus, Lane, MergeGeometry, lane_orders
 
@@ -70,30 +71,21 @@ class ControlMode(Enum):
 
 
 @dataclass
-class DemandPhase:
+class DemandPhase(Checked):
     """One stretch of constant demand.  Rates are veh/s."""
 
-    duration: float
-    mainline_rate: float
-    ramp_rate: float
-    q_suggested: float
-
-    def validate(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError("phase duration must be positive")
-        for name in ("mainline_rate", "ramp_rate"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.q_suggested <= 0.0:
-            raise ValueError("q_suggested must be positive")
+    duration: float = param("time", bounds="> 0")
+    mainline_rate: float = param("rate", bounds=">= 0")
+    ramp_rate: float = param("rate", bounds=">= 0")
+    q_suggested: float = param("rate", bounds="> 0")
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(Checked):
     phases: list[DemandPhase]
     mode: ControlMode = ControlMode.OPTIMAL
-    seed: int = 0
-    dt: float = 0.1
+    seed: int = param("plain", 0, ">= 0")
+    dt: float = param("time", 0.1, "> 0")
     geometry: MergeGeometry = field(default_factory=MergeGeometry)
     # physical speed cap a touch over the cruising target, so tracking
     # transients cost little extra drag
@@ -119,7 +111,7 @@ class ScenarioConfig:
         )
     )
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
-    vehicle_length: float = 5.0
+    vehicle_length: float = param("length", 5.0, "> 0")
     arrival_min_headway: float = 1.0
     name: str = ""
 
@@ -133,19 +125,15 @@ class ScenarioConfig:
             fuel=self.fuel,
         )
 
-    def validate(self) -> None:
+    def issues(self) -> list[tuple[str, str]]:
+        """Every field out of range, by its path (``demand[0].duration``)."""
+        out = super().issues()
         if not self.phases:
-            raise ValueError("at least one demand phase is required")
-        for phase in self.phases:
-            phase.validate()
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self.geometry.validate()
-        self.limits.validate()
-        try:
-            self.scoring.validate()
-        except ValueError as exc:
-            raise ValueError(f"scoring.{exc}") from exc
+            out.append(("demand", "needs at least one phase"))
+        named = parts(self) + [(f"demand[{i}]", p) for i, p in enumerate(self.phases)]
+        for path, part in named:
+            out += [(f"{path}.{name}", problem) for name, problem in part.issues()]
+        return out
 
     @property
     def total_duration(self) -> float:

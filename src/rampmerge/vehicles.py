@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import Checked, param
+
 
 class Lane(enum.Enum):
     MAINLINE = "mainline"
@@ -61,7 +63,7 @@ _STATUS_CODES = {
 
 
 @dataclass
-class ControlLimits:
+class ControlLimits(Checked):
     """Actuation and spacing limits shared by the controller stack.
 
     ``acc_min``/``acc_max`` bound commanded accelerations (m/s^2).
@@ -71,28 +73,15 @@ class ControlLimits:
     sustained acceleration, but vehicles never exceed this.
     """
 
-    acc_min: float = -2.99
-    acc_max: float = 2.50
-    gap_min_headway: float = 2.0
-    gap_floor: float = 5.0
-    v_max: float = 36.33
-
-    def validate(self) -> None:
-        if not self.acc_min < 0.0 < self.acc_max:
-            raise ValueError(
-                f"acc_min/acc_max must straddle zero, got "
-                f"[{self.acc_min}, {self.acc_max}]"
-            )
-        if self.v_max <= 0.0:
-            raise ValueError("v_max must be positive")
-        if self.gap_min_headway <= 0.0:
-            raise ValueError("gap_min_headway must be positive")
-        if self.gap_floor <= 0.0:
-            raise ValueError("gap_floor must be positive")
+    acc_min: float = param("accel", -2.99, "< 0")
+    acc_max: float = param("accel", 2.50, "> 0")
+    gap_min_headway: float = param("time", 2.0, "> 0")
+    gap_floor: float = param("length", 5.0, "> 0")
+    v_max: float = param("speed", 36.33, "> 0")
 
 
 @dataclass
-class MergeGeometry:
+class MergeGeometry(Checked):
     """Static layout of the merge area on the shared axis.
 
     The ramp control zone ends at the merge point (position 0); the ramp
@@ -103,39 +92,28 @@ class MergeGeometry:
     merge point.
     """
 
-    ramp_control_zone_len: float = 300.0
-    ramp_buffer_zone_len: float = 150.0
-    mainline_control_zone_len: float = 1000.0
-    merge_zone_len: float = 200.0
+    ramp_control_zone_len: float = param("length", 300.0, "> 0")
+    ramp_buffer_zone_len: float = param("length", 150.0, "> 0")
+    mainline_control_zone_len: float = param("length", 1000.0, "> 0")
+    merge_zone_len: float = param("length", 200.0, "> 0")
     # downstream boundary of the ramp buffer zone; derived when omitted
-    trigger_point: float | None = None
-    upstream_extent: float = 2000.0
-    downstream_extent: float = 500.0
-    ramp_length: float = 900.0
+    trigger_point: float | None = param("length", None, "< 0")
+    upstream_extent: float = param("length", 2000.0, "> 0")
+    downstream_extent: float = param("length", 500.0, "> 0")
+    ramp_length: float = param("length", 900.0, "> 0")
 
     def __post_init__(self) -> None:
         if self.trigger_point is None:
             self.trigger_point = -self.ramp_control_zone_len
 
-    def validate(self) -> None:
-        for name in (
-            "ramp_control_zone_len",
-            "ramp_buffer_zone_len",
-            "mainline_control_zone_len",
-            "merge_zone_len",
-            "upstream_extent",
-            "downstream_extent",
-            "ramp_length",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.trigger_point >= 0.0:
-            raise ValueError("trigger_point must lie upstream of the merge point")
+    def issues(self) -> list[tuple[str, str]]:
+        out = super().issues()
         # the buffer zone upstream of the trigger line must fit on the modeled ramp
         if self.ramp_buffer_start < -self.ramp_length:
-            raise ValueError("ramp_length too short for the buffer zone before the trigger")
+            out.append(("ramp_length", "too short for the buffer zone before the trigger"))
         if self.merge_zone_len > self.downstream_extent:
-            raise ValueError("merge zone extends past the modeled downstream extent")
+            out.append(("merge_zone_len", "extends past the modeled downstream extent"))
+        return out
 
     @property
     def ramp_buffer_start(self) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from rampmerge.cli import (
     report_metrics,
     resolved_parameters,
 )
+from rampmerge.params import parts, settable
 from rampmerge.simulation import (
     CollisionError,
+    DemandPhase,
     GroupMetrics,
     RunMetrics,
     TrajectoryLog,
@@ -46,6 +49,35 @@ MINIMAL = """
 demand:
   - {duration: 60 s, mainline: 900 veh/h, ramp: 300 veh/h, suggested: 300 veh/h}
 """
+
+#: every key a scenario file may set; a new knob has to be added here
+ACCEPTED_KEYS = {
+    "top": {"name", "mode", "seed", "dt", "vehicle_length", "demand", "geometry",
+            "limits", "mainline_idm", "ramp_idm", "scoring", "fuel"},
+    "geometry": {"ramp_control_zone_len", "ramp_buffer_zone_len",
+                 "mainline_control_zone_len", "merge_zone_len", "trigger_point",
+                 "upstream_extent", "downstream_extent", "ramp_length"},
+    "limits": {"acc_min", "acc_max", "gap_min_headway", "gap_floor", "v_max"},
+    "mainline_idm": {"v0", "T", "a", "b", "s0", "delta"},
+    "ramp_idm": {"v0", "T", "a", "b", "s0", "delta"},
+    "scoring": {"horizon", "horizon_growth", "max_horizon", "gap_weight_mainline",
+                "gap_weight_ramp", "speed_weight_mainline", "speed_weight_ramp",
+                "control_weight", "terminal_factor", "desired_speed",
+                "desired_time_headway", "merge_entry", "activation_margin", "cap"},
+    "fuel": {"b0", "b1", "b2", "b3", "c0", "c1", "c2"},
+    "demand": {"duration", "mainline", "ramp", "suggested"},
+}
+
+
+def merged(base, edit):
+    """``base`` with the values of ``edit`` set, nested mappings and lists
+    merged entry by entry."""
+    if isinstance(edit, dict):
+        base = base or {}
+        return {**base, **{key: merged(base.get(key), value) for key, value in edit.items()}}
+    if isinstance(edit, list):
+        return [merged(b, e) for b, e in zip(base, edit)]
+    return edit
 
 
 class TestUnits:
@@ -155,6 +187,52 @@ class TestLoadConfig:
         bad = write_config(tmp_path, text + "\n" + MINIMAL)
         assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
         assert f"{path}: expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,path", [
+        ({"seed": -1}, "seed"),
+        ({"vehicle_length": -5}, "vehicle_length"),
+        ({"ramp_idm": {"b": 0}}, "ramp_idm.b"),
+        ({"mainline_idm": {"delta": 0}}, "mainline_idm.delta"),
+        ({"scoring": {"desired_speed": 0}}, "scoring.desired_speed"),
+        ({"scoring": {"control_weight": -1}}, "scoring.control_weight"),
+        ({"geometry": {"ramp_length": 100}}, "geometry.ramp_length"),
+        ({"demand": [{"duration": 0}]}, "demand[0].duration"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_out_of_range_field_is_named(self, tmp_path, capsys, edit, path):
+        # each used to validate and then fail mid-run, run on silently, or
+        # come out under the catch-all path "config"
+        smoke = yaml.safe_load(Path(CONFIG_DIR, "smoke.yaml").read_text())
+        bad = write_config(tmp_path, yaml.safe_dump(merged(smoke, edit)))
+        assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
+        assert f"{path}: " in capsys.readouterr().err
+
+    def test_every_issue_reported_at_once(self, tmp_path):
+        text = ("seed: -1\ngeometry: {ramp_length: 100}\nscoring: {cap: fast}\n"
+                "demand:\n  - {duration: 0, mainline: 0.1, ramp: 0.1, suggested: 0.1}\n"
+                "  - {duration: 10, mainline: -1, ramp: 0.1}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, text))
+        assert [p for p, _ in err.value.issues] == [
+            "scoring.cap", "demand[1]", "seed", "geometry.ramp_length",
+            "demand[0].duration", "demand[1].mainline",
+        ]
+
+    def test_accepted_keys_are_pinned(self, tmp_path):
+        cfg = load_config(CONFIG_DIR + "/smoke.yaml")
+        params = resolved_parameters(cfg)
+        sections = dict(parts(cfg))
+        declared = {name: set(settable(part)) for name, part in sections.items()}
+        declared["top"] = {"name", "mode", "demand", *sections, *settable(cfg)}
+        declared["demand"] = set(params["demand"][0])
+        assert declared == ACCEPTED_KEYS
+        assert len(settable(DemandPhase)) == len(ACCEPTED_KEYS["demand"])
+        # every settable field is resolved, so config_digest covers it
+        resolved = {name: set(params[name]) for name in sections}
+        resolved["top"] = set(params)
+        resolved["demand"] = set(params["demand"][0])
+        assert resolved == ACCEPTED_KEYS
+        # and a file setting every one of them loads
+        load_config(write_config(tmp_path, dump_config(cfg), "all.yaml"))
 
     def test_integral_float_counts_as_integer(self, tmp_path):
         path = write_config(tmp_path, "seed: 4.0\nscoring: {horizon: 250.0, cap: '1e2'}\n"

@@ -9,7 +9,6 @@ from rampmerge.coordinator import (
     HARD_BRAKE,
     LOOKAHEAD_STEPS,
     MergeCoordinator,
-    SetPhase,
     WorldSnapshot,
     find_ramp_leader,
     inflow_group_cap,
@@ -175,9 +174,7 @@ class TestDecisionCycle:
     def test_trigger_builds_active_set(self):
         coord = make_coordinator()
         cmds = coord.step(self.trigger_snapshot())
-        assert len(coord.sets) == 1
-        cset = coord.sets[0]
-        assert cset.phase is SetPhase.ACTIVE
+        [cset] = coord.sets
         assert set(cset.ids) == {1, 2, 3}
         assert coord.active_member_ids == {1, 2, 3}
         assert set(cmds) == {1, 2, 3}
@@ -248,6 +245,7 @@ class TestDecisionCycle:
     def test_release_and_completion(self):
         coord = make_coordinator()
         coord.step(self.trigger_snapshot())
+        [cset] = coord.sets
         # everyone well past the merge zone end
         snap = make_snapshot(
             60.0,
@@ -258,14 +256,13 @@ class TestDecisionCycle:
             ],
         )
         cmds = coord.step(snap)
-        cset = coord.sets[0]
         assert cset.ids == (3,)
-        assert cset.phase is SetPhase.ACTIVE
+        assert coord.sets == [cset]
         assert set(cmds) == {3}
         assert coord.active_member_ids == {3}
         snap2 = make_snapshot(70.0, [(3, Lane.MAINLINE, 260.0, 33.0)])
         cmds2 = coord.step(snap2)
-        assert coord.sets[0].phase is SetPhase.COMPLETED
+        assert coord.sets == []
         assert cmds2 == {}
         assert coord.active_member_ids == set()
 
@@ -273,7 +270,7 @@ class TestDecisionCycle:
         coord = make_coordinator()
         coord.step(self.trigger_snapshot())
         coord.step(make_snapshot(90.0, [(99, Lane.MAINLINE, -900.0, 33.0)]))
-        assert coord.sets[0].phase is SetPhase.COMPLETED
+        assert coord.sets == []
 
 
 class TestLeaderRegulation:
