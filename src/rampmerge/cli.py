@@ -457,7 +457,10 @@ def _utc_now() -> str:
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV_VAR) or "runs"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 

@@ -37,10 +37,10 @@ from .sequencing import (
 from .statespace import LtiModel, build_model
 from .tracking import (
     LqSolution,
-    PairGapSpec,
     TrackerWeights,
     active_pairs,
     converged_gains,
+    cross_lane,
     rollout,
     steady_state_feedforward,
 )
@@ -228,7 +228,6 @@ class ControlSet:
     law: LqSolution  # converged receding-horizon law, LOOKAHEAD_STEPS long
     r_vec: np.ndarray
     floors: np.ndarray
-    specs: list[PairGapSpec]
     repair: LqSolution | None = None
     repair_k: int = 0
     last_repair_t: float = -math.inf
@@ -573,7 +572,7 @@ class MergeCoordinator:
         seq = best.sequence
 
         floors = pair_gap_floors(seq, states, self.limits)
-        r_vec, specs = self.scoring.targets(seq.lanes, floors)
+        r_vec = self.scoring.reference(floors)
         model, weights, law = self._controller_for(seq.lanes, r_vec)
         cset = ControlSet(
             cycle_id=self._cycle_count,
@@ -584,7 +583,6 @@ class MergeCoordinator:
             law=law,
             r_vec=r_vec,
             floors=floors,
-            specs=specs,
         )
         self.sets.append(cset)
         self.ever_controlled.update(seq.ids)
@@ -639,7 +637,7 @@ class MergeCoordinator:
 
     def _rebuild_set(self, cset: ControlSet) -> None:
         """Refit the controller after the front of the string released."""
-        cset.r_vec, cset.specs = self.scoring.targets(cset.lanes, cset.floors)
+        cset.r_vec = self.scoring.reference(cset.floors)
         cset.model, cset.weights, cset.law = self._controller_for(cset.lanes, cset.r_vec)
         cset.repair = None
         cset.repair_k = 0
@@ -683,11 +681,12 @@ class MergeCoordinator:
         if snap.t - cset.last_repair_t < REPAIR_COOLDOWN:
             return
         n = len(cset.ids)
+        cross = cross_lane(cset.lanes)
 
         def breaches(states: np.ndarray, floors: np.ndarray) -> bool:
             gaps = (states[..., :n - 1] - states[..., 1:n]) - self.scoring.vehicle_length
             active = active_pairs(
-                states[..., :n], cset.specs,
+                states[..., :n], cross,
                 self.scoring.merge_entry, self.scoring.activation_margin,
             )
             return bool(np.any(active & (gaps < floors)))
@@ -703,7 +702,8 @@ class MergeCoordinator:
         self, cset: ControlSet, x: np.ndarray, snap: WorldSnapshot
     ) -> None:
         result = self.scoring.solve(
-            cset.model, cset.weights, cset.r_vec, x, cset.specs, self.limits
+            cset.model, cset.weights, cset.r_vec, x, cset.floors, cset.lanes,
+            self.limits,
         )
         cset.repair = result.solution
         cset.repair_k = 0

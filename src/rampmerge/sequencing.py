@@ -11,7 +11,7 @@ cycle's candidates are solved and rolled out as one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -20,7 +20,6 @@ from .fuel import DEFAULT_COEFFICIENTS, FuelCoefficients, trajectory_fuel
 from .params import Checked, param
 from .statespace import LtiModel, build_model
 from .tracking import (
-    PairGapSpec,
     RepairResult,
     StringProblem,
     TrackerWeights,
@@ -102,7 +101,7 @@ class ScoringContext(Checked):
     """Everything a string plan needs, bundled once per decision.
 
     The methods below are the one place that turns these fields into a
-    string's tracker weights, reference, pair specs and repaired plan, for
+    string's tracker weights, reference and repaired plan, for
     candidate scoring and for the coordinator alike.
     """
 
@@ -138,23 +137,12 @@ class ScoringContext(Checked):
             terminal_factor=self.terminal_factor,
         )
 
-    def targets(
-        self, lanes: tuple[Lane, ...], floors: np.ndarray
-    ) -> tuple[np.ndarray, list[PairGapSpec]]:
-        """Constant reference vector and per-pair gap specs of a string."""
-        n = len(lanes)
-        r_vec = build_reference(
-            n, floors, self.desired_speed, self.desired_time_headway,
+    def reference(self, floors: np.ndarray) -> np.ndarray:
+        """Constant reference vector of a string with these gap floors."""
+        return build_reference(
+            len(floors) + 1, floors, self.desired_speed, self.desired_time_headway,
             self.vehicle_length, 1,
         ).r[0]
-        specs = [
-            PairGapSpec(
-                min_net_gap=float(floors[i]),
-                cross_lane=lanes[i] is not lanes[i + 1],
-            )
-            for i in range(n - 1)
-        ]
-        return r_vec, specs
 
     def solve(
         self,
@@ -162,12 +150,13 @@ class ScoringContext(Checked):
         weights: TrackerWeights,
         r_vec: np.ndarray,
         x0: np.ndarray,
-        specs: list[PairGapSpec],
+        floors: np.ndarray,
+        lanes: tuple[Lane, ...],
         limits: ControlLimits,
     ) -> RepairResult:
         """Plan the string from ``x0`` with horizon repair."""
         return solve_with_repair(
-            model, weights, r_vec, x0, limits, specs, self.vehicle_length,
+            model, weights, r_vec, x0, limits, floors, lanes, self.vehicle_length,
             horizon=self.horizon, merge_entry=self.merge_entry,
             activation_margin=self.activation_margin, growth=self.horizon_growth,
             max_horizon=self.max_horizon,
@@ -206,13 +195,10 @@ def pair_gap_floors(
     has been recorded yet.
     """
     floors = np.empty(len(sequence) - 1)
-    for i in range(len(sequence) - 1):
-        follower = states[sequence.ids[i + 1]]
+    for i, vid in enumerate(sequence.ids[1:]):
+        follower = states[vid]
         if follower.entry_speed is None:
-            follower = VehicleState(
-                id=follower.id, lane=follower.lane, position=follower.position,
-                speed=follower.speed, entry_speed=follower.speed,
-            )
+            follower = replace(follower, entry_speed=follower.speed)
         floors[i] = gap_min_for(follower, limits)
     return floors
 
@@ -235,9 +221,9 @@ def score_sequences(
             [states[v].speed for v in sequence.ids],
         ])
         floors = pair_gap_floors(sequence, states, ctx.limits)
-        r_vec, specs = ctx.targets(sequence.lanes, floors)
         problems.append(StringProblem(
-            models[n], ctx.weights(sequence.lanes), r_vec, x0, specs
+            models[n], ctx.weights(sequence.lanes), ctx.reference(floors), x0,
+            floors, sequence.lanes,
         ))
     scores = []
     for sequence, result in zip(sequences, ctx.solve_batch(problems, ctx.limits)):

@@ -198,6 +198,11 @@ class CollisionError(RuntimeError):
             f"vehicle {lead_id} (net gap {gap:.3f} m)"
         )
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error survives
+        # the pickling that carries it out of a worker process
+        return type(self), (self.t, self.lead_id, self.rear_id, self.gap, self.log)
+
 
 class TrajectoryLog:
     """Per-step, per-vehicle rows with six-decimal float quantization."""

@@ -331,10 +331,10 @@ def solve_finite_horizon(
 
 @dataclass
 class Trajectory:
-    """Closed-loop rollout record."""
+    """Closed-loop rollout record; batched rollouts stack loops in front."""
 
-    x: np.ndarray  # (N+1, 2n)
-    u: np.ndarray  # (N, n)  applied (possibly clipped) inputs
+    x: np.ndarray  # (..., N+1, 2n)
+    u: np.ndarray  # (..., N, n)  applied (possibly clipped) inputs
 
 
 def rollout_batch(
@@ -342,10 +342,11 @@ def rollout_batch(
     solutions: list[LqSolution],
     x0: np.ndarray,
     limits: ControlLimits | None = None,
-) -> list[Trajectory]:
+) -> Trajectory:
     """Simulate the closed loops of equal-horizon solutions at once.
 
-    ``x0`` stacks the start states, shape ``(G, 2n)``.  Each step is one
+    ``x0`` stacks the start states, shape ``(G, 2n)``, and the returned
+    states and inputs stack the loops the same way.  Each step is one
     stacked update of every loop, with the operations of :func:`rollout`,
     so each trajectory is bitwise what it would be alone.
     """
@@ -379,7 +380,7 @@ def rollout_batch(
             v_next = np.clip(v_next, 0.0, limits.v_max)
         x[:, k + 1, :n] = x[:, k, :n] + 0.5 * dt * (v + v_next)
         x[:, k + 1, n:] = v_next
-    return [Trajectory(x=xg, u=ug) for xg, ug in zip(x, u)]
+    return Trajectory(x=x, u=u)
 
 
 def rollout(
@@ -398,143 +399,96 @@ def rollout(
     which coincides exactly with ``A @ x + B @ u`` whenever no clamp
     binds.  The one-loop case of :func:`rollout_batch`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.state_dim,):
-        raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
-    return rollout_batch(model, [solution], x0[None], limits)[0]
+    traj = rollout_batch(model, [solution], np.asarray(x0, dtype=float)[None], limits)
+    return Trajectory(x=traj.x[0], u=traj.u[0])
 
 
-@dataclass(frozen=True)
-class PairGapSpec:
-    """Safety spec for one consecutive pair in the string.
-
-    ``min_net_gap`` applies whenever the constraint is active.  Same-lane
-    pairs are always active; a cross-lane pair activates once its
-    follower has closed to within ``activation_margin`` of
-    ``merge_entry`` (follower position >= merge_entry - margin).
-    """
-
-    min_net_gap: float
-    cross_lane: bool
+def cross_lane(lanes: tuple[Lane, ...]) -> np.ndarray:
+    """Which consecutive pairs of a string start in different lanes."""
+    return np.array([a is not b for a, b in zip(lanes, lanes[1:])], dtype=bool)
 
 
 def active_pairs(
     positions: np.ndarray,
-    pair_specs: list[PairGapSpec],
+    cross: np.ndarray,
     merge_entry: float,
     activation_margin: float,
 ) -> np.ndarray:
     """Which pairs' gap floors apply, for positions of shape ``(..., n)``.
 
     Returns a ``(..., n-1)`` mask: a same-lane pair always applies, a
-    cross-lane pair once its follower is at or past
-    ``merge_entry - activation_margin``.
+    cross-lane pair (``cross``, see :func:`cross_lane`) once its follower
+    is at or past ``merge_entry - activation_margin``.
     """
-    cross = np.array([spec.cross_lane for spec in pair_specs], dtype=bool)
     return ~cross | (positions[..., 1:] >= merge_entry - activation_margin)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str   # "gap" | "input"
-    step: int
-    index: int  # pair index for gaps, vehicle index for inputs
-    value: float
-    bound: float
-
-
-@dataclass
-class ViolationReport:
-    violations: list[Violation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def count(self, kind: str) -> int:
-        return sum(1 for v in self.violations if v.kind == kind)
-
-
 def check_constraints(
-    model: LtiModel,
-    traj: Trajectory,
-    limits: ControlLimits,
-    pair_specs: list[PairGapSpec],
+    positions: np.ndarray,
+    floors: np.ndarray,
+    cross: np.ndarray,
     vehicle_length: float,
+    dt: float,
     merge_entry: float = 0.0,
     activation_margin: float = 50.0,
     settle_time: float = 1.0,
-) -> ViolationReport:
-    """Check a rolled-out trajectory against spacing and input limits.
+) -> np.ndarray:
+    """Which rolled-out strings end short of a gap floor.
 
-    Gap constraints compare net gaps (position difference minus vehicle
-    length) against each pair's floor with settle semantics: the pair
-    must hold its floor over the final ``settle_time`` of its active
-    window.  Spacing while the string is still forming is not punishable
+    ``positions`` stacks each string's positions, shape ``(G, N+1, n)``;
+    ``floors`` and ``cross`` hold each pair's minimum net gap and
+    cross-lane flag, shape ``(G, n-1)``.  Net gaps (position difference
+    minus vehicle length) are held to their floors with settle semantics:
+    a pair must hold its floor over the last ``settle_time`` of the steps
+    where it is active (see :func:`active_pairs`), wherever those steps
+    fall.  Spacing while the string is still forming is not punishable
     (a pre-existing tight gap at step zero cannot be fixed by any plan,
-    and a longer horizon can always buy more forming time), but a pair
-    that has not settled safely by the end of the plan gets one
-    violation, recorded at its last offending step.
+    and a longer horizon can always buy more forming time).  Returns a
+    ``(G,)`` mask of the strings with a pair short in its settle window.
 
-    Input constraints are checked on the applied commands, so a rollout
-    that was clipped to the actuation range passes them by construction
-    and stands or falls on what its physical trajectory does to the gaps.
-
-    Gap compliance allows a millimeter of slack: when the reference gap
-    coincides with the floor the closed loop settles exactly on the
-    bound, and the last-bit side of that approach carries no information.
+    Inputs need no check: the rollout clips every applied command to the
+    actuation range, so a plan stands or falls on what its physical
+    trajectory does to the gaps.  Compliance allows a millimeter of
+    slack: when the reference gap coincides with the floor the closed
+    loop settles exactly on the bound, and the last-bit side of that
+    approach carries no information.
     """
-    n = model.n
-    if len(pair_specs) != n - 1:
-        raise ValueError(f"expected {n - 1} pair specs, got {len(pair_specs)}")
-    violations: list[Violation] = []
-
-    input_tol = 1e-9
-    over = traj.u > limits.acc_max + input_tol
-    under = traj.u < limits.acc_min - input_tol
-    for k, i in zip(*np.nonzero(over | under)):
-        violations.append(Violation("input", int(k), int(i),
-                                    float(traj.u[k, i]),
-                                    limits.acc_max if over[k, i] else limits.acc_min))
-
+    floors = np.asarray(floors, dtype=float)
+    expected = positions.shape[:1] + (positions.shape[2] - 1,)
+    if floors.shape != expected or cross.shape != expected:
+        raise ValueError(
+            f"expected gap floors and lanes of shape {expected}, "
+            f"got {floors.shape} and {cross.shape}"
+        )
     gap_tol = 1e-3
-    hold = max(1, int(round(settle_time / model.dt)))
-    positions = traj.x[:, :n]
-    active = active_pairs(positions, pair_specs, merge_entry, activation_margin)
-    for i, spec in enumerate(pair_specs):
-        gaps = positions[:, i] - positions[:, i + 1] - vehicle_length
-        act = np.nonzero(active[:, i])[0]
-        if act.size == 0:
-            continue
-        tail = act[-hold:]
-        bad = tail[gaps[tail] < spec.min_net_gap - gap_tol]
-        if bad.size:
-            k = int(bad[-1])
-            violations.append(Violation("gap", k, i,
-                                        float(gaps[k]), spec.min_net_gap))
-    violations.sort(key=lambda v: (v.step, v.kind, v.index))
-    return ViolationReport(violations=violations)
+    hold = max(1, int(round(settle_time / dt)))
+    active = active_pairs(positions, cross[:, None], merge_entry, activation_margin)
+    # active steps from each step to the end: the last ``hold`` have 1..hold
+    to_go = np.cumsum(active[:, ::-1], axis=1)[:, ::-1]
+    gaps = positions[..., :-1] - positions[..., 1:] - vehicle_length
+    short = active & (to_go <= hold) & (gaps < floors[:, None] - gap_tol)
+    return short.any(axis=(1, 2))
 
 
 @dataclass
 class RepairResult:
     solution: LqSolution
     trajectory: Trajectory
-    report: ViolationReport
     horizon: int
     degraded: bool
 
 
 @dataclass(frozen=True)
 class StringProblem:
-    """One string to plan: model, weights, constant reference, start state
-    and per-pair gap specs."""
+    """One string to plan: model, weights, constant reference, start state,
+    per-pair gap floors and the members' lanes."""
 
     model: LtiModel
     weights: TrackerWeights
     r_vec: np.ndarray      # (2n-1,)
     x0: np.ndarray         # (2n,)
-    pair_specs: list[PairGapSpec]
+    floors: np.ndarray     # (n-1,)
+    lanes: tuple[Lane, ...]
 
 
 #: one chunk's stacked arrays stay within this share of RICCATI_CACHE_BYTES
@@ -576,15 +530,15 @@ def solve_with_repair_batch(
     what can go wrong is the physical trajectory: under clipping a short
     horizon may not leave enough time to form the required gaps.  The
     horizon grows geometrically until the clipped rollout is clean; if
-    the cap is reached with violations remaining, the longest-horizon
+    the cap is reached with a pair still short, the longest-horizon
     solution is returned flagged as degraded (still executable, since
     its inputs are clipped).
 
     Repair runs in rounds: every problem starts at ``horizon``, each
-    round solves and rolls out its problems in stacked chunks, and the
-    problems whose rollout still violates a constraint go on to the next
-    horizon together.  Each result is bitwise what the problem gets
-    alone.
+    round solves, rolls out and checks its problems in stacked chunks,
+    and the problems whose rollout is still short of a gap floor go on
+    to the next horizon together.  Each result is bitwise what the
+    problem gets alone.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -602,20 +556,21 @@ def solve_with_repair_batch(
                 [p.model for p in batch], [p.weights for p in batch],
                 np.broadcast_to(r_vecs[:, None], (len(batch), N + 1, r_vecs.shape[1])),
             )
-            trajectories = rollout_batch(
-                batch[0].model, solutions, np.stack([p.x0 for p in batch]), limits
+            model = batch[0].model
+            traj = rollout_batch(model, solutions, np.stack([p.x0 for p in batch]), limits)
+            short = check_constraints(
+                traj.x[..., :model.n], np.stack([p.floors for p in batch]),
+                np.stack([cross_lane(p.lanes) for p in batch]), vehicle_length,
+                model.dt, merge_entry=merge_entry, activation_margin=activation_margin,
             )
-            for i, p, solution, traj in zip(chunk, batch, solutions, trajectories):
-                report = check_constraints(
-                    p.model, traj, limits, p.pair_specs, vehicle_length,
-                    merge_entry=merge_entry, activation_margin=activation_margin,
-                )
-                if report.ok or N >= max_horizon:
-                    results[i] = RepairResult(
-                        solution, traj, report, N, degraded=not report.ok
-                    )
-                else:
+            for g, i in enumerate(chunk):
+                if short[g] and N < max_horizon:
                     retry.append(i)
+                else:
+                    results[i] = RepairResult(
+                        solutions[g], Trajectory(x=traj.x[g], u=traj.u[g]), N,
+                        degraded=bool(short[g]),
+                    )
         pending = retry
         N = min(int(np.ceil(N * growth)), max_horizon)
     return results
@@ -627,7 +582,8 @@ def solve_with_repair(
     r_vec: np.ndarray,
     x0: np.ndarray,
     limits: ControlLimits,
-    pair_specs: list[PairGapSpec],
+    floors: np.ndarray,
+    lanes: tuple[Lane, ...],
     vehicle_length: float,
     horizon: int = 300,
     merge_entry: float = 0.0,
@@ -636,7 +592,7 @@ def solve_with_repair(
     max_horizon: int = 1200,
 ) -> RepairResult:
     """The one-string case of :func:`solve_with_repair_batch`."""
-    problem = StringProblem(model, weights, r_vec, np.asarray(x0, dtype=float), pair_specs)
+    problem = StringProblem(model, weights, r_vec, x0, floors, lanes)
     return solve_with_repair_batch(
         [problem], limits, vehicle_length, horizon=horizon,
         merge_entry=merge_entry, activation_margin=activation_margin,

@@ -5,8 +5,9 @@ not against the library internals: the QP solve stacks the dynamics into
 one dense least-squares problem, the Riccati reference is the plain
 per-horizon backward recursion, the interleaving counter is a direct
 recursion, the quadrature helpers are plain Python loops, the candidate
-scorer scores one candidate at a time, one step at a time, and the
-coordinator's forecast is its own clipped step loop under constant gains.
+scorer scores one candidate at a time, one step at a time, the settle
+check walks one pair at a time, and the coordinator's forecast is its own
+clipped step loop under constant gains.
 """
 from __future__ import annotations
 
@@ -112,6 +113,30 @@ def fuel_by_loop(speeds, accels, dt, coeffs) -> float:
     return total
 
 
+def settled_by_loop(positions, floors, lanes, vehicle_length, dt,
+                    merge_entry=0.0, activation_margin=50.0, settle_time=1.0):
+    """Whether every pair of one string holds its floor once it settles.
+
+    The per-pair loop the tracker ran before the check was stacked: a
+    pair is checked at the steps where it applies (a same-lane pair
+    always, a cross-lane pair once its follower is at or past
+    ``merge_entry - activation_margin``), and only the last
+    ``settle_time`` of those steps must keep the net gap within a
+    millimeter of the floor.  ``positions`` has shape ``(N+1, n)``.
+    """
+    hold = max(1, int(round(settle_time / dt)))
+    for i, floor in enumerate(floors):
+        gaps = positions[:, i] - positions[:, i + 1] - vehicle_length
+        steps = [
+            k for k in range(positions.shape[0])
+            if lanes[i] == lanes[i + 1]
+            or positions[k, i + 1] >= merge_entry - activation_margin
+        ]
+        if any(gaps[k] < floor - 1e-3 for k in steps[-hold:]):
+            return False
+    return True
+
+
 def score_by_loop(sequence, states, ctx):
     """One candidate scored alone, as the scorer ran before batching.
 
@@ -123,7 +148,7 @@ def score_by_loop(sequence, states, ctx):
     from rampmerge.fuel import trajectory_fuel
     from rampmerge.sequencing import pair_gap_floors
     from rampmerge.statespace import build_model
-    from rampmerge.tracking import Trajectory, check_constraints, constant_reference
+    from rampmerge.tracking import constant_reference
 
     n = len(sequence)
     model = build_model(n, ctx.dt)
@@ -132,9 +157,8 @@ def score_by_loop(sequence, states, ctx):
         [states[v].position for v in sequence.ids],
         [states[v].speed for v in sequence.ids],
     ])
-    r_vec, specs = ctx.targets(
-        sequence.lanes, pair_gap_floors(sequence, states, ctx.limits)
-    )
+    floors = pair_gap_floors(sequence, states, ctx.limits)
+    r_vec = ctx.reference(floors)
     limits, dt = ctx.limits, ctx.dt
     N = min(ctx.horizon, ctx.max_horizon)
     while True:
@@ -150,10 +174,10 @@ def score_by_loop(sequence, states, ctx):
             v_next = np.clip(v + dt * uk, 0.0, limits.v_max)
             x[k + 1, :n] = x[k, :n] + 0.5 * dt * (v + v_next)
             x[k + 1, n:] = v_next
-        ok = check_constraints(
-            model, Trajectory(x=x, u=u), limits, specs, ctx.vehicle_length,
+        ok = settled_by_loop(
+            x[:, :n], floors, sequence.lanes, ctx.vehicle_length, dt,
             merge_entry=ctx.merge_entry, activation_margin=ctx.activation_margin,
-        ).ok
+        )
         if ok or N >= ctx.max_horizon:
             break
         N = min(int(np.ceil(N * ctx.horizon_growth)), ctx.max_horizon)

@@ -463,6 +463,16 @@ class TestCommands:
         partial = tmp_path / "run_optimal_seed3_trajectories_partial.csv"
         assert partial.exists()
 
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["run", "--config", CONFIG_DIR + "/smoke.yaml",
+                     "--mode", "none", "--out", str(taken)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {taken}: ")
+        assert err.count("\n") == 1
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RAMPMERGE_OUT", str(tmp_path / "env_out"))
         code = main(["validate", "--config", CONFIG_DIR + "/smoke.yaml"])

@@ -1,11 +1,13 @@
 """Exported trajectories stay bit for bit the same.
 
-Runs ``configs/smoke.yaml`` (120 s, seed 3) in each mode and compares the
-SHA-256 of its trajectory CSV with the digests below, recorded with
-numpy 2.4.6.  A change that alters trajectories on purpose updates these
-digests and says so in CHANGES.md.
+Runs ``configs/smoke.yaml`` (120 s, seed 3) in each mode, and a 120 s
+window of ``configs/scenario2.yaml`` (seed 2, coordinated) whose strings
+get re-planned, and compares the SHA-256 of each trajectory CSV with the
+digests below, recorded with numpy 2.4.6.  A change that alters
+trajectories on purpose updates these digests and says so in CHANGES.md.
 """
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ import pytest
 from rampmerge.cli import export_trajectories, load_config
 from rampmerge.simulation import run_scenario
 
-SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SMOKE = CONFIGS / "smoke.yaml"
 
 EXPORT_SHA256 = {
     "optimal": "0adef2538bad4b36ad1d345eef4233d7939143d5fa5537ed7402202d79c3f134",
@@ -27,3 +30,17 @@ def test_smoke_export_is_unchanged(tmp_path, mode):
     result = run_scenario(load_config(SMOKE, mode=mode))
     path = export_trajectories(result.log, tmp_path / "trajectories.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[mode]
+
+
+REPLAN_SHA256 = "37b417fadfa592f75f6d5467bb6262cbd61647844c8b9c23e7abee56a8abe2bc"
+
+
+def test_replanning_export_is_unchanged(tmp_path):
+    config = load_config(CONFIGS / "scenario2.yaml", mode="optimal", seed=2)
+    scale = 120.0 / config.total_duration
+    config.phases = [replace(p, duration=p.duration * scale) for p in config.phases]
+    result = run_scenario(config)
+    # the case pins the lookahead's repair path only while a string re-plans
+    assert any("re-planned" in event for event in result.coordinator.events)
+    path = export_trajectories(result.log, tmp_path / "trajectories.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPLAN_SHA256

@@ -1,5 +1,7 @@
 """Traffic simulation: arrivals, mechanics, logging, metrics, modes."""
+import concurrent.futures
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -268,7 +270,27 @@ class TestScenarioBuilders:
         assert scenario_2().total_duration == 1200.0
 
 
+def _collide(t):
+    """A worker task that ends in a collision, carrying a partial log."""
+    raise CollisionError(t, 1, 2, -0.5, log={"t": np.array([0.0, t])})
+
+
 class TestCollisionGuard:
+    def test_collision_error_survives_pickling(self):
+        err = CollisionError(1.0, 2, 3, -0.1, log={"t": np.array([0.5, 1.0])})
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is CollisionError
+        assert (back.t, back.lead_id, back.rear_id, back.gap) == (1.0, 2, 3, -0.1)
+        assert back.log["t"].tolist() == [0.5, 1.0]
+        assert str(back) == str(err)
+
+    def test_collision_in_a_worker_reaches_the_parent(self):
+        with concurrent.futures.ProcessPoolExecutor(2) as pool:
+            with pytest.raises(CollisionError) as caught:
+                list(pool.map(_collide, [4.0, 5.0]))
+        assert (caught.value.t, caught.value.lead_id, caught.value.rear_id) == (4.0, 1, 2)
+        assert caught.value.log["t"].tolist() == [0.0, 4.0]
+
     def test_overlap_aborts_with_diagnostics(self, monkeypatch):
         # a stopping bound that waves every follower through at full
         # throttle lets a dense mainline stream run into itself
