@@ -283,7 +283,8 @@ def config_digest(config: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 # trajectory files
 
-_EXPORT_FMT = "%.6f,%d,%d,%.6f,%.6f,%.6f,%d,%.6f"
+_EXPORT_FMT = ",".join("%d" if dtype is np.int64 else "%.6f"
+                       for dtype in TrajectoryLog.FIELDS.values())
 _HEADER = ",".join(TrajectoryLog.FIELDS)
 
 
@@ -316,14 +317,8 @@ def load_trajectories(path: str | Path) -> dict[str, np.ndarray]:
     if len(lines) == 1:
         return TrajectoryLog().arrays()
     table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    out = {}
-    for j, name in enumerate(TrajectoryLog.FIELDS):
-        col = table[:, j]
-        if name in ("id", "lane", "status"):
-            out[name] = col.astype(np.int64)
-        else:
-            out[name] = col
-    return out
+    return {name: table[:, j].astype(dtype, copy=False)
+            for j, (name, dtype) in enumerate(TrajectoryLog.FIELDS.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +463,14 @@ def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
              stem: str) -> tuple[RunManifest, RunMetrics]:
     started = _utc_now()
     tic = time.perf_counter()
-    result = run_scenario(config)
+    try:
+        result = run_scenario(config)
+    except CollisionError as exc:
+        if exc.log is not None:
+            partial = export_trajectories(
+                exc.log, out_dir / f"{stem}_trajectories_partial.csv")
+            print(f"partial trajectories: {partial}", file=sys.stderr)
+        raise
     wall = time.perf_counter() - tic
     traj_path = export_trajectories(result.log, out_dir / f"{stem}_trajectories.csv")
     metrics_path = out_dir / f"{stem}_metrics.json"
@@ -502,15 +504,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config, mode=args.mode, seed=args.seed)
     out_dir = _out_dir(args)
     stem = f"run_{config.mode.value}_seed{config.seed}"
-    try:
-        manifest, metrics = _execute(config, args.config, out_dir, stem)
-    except CollisionError as exc:
-        print(f"collision abort: {exc}", file=sys.stderr)
-        if exc.log is not None:
-            partial = export_trajectories(
-                exc.log, out_dir / f"{stem}_trajectories_partial.csv")
-            print(f"partial trajectories: {partial}", file=sys.stderr)
-        return EXIT_COLLISION
+    manifest, metrics = _execute(config, args.config, out_dir, stem)
     print(_summary_line(config.mode.value, metrics))
     for kind, file_path in manifest.outputs.items():
         print(f"  {kind}: {file_path}")
@@ -524,11 +518,7 @@ def _cmd_compare(args) -> int:
     for mode in _MODE_ORDER:
         config = load_config(args.config, mode=mode, seed=args.seed)
         stem = f"compare_{mode}_seed{config.seed}"
-        try:
-            _, metrics = _execute(config, args.config, out_dir, stem)
-        except CollisionError as exc:
-            print(f"collision abort in {mode} mode: {exc}", file=sys.stderr)
-            return EXIT_COLLISION
+        _, metrics = _execute(config, args.config, out_dir, stem)
         per_mode[mode] = metrics
         print(_summary_line(mode, metrics))
     text = report_metrics(per_mode, out_dir / f"compare_seed{config.seed}_report.json")
@@ -547,25 +537,25 @@ def _sweep_one(payload):
 def _cmd_sweep(args) -> int:
     seeds = args.seeds
     modes = args.modes
+    for flag, values in (("--seeds", seeds), ("--modes", modes)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise RuntimeError(f"{flag} lists {repeated} more than once")
     # config errors should surface before any worker spins up
     load_config(args.config, mode=modes[0], seed=seeds[0])
     out_dir = _out_dir(args)
     jobs = [(args.config, mode, seed) for mode in modes for seed in seeds]
     results = []
-    try:
-        if args.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-                for item in pool.map(_sweep_one, jobs):
-                    results.append(item)
-                    print(f"  done: {item[0]} seed {item[1]}")
-        else:
-            for job in jobs:
-                item = _sweep_one(job)
+    if args.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+            for item in pool.map(_sweep_one, jobs):
                 results.append(item)
                 print(f"  done: {item[0]} seed {item[1]}")
-    except CollisionError as exc:
-        print(f"collision abort: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
+    else:
+        for job in jobs:
+            item = _sweep_one(job)
+            results.append(item)
+            print(f"  done: {item[0]} seed {item[1]}")
 
     by_mode: dict[str, list[tuple[int, RunMetrics]]] = {m: [] for m in modes}
     for mode, seed, metrics in results:
@@ -683,6 +673,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except CollisionError as exc:
+        print(f"collision abort: {exc}", file=sys.stderr)
+        return EXIT_COLLISION
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

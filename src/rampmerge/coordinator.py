@@ -378,12 +378,8 @@ class MergeCoordinator:
 
         # IDM fallback toward the actual ramp predecessor
         order = snap.ordered(Lane.RAMP)
-        pred_idx = -1
-        for j in order:
-            if snap.positions[j] > pos:
-                pred_idx = int(j)
-            else:
-                break
+        rank = int(np.flatnonzero(order == idx)[0])
+        pred_idx = int(order[rank - 1]) if rank > 0 else -1
         gap, dv = math.inf, 0.0
         if pred_idx >= 0:
             gap = float(snap.positions[pred_idx] - pos) - self.scoring.vehicle_length
@@ -546,27 +542,17 @@ class MergeCoordinator:
         # lead the next cycle), then upstream mainline vehicles
         while count_sequences(len(main_ids), len(ramp_ids)) > self.scoring.cap:
             if len(ramp_ids) > 1:
-                dropped = ramp_ids.pop()
-                self.events.append(
-                    f"t={snap.t:.1f} cycle {self._cycle_count}: enumeration cap, "
-                    f"dropped ramp vehicle {dropped}"
-                )
+                lane, dropped = Lane.RAMP, ramp_ids.pop()
             elif main_ids:
-                dropped = main_ids.pop()
-                self.events.append(
-                    f"t={snap.t:.1f} cycle {self._cycle_count}: enumeration cap, "
-                    f"dropped mainline vehicle {dropped}"
-                )
+                lane, dropped = Lane.MAINLINE, main_ids.pop()
             else:  # pragma: no cover - cap >= 1 admits a single vehicle
                 break
+            self.events.append(
+                f"t={snap.t:.1f} cycle {self._cycle_count}: enumeration cap, "
+                f"dropped {lane.value} vehicle {dropped}"
+            )
 
-        states = {}
-        for vid in ramp_ids + main_ids:
-            idx = snap.index_of(vid)
-            st = snap.state_of(idx)
-            if st.entry_speed is None:
-                st.entry_speed = st.speed
-            states[vid] = st
+        states = {vid: snap.state_of(snap.index_of(vid)) for vid in ramp_ids + main_ids}
 
         best = optimal_sequence(main_ids, ramp_ids, states, self.scoring)
         seq = best.sequence
@@ -645,13 +631,8 @@ class MergeCoordinator:
     # -- per-step commands ---------------------------------------------
 
     def _assemble_state(self, cset: ControlSet, snap: WorldSnapshot) -> np.ndarray:
-        n = len(cset.ids)
-        x = np.empty(2 * n)
-        for i, vid in enumerate(cset.ids):
-            idx = snap.index_of(vid)
-            x[i] = snap.positions[idx]
-            x[n + i] = snap.speeds[idx]
-        return x
+        idx = [snap.index_of(vid) for vid in cset.ids]
+        return np.concatenate((snap.positions[idx], snap.speeds[idx]))
 
     def _set_commands(self, snap: WorldSnapshot) -> dict[int, float]:
         commands: dict[int, float] = {}

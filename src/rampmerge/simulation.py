@@ -207,7 +207,11 @@ class CollisionError(RuntimeError):
 class TrajectoryLog:
     """Per-step, per-vehicle rows with six-decimal float quantization."""
 
-    FIELDS = ("t", "id", "lane", "position", "speed", "accel", "status", "fuel_rate")
+    #: each column's name and dtype, in export order
+    FIELDS = {
+        "t": float, "id": np.int64, "lane": np.int64, "position": float,
+        "speed": float, "accel": float, "status": np.int64, "fuel_rate": float,
+    }
 
     def __init__(self) -> None:
         self._chunks: list[tuple[np.ndarray, ...]] = []
@@ -227,16 +231,10 @@ class TrajectoryLog:
 
     def arrays(self) -> dict[str, np.ndarray]:
         if not self._chunks:
-            return {
-                "t": np.empty(0), "id": np.empty(0, dtype=np.int64),
-                "lane": np.empty(0, dtype=np.int64), "position": np.empty(0),
-                "speed": np.empty(0), "accel": np.empty(0),
-                "status": np.empty(0, dtype=np.int64), "fuel_rate": np.empty(0),
-            }
-        cols = list(zip(*self._chunks))
+            return {name: np.empty(0, dtype=dtype) for name, dtype in self.FIELDS.items()}
         return {
             name: np.concatenate(col)
-            for name, col in zip(self.FIELDS, cols)
+            for name, col in zip(self.FIELDS, zip(*self._chunks))
         }
 
 
@@ -272,30 +270,30 @@ def _group_metrics(first_pos, last_pos, row_count, fuel_ml, dt) -> GroupMetrics:
     )
 
 
+def _per_vehicle(log: dict[str, np.ndarray], *names: str):
+    """The named columns sorted by vehicle id, each vehicle's rows kept in
+    time order, and the bounds of every vehicle's run of rows."""
+    order = np.argsort(log["id"], kind="stable")  # stable keeps time order per id
+    _, starts = np.unique(log["id"][order], return_index=True)
+    return np.append(starts, len(order)), [log[name][order] for name in names]
+
+
 def compute_metrics(log: dict[str, np.ndarray], dt: float) -> RunMetrics:
     """Traffic metrics from a trajectory log.
 
     A vehicle's origin is the lane of its first logged row, so metrics
     rebuilt from an exported log match the live run exactly.
     """
-    ids = log["id"]
-    if len(ids) == 0:
+    if len(log["id"]) == 0:
         empty = GroupMetrics(0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return RunMetrics(overall=empty, mainline=empty, ramp=empty)
-    order = np.argsort(ids, kind="stable")  # stable keeps time order per id
-    sorted_ids = ids[order]
-    sorted_pos = log["position"][order]
-    sorted_lane = log["lane"][order]
-    uniq, starts = np.unique(sorted_ids, return_index=True)
-    ends = np.append(starts[1:], len(sorted_ids)) - 1
-    first_pos = sorted_pos[starts]
-    last_pos = sorted_pos[ends]
-    origin = sorted_lane[starts]
-    rows_per_id = ends - starts + 1
-
-    fuel_step = log["fuel_rate"] * dt
-    fuel_sorted = fuel_step[order]
-    fuel_per_id = np.add.reduceat(fuel_sorted, starts)
+    bounds, (pos, lane, fuel) = _per_vehicle(log, "position", "lane", "fuel_rate")
+    starts = bounds[:-1]
+    first_pos = pos[starts]
+    last_pos = pos[bounds[1:] - 1]
+    origin = lane[starts]
+    rows_per_id = np.diff(bounds)
+    fuel_per_id = np.add.reduceat(fuel * dt, starts)
 
     def group(mask: np.ndarray) -> GroupMetrics:
         return _group_metrics(
@@ -306,7 +304,7 @@ def compute_metrics(log: dict[str, np.ndarray], dt: float) -> RunMetrics:
             dt,
         )
 
-    all_mask = np.ones(len(uniq), dtype=bool)
+    all_mask = np.ones(len(starts), dtype=bool)
     return RunMetrics(
         overall=group(all_mask),
         mainline=group(origin == Lane.MAINLINE.code),
@@ -316,24 +314,16 @@ def compute_metrics(log: dict[str, np.ndarray], dt: float) -> RunMetrics:
 
 def ramp_crossing_times(log: dict[str, np.ndarray], trigger_point: float) -> np.ndarray:
     """First time each ramp-origin vehicle reached the trigger line."""
-    ids = log["id"]
-    if len(ids) == 0:
+    if len(log["id"]) == 0:
         return np.empty(0)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    sorted_pos = log["position"][order]
-    sorted_lane = log["lane"][order]
-    sorted_t = log["t"][order]
-    uniq, starts = np.unique(sorted_ids, return_index=True)
-    bounds = np.append(starts, len(sorted_ids))
+    bounds, (pos, lane, t) = _per_vehicle(log, "position", "lane", "t")
     out = []
-    for i in range(len(uniq)):
-        s, e = bounds[i], bounds[i + 1]
-        if sorted_lane[s] != Lane.RAMP.code:
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if lane[s] != Lane.RAMP.code:
             continue
-        past = np.nonzero(sorted_pos[s:e] >= trigger_point)[0]
+        past = np.nonzero(pos[s:e] >= trigger_point)[0]
         if len(past):
-            out.append(sorted_t[s + past[0]])
+            out.append(t[s + past[0]])
     return np.sort(np.asarray(out))
 
 
@@ -488,262 +478,264 @@ def _forced_gap(closing: float) -> float:
     return max(1.0, 0.3 * rel + rel * rel / (2.0 * abs(HARD_BRAKE))) + 1.0
 
 
-def run_scenario(config: ScenarioConfig) -> RunResult:
-    config.validate()
-    geo = config.geometry
-    limits = config.limits
-    dt = config.dt
-    L = config.vehicle_length
-    rng = np.random.default_rng(config.seed)
+@dataclass
+class _Entrance:
+    """One lane's arrival queue and the point where its vehicles spawn."""
 
-    # arrival schedules: per-phase draws, then one pass to keep the
-    # minimum headway across phase boundaries too
-    def lane_arrivals(rate_of) -> np.ndarray:
-        pieces = []
-        t0 = 0.0
-        for phase in config.phases:
-            pieces.append(generate_arrivals(
-                rate_of(phase), phase.duration, rng,
-                min_headway=config.arrival_min_headway, t0=t0,
-            ))
-            t0 += phase.duration
-        merged = np.concatenate(pieces) if pieces else np.empty(0)
-        return _keep_headway(merged, config.arrival_min_headway, config.total_duration)
+    times: np.ndarray
+    pos: float
+    params: IdmParams
+    next: int = 0  # the first arrival still waiting off-network
 
-    main_arrivals = lane_arrivals(lambda p: p.mainline_rate)
-    ramp_arrivals = lane_arrivals(lambda p: p.ramp_rate)
-    arrival_ptr = {Lane.MAINLINE.code: 0, Lane.RAMP.code: 0}
-    arrival_times = {Lane.MAINLINE.code: main_arrivals, Lane.RAMP.code: ramp_arrivals}
-    entry_pos = {
-        Lane.MAINLINE.code: -geo.upstream_extent,
-        Lane.RAMP.code: -geo.ramp_length,
-    }
-    lane_params = {
-        Lane.MAINLINE.code: config.mainline_idm,
-        Lane.RAMP.code: config.ramp_idm,
-    }
 
-    world = _World()
-    log = TrajectoryLog()
-    counters = SimCounters(arrived=len(main_arrivals) + len(ramp_arrivals))
-    coordinator = None
-    if config.mode is ControlMode.OPTIMAL:
-        coordinator = MergeCoordinator(geo, limits, config.scoring, config.ramp_idm)
-    # emergency backstop for commanded vehicles: reaction-margin headway
-    # far below any planned gap, so it binds only when a plan goes stale
-    envelope_idm = IdmParams(v0=limits.v_max, T=0.3, a=2.0, b=4.0, s0=2.0)
-    # second tier for stalled traffic ahead: the tight envelope engages
-    # too late for a cruise-speed approach to a stopped string (physics
-    # caps braking at HARD_BRAKE), so against a near-stopped predecessor
-    # a commanded vehicle must brake like a driver, from far out
-    stall_guard_idm = IdmParams(v0=limits.v_max, T=1.0, a=2.0, b=2.0, s0=2.0)
-    meter_next_green = 0.0
-    # under coordination the advisory rate is broadcast upstream, so
-    # excess ramp demand waits off-network at the entrance instead of
-    # stacking up inside the corridor
-    ramp_entry_release = -math.inf
-    next_id = 0
+class _Run:
+    """One run's state; :meth:`step` advances it one time step, phase by
+    phase.  Per-vehicle facts that car-following and the mode layer work
+    out stay on the run for the later phases of the same step."""
 
-    merge_bar = geo.merge_zone_end - MERGE_STOP_SETBACK
-    steps = int(round(config.total_duration / dt))
+    def __init__(self, config: ScenarioConfig) -> None:
+        config.validate()
+        self.config = config
+        geo = config.geometry
+        limits = config.limits
+        rng = np.random.default_rng(config.seed)
 
-    for k in range(steps):
-        t = k * dt
-        phase = config.phase_at(t)
+        # arrival schedules: per-phase draws, then one pass to keep the
+        # minimum headway across phase boundaries too
+        def lane_arrivals(rate_of) -> np.ndarray:
+            pieces = []
+            t0 = 0.0
+            for phase in config.phases:
+                pieces.append(generate_arrivals(
+                    rate_of(phase), phase.duration, rng,
+                    min_headway=config.arrival_min_headway, t0=t0,
+                ))
+                t0 += phase.duration
+            merged = np.concatenate(pieces) if pieces else np.empty(0)
+            return _keep_headway(merged, config.arrival_min_headway, config.total_duration)
 
-        # ---- spawn what the entrances can take, in arrival order
-        for lane_code in (Lane.MAINLINE.code, Lane.RAMP.code):
-            times = arrival_times[lane_code]
-            params = lane_params[lane_code]
-            while arrival_ptr[lane_code] < len(times) and times[arrival_ptr[lane_code]] <= t:
-                if (
-                    config.mode is ControlMode.OPTIMAL
-                    and lane_code == Lane.RAMP.code
-                    and t < ramp_entry_release
-                ):
-                    break  # advisory pacing: demand above it queues off-network
-                e_pos = entry_pos[lane_code]
-                chain = np.nonzero(world.lane == lane_code)[0]
-                v_spawn = params.v0
-                if len(chain):
-                    rear = chain[np.argmin(world.pos[chain])]
-                    net = world.pos[rear] - e_pos - L
-                    if net < SPAWN_CLEARANCE:
-                        break  # entrance blocked; arrival waits off-network
-                    v_spawn = min(
-                        params.v0,
-                        _safe_entry_speed(float(world.v[rear]), net, params),
-                    )
-                world.add(next_id, lane_code, e_pos, v_spawn)
-                next_id += 1
-                counters.spawned += 1
-                arrival_ptr[lane_code] += 1
-                if config.mode is ControlMode.OPTIMAL and lane_code == Lane.RAMP.code:
-                    ramp_entry_release = t + 1.0 / phase.q_suggested
+        # indexed by lane code
+        self.entrances = (
+            _Entrance(lane_arrivals(lambda p: p.mainline_rate), -geo.upstream_extent,
+                      config.mainline_idm),
+            _Entrance(lane_arrivals(lambda p: p.ramp_rate), -geo.ramp_length, config.ramp_idm),
+        )
+        self.world = _World()
+        self.log = TrajectoryLog()
+        self.counters = SimCounters(arrived=sum(len(e.times) for e in self.entrances))
+        self.coordinator = None
+        if config.mode is ControlMode.OPTIMAL:
+            self.coordinator = MergeCoordinator(geo, limits, config.scoring, config.ramp_idm)
+        # emergency backstop for commanded vehicles: reaction-margin headway
+        # far below any planned gap, so it binds only when a plan goes stale
+        self.envelope_idm = IdmParams(v0=limits.v_max, T=0.3, a=2.0, b=4.0, s0=2.0)
+        # second tier for stalled traffic ahead: the tight envelope engages
+        # too late for a cruise-speed approach to a stopped string (physics
+        # caps braking at HARD_BRAKE), so against a near-stopped predecessor
+        # a commanded vehicle must brake like a driver, from far out
+        self.stall_guard_idm = IdmParams(v0=limits.v_max, T=1.0, a=2.0, b=2.0, s0=2.0)
+        self.meter_next_green = 0.0
+        # under coordination the advisory rate is broadcast upstream, so
+        # excess ramp demand waits off-network at the entrance instead of
+        # stacking up inside the corridor
+        self.ramp_entry_release = -math.inf
+        self.merge_bar = geo.merge_zone_end - MERGE_STOP_SETBACK
 
-        n = len(world)
-        if n == 0:
-            continue
+    def step(self, t: float) -> None:
+        self.t = t
+        self.phase = self.config.phase_at(t)
+        self._spawn()
+        if len(self.world) == 0:
+            return
+        # lanes change only in the transfer phase, so this holds until then
+        self.on_ramp = self.world.lane == Lane.RAMP.code
+        self._entry_speeds()
+        self._car_following()
+        self._mode_layer()
+        self._bar_holds()
+        self._stopping_bound()
+        self._integrate_and_log()
+        self._lane_transfers()
+        self._collision_audit()
+        self._exits()
 
-        # ---- record ramp buffer-entry speeds
+    def _spawn(self) -> None:
+        # a new vehicle blocks its own entrance: one spawn per lane and step
+        world, t = self.world, self.t
+        for code, gate in enumerate(self.entrances):
+            if gate.next >= len(gate.times) or gate.times[gate.next] > t:
+                continue
+            paced = self.coordinator is not None and code == Lane.RAMP.code
+            if paced and t < self.ramp_entry_release:
+                continue  # advisory pacing: demand above it queues off-network
+            chain = np.nonzero(world.lane == code)[0]
+            v_spawn = gate.params.v0
+            if len(chain):
+                rear = chain[np.argmin(world.pos[chain])]
+                net = world.pos[rear] - gate.pos - self.config.vehicle_length
+                if net < SPAWN_CLEARANCE:
+                    continue  # entrance blocked; arrival waits off-network
+                v_spawn = min(
+                    gate.params.v0,
+                    _safe_entry_speed(float(world.v[rear]), net, gate.params),
+                )
+            world.add(self.counters.spawned, code, gate.pos, v_spawn)  # id: spawn count
+            self.counters.spawned += 1
+            gate.next += 1
+            if paced:
+                self.ramp_entry_release = t + 1.0 / self.phase.q_suggested
+
+    def _entry_speeds(self) -> None:
+        world = self.world
         crossed = (
-            (world.lane == Lane.RAMP.code)
+            self.on_ramp
             & np.isnan(world.entry)
-            & (world.pos >= geo.ramp_buffer_start)
+            & (world.pos >= self.config.geometry.ramp_buffer_start)
         )
         world.entry[crossed] = world.v[crossed]
 
-        # ---- base IDM accelerations along each lane chain
-        acc = np.empty(n)
-        gap_all = np.full(n, np.inf)
-        dv_all = np.zeros(n)
-        pred_of = np.full(n, -1, dtype=int)  # same-lane predecessor index
-        chains = lane_orders(world.lane, world.pos)
-        for lane, order in chains.items():
+    def _car_following(self) -> None:
+        """Base IDM accelerations along each lane chain, and each vehicle's
+        same-lane predecessor, net gap and closing speed."""
+        world, n, L = self.world, len(self.world), self.config.vehicle_length
+        self.acc = acc = np.empty(n)
+        self.gap = gap_all = np.full(n, np.inf)
+        self.dv = dv_all = np.zeros(n)
+        self.pred_of = pred_of = np.full(n, -1, dtype=int)
+        self.chains = lane_orders(world.lane, world.pos)
+        for lane, order in self.chains.items():
             if len(order) == 0:
                 continue
             pred_of[order[1:]] = order[:-1]
-            gaps = np.full(len(order), np.inf)
-            dvs = np.zeros(len(order))
-            if len(order) > 1:
-                gaps[1:] = world.pos[order[:-1]] - world.pos[order[1:]] - L
-                dvs[1:] = world.v[order[1:]] - world.v[order[:-1]]
-            gap_all[order] = gaps
-            dv_all[order] = dvs
+            gap_all[order[1:]] = world.pos[order[:-1]] - world.pos[order[1:]] - L
+            dv_all[order[1:]] = world.v[order[1:]] - world.v[order[:-1]]
             acc[order] = idm_accel(
-                world.v[order], np.maximum(gaps, 1e-3), dvs, lane_params[lane.code]
+                world.v[order], np.maximum(gap_all[order], 1e-3), dv_all[order],
+                self.entrances[lane.code].params,
             )
 
         # acceleration-lane behavior: an uncontrolled ramp vehicle close
         # to the merge drives to mainline norms while hunting for a slot
-        accel_lane = np.nonzero(
-            (world.lane == Lane.RAMP.code) & (world.pos >= ACCEL_LANE_START)
-        )[0]
+        accel_lane = np.nonzero(self.on_ramp & (world.pos >= ACCEL_LANE_START))[0]
         if len(accel_lane):
             acc[accel_lane] = idm_accel(
                 world.v[accel_lane],
                 np.maximum(gap_all[accel_lane], 1e-3),
                 dv_all[accel_lane],
-                config.mainline_idm,
+                self.config.mainline_idm,
             )
 
-        active_ids: set[int] = set()
-        leader_id = None
-
-        # ---- mode layer
-        if config.mode is ControlMode.OPTIMAL:
+    def _mode_layer(self) -> None:
+        """Coordinator commands under the IDM guard, or the metering hold;
+        writes each vehicle's control status code."""
+        world, t = self.world, self.t
+        self.status = np.zeros(len(world), dtype=np.int64)
+        if self.coordinator is not None:
             snap = WorldSnapshot(
                 t=t,
-                q_mainline=phase.mainline_rate,
-                q_suggested=phase.q_suggested,
+                q_mainline=self.phase.mainline_rate,
+                q_suggested=self.phase.q_suggested,
                 ids=world.ids,
                 lanes=world.lane,
                 positions=world.pos,
                 speeds=world.v,
                 entry_speeds=world.entry,
-                orders=chains,
+                orders=self.chains,
             )
-            commands = coordinator.step(snap)
-            counters.coordinator_commands += len(commands)
-            active_ids = coordinator.active_member_ids
-            leader_id = coordinator.regulated_leader
+            commands = self.coordinator.step(snap)
+            self.counters.coordinator_commands += len(commands)
+            leader = self.coordinator.regulated_leader
             for vid, u in commands.items():
                 i = snap.index_of(vid)
-                j = pred_of[i]
+                self.status[i] = (ControlStatus.RAMP_LEADER_REGULATED if vid == leader
+                                  else ControlStatus.OPTIMAL_CONTROLLED).code
+                j = self.pred_of[i]
                 if j >= 0:
-                    net = world.pos[j] - world.pos[i] - L
-                    pair = (world.v[i], max(net, 1e-3), world.v[i] - world.v[j])
-                    guard = idm_accel(*pair, envelope_idm)
+                    # the stall tier brakes at least as hard as the envelope
+                    # wherever it applies (longer T, softer b, dv > -STALL_SPEED)
+                    params = (self.stall_guard_idm if world.v[j] < STALL_SPEED
+                              else self.envelope_idm)
+                    guard = idm_accel(world.v[i], max(self.gap[i], 1e-3), self.dv[i], params)
                     # emergency only: the guard must itself demand braking
                     # and demand more of it than the plan already applies.
                     # No deadband: near standstill even a mildly negative
                     # guard must win, or the vehicle creeps through the
                     # envelope's standstill floor a step at a time
-                    if world.v[j] < STALL_SPEED:
-                        guard = min(guard, idm_accel(*pair, stall_guard_idm))
                     if guard < 0.0 and guard < u:
                         u = guard
-                        counters.envelope_interventions += 1
-                acc[i] = u
-        elif config.mode is ControlMode.METERING:
+                        self.counters.envelope_interventions += 1
+                self.acc[i] = u
+        elif self.config.mode is ControlMode.METERING:
             # hold the first unreleased vehicle at the stop bar
-            for j in chains[Lane.RAMP]:
+            for j in self.chains[Lane.RAMP]:
                 if world.pos[j] >= METERING_BAR:
                     continue
                 if not world.released[j]:
                     gap = METERING_BAR - world.pos[j]
                     standing = gap <= 12.0 and world.v[j] <= 0.5
-                    if standing and t >= meter_next_green:
+                    if standing and t >= self.meter_next_green:
                         world.released[j] = True
-                        counters.meter_releases += 1
-                        meter_next_green = t + 1.0 / phase.q_suggested
+                        self.counters.meter_releases += 1
+                        self.meter_next_green = t + 1.0 / self.phase.q_suggested
                     else:
-                        acc[j] = min(acc[j], _bar_hold(world.v[j], gap, config.ramp_idm))
+                        hold = _bar_hold(world.v[j], gap, self.config.ramp_idm)
+                        self.acc[j] = min(self.acc[j], hold)
                     break
 
-        # ---- unmerged ramp vehicles must not run off the lane end
-        for j in chains[Lane.RAMP]:
-            if world.pos[j] >= merge_bar:
+    def _bar_holds(self) -> None:
+        # unmerged ramp vehicles must not run off the lane end
+        world, bar = self.world, self.merge_bar
+        for j in self.chains[Lane.RAMP]:
+            if world.pos[j] >= bar:
                 continue  # past the stop point; the transfer logic owns it
-            if config.mode is ControlMode.METERING and not world.released[j]:
+            if self.config.mode is ControlMode.METERING and not world.released[j]:
                 break  # still held upstream at the metering bar
-            vid = int(world.ids[j])
-            planned = vid in active_ids or vid == leader_id
+            planned = self.status[j] != ControlStatus.UNCONTROLLED.code
             # a planned merge deferred this long is an anomaly: stop at the
             # bar instead of overriding the plan early
-            if not planned or world.pos[j] > merge_bar - 25.0:
-                params = envelope_idm if planned else config.ramp_idm
-                acc[j] = min(acc[j], _bar_hold(world.v[j], merge_bar - world.pos[j], params))
+            if not planned or world.pos[j] > bar - 25.0:
+                params = self.envelope_idm if planned else self.config.ramp_idm
+                self.acc[j] = min(self.acc[j], _bar_hold(world.v[j], bar - world.pos[j], params))
             break
 
-        # ---- stopping-distance bound: whatever the layers above asked
-        # for, no vehicle may outrun its ability to stop behind its
-        # predecessor
-        led = np.nonzero(pred_of >= 0)[0]
+    def _stopping_bound(self) -> None:
+        # whatever the layers above asked for, no vehicle may outrun its
+        # ability to stop behind its predecessor
+        led = np.nonzero(self.pred_of >= 0)[0]
         if len(led):
-            acc[led], hits = stopping_bound(
-                acc[led], gap_all[led], world.v[led], world.v[pred_of[led]], dt
+            v = self.world.v
+            self.acc[led], hits = stopping_bound(
+                self.acc[led], self.gap[led], v[led], v[self.pred_of[led]], self.config.dt
             )
-            counters.envelope_interventions += hits
+            self.counters.envelope_interventions += hits
 
-        # ---- integrate
-        acc = np.clip(acc, HARD_BRAKE, limits.acc_max)
+    def _integrate_and_log(self) -> None:
+        world, dt, limits = self.world, self.config.dt, self.config.limits
+        acc = np.clip(self.acc, HARD_BRAKE, limits.acc_max)
         v_next = np.clip(world.v + acc * dt, 0.0, limits.v_max)
         a_real = (v_next - world.v) / dt
-        fuel = fuel_rate(world.v, a_real, config.fuel)
-
-        status = np.zeros(n, dtype=np.int64)
-        if active_ids:
-            status[np.isin(world.ids, list(active_ids))] = ControlStatus.OPTIMAL_CONTROLLED.code
-        if leader_id is not None:
-            status[world.ids == leader_id] = ControlStatus.RAMP_LEADER_REGULATED.code
-        merged_mask = (
-            (world.origin == Lane.RAMP.code)
-            & (world.lane == Lane.MAINLINE.code)
-            & (status == 0)
+        fuel = fuel_rate(world.v, a_real, self.config.fuel)
+        merged = (world.origin == Lane.RAMP.code) & ~self.on_ramp & (self.status == 0)
+        status = np.where(merged, ControlStatus.MERGED.code, self.status)
+        self.log.append_step(
+            self.t, world.ids, world.lane, world.pos, world.v, a_real, status, fuel
         )
-        status[merged_mask] = ControlStatus.MERGED.code
-
-        log.append_step(
-            t, world.ids, world.lane, world.pos, world.v, a_real, status, fuel
-        )
-
         world.pos = world.pos + 0.5 * (world.v + v_next) * dt
         world.v = v_next
 
-        # ---- standing timers for pushy insertion
+    def _lane_transfers(self) -> None:
+        world, dt, L = self.world, self.config.dt, self.config.vehicle_length
+        # standing timers for pushy insertion
         waiting = (
-            (world.lane == Lane.RAMP.code)
-            & (world.pos > geo.merge_zone_end - 40.0)
+            self.on_ramp
+            & (world.pos > self.config.geometry.merge_zone_end - 40.0)
             & (world.v < 0.5)
         )
         world.stand[waiting] += dt
         world.stand[~waiting] = 0.0
 
-        # ---- lane transfers at the merge
-        ramp_idx = np.nonzero((world.lane == Lane.RAMP.code) & (world.pos >= 0.0))[0]
+        ramp_idx = np.nonzero(self.on_ramp & (world.pos >= 0.0))[0]
         for j in sorted(ramp_idx, key=lambda i: -world.pos[i]):
-            vid = int(world.ids[j])
             lead, lag = _insertion_neighbors(world, world.pos[j])
             front = world.pos[lead] - world.pos[j] - L if lead >= 0 else math.inf
             rear = world.pos[j] - world.pos[lag] - L if lag >= 0 else math.inf
@@ -754,7 +746,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             survivable = (
                 front >= _forced_gap(closing_front) and rear >= _forced_gap(closing_rear)
             )
-            if vid in active_ids:
+            if self.status[j] == ControlStatus.OPTIMAL_CONTROLLED.code:
                 # planned merge, but never into an unsurvivable slot, nor
                 # one where the merger or its new follower starts outside
                 # the stopping bound; an unsafe slot defers the lane change
@@ -783,9 +775,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             if world.stand[j] >= FORCE_TIMEOUT and survivable:
                 world.lane[j] = Lane.MAINLINE.code
                 world.stand[j] = 0.0
-                counters.forced_merges += 1
+                self.counters.forced_merges += 1
 
-        # ---- collision audit
+    def _collision_audit(self) -> None:
+        world, L = self.world, self.config.vehicle_length
         for order in lane_orders(world.lane, world.pos).values():
             if len(order) > 1:
                 gaps = world.pos[order[:-1]] - world.pos[order[1:]] - L
@@ -793,31 +786,36 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 if len(bad):
                     b = bad[0]
                     raise CollisionError(
-                        t,
+                        self.t,
                         int(world.ids[order[b]]),
                         int(world.ids[order[b + 1]]),
                         float(gaps[b]),
-                        log=log.arrays(),
+                        log=self.log.arrays(),
                     )
 
-        # ---- exits
-        gone = world.pos > geo.downstream_extent
+    def _exits(self) -> None:
+        gone = self.world.pos > self.config.geometry.downstream_extent
         if np.any(gone):
-            counters.exited += int(np.count_nonzero(gone))
-            world.remove(gone)
+            self.counters.exited += int(np.count_nonzero(gone))
+            self.world.remove(gone)
 
-    if coordinator is not None:
-        counters.degraded_plans = sum(
-            1 for r in coordinator.records if not r.feasible
+
+def run_scenario(config: ScenarioConfig) -> RunResult:
+    run = _Run(config)
+    for k in range(int(round(config.total_duration / config.dt))):
+        run.step(k * config.dt)
+    if run.coordinator is not None:
+        run.counters.degraded_plans = sum(
+            1 for r in run.coordinator.records if not r.feasible
         )
-    arrays = log.arrays()
+    arrays = run.log.arrays()
     return RunResult(
         config=config,
-        metrics=compute_metrics(arrays, dt),
+        metrics=compute_metrics(arrays, config.dt),
         log=arrays,
-        counters=counters,
-        final_vehicle_count=len(world),
-        coordinator=coordinator,
+        counters=run.counters,
+        final_vehicle_count=len(run.world),
+        coordinator=run.coordinator,
     )
 
 

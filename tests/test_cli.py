@@ -463,6 +463,21 @@ class TestCommands:
         partial = tmp_path / "run_optimal_seed3_trajectories_partial.csv"
         assert partial.exists()
 
+    def test_compare_collision_writes_partial_trajectories(
+            self, tmp_path, monkeypatch, capsys):
+        import rampmerge.cli as cli_mod
+
+        def boom(config):
+            raise CollisionError(3.0, 1, 2, -0.5, log=TrajectoryLog().arrays())
+
+        monkeypatch.setattr(cli_mod, "run_scenario", boom)
+        code = main(["compare", "--config", CONFIG_DIR + "/smoke.yaml",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_COLLISION
+        assert "collision" in capsys.readouterr().err
+        partial = tmp_path / "compare_optimal_seed3_trajectories_partial.csv"
+        assert partial.exists()
+
     def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -522,3 +537,15 @@ class TestCommands:
             assert entry["seeds"] == [1, 2]
             assert entry["stats"]["q_mph"]["sd"] >= 0.0
             assert set(entry["runs"]) == {"1", "2"}
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seeds", "1", "1", "2"], "--seeds lists 1 more than once"),
+        (["--seeds", "1", "--modes", "none", "none"], "--modes lists none more than once"),
+    ])
+    def test_sweep_rejects_a_repeat(self, tmp_path, capsys, flags, named):
+        code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml", "--workers", "1",
+                     "--out", str(tmp_path), *flags])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.json").exists()

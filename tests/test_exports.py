@@ -1,8 +1,9 @@
 """Exported trajectories stay bit for bit the same.
 
-Runs ``configs/smoke.yaml`` (120 s, seed 3) in each mode, and a 120 s
-window of ``configs/scenario2.yaml`` (seed 2, coordinated) whose strings
-get re-planned, and compares the SHA-256 of each trajectory CSV with the
+Runs ``configs/smoke.yaml`` (120 s, seed 3) in each mode, a 120 s window
+of ``configs/scenario2.yaml`` (seed 2, coordinated) whose strings get
+re-planned, and the first 300 s of ``configs/scenario1.yaml`` (seed 1,
+no control) where ramp vehicles force their way in, and compares the SHA-256 of each trajectory CSV with the
 digests below, recorded with numpy 2.4.6.  A change that alters
 trajectories on purpose updates these digests and says so in CHANGES.md.
 """
@@ -44,3 +45,16 @@ def test_replanning_export_is_unchanged(tmp_path):
     assert any("re-planned" in event for event in result.coordinator.events)
     path = export_trajectories(result.log, tmp_path / "trajectories.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPLAN_SHA256
+
+
+FORCED_MERGE_SHA256 = "6f22ad3ab84df39aaaa125b7d7fb2f20b94bbafb5b58deda9e863430b35be991"
+
+
+def test_forced_merge_export_is_unchanged(tmp_path):
+    config = load_config(CONFIGS / "scenario1.yaml", mode="none", seed=1)
+    config.phases = [replace(config.phases[0], duration=300.0)]
+    result = run_scenario(config)
+    # the case pins the pushy-insertion path only while a merge is forced
+    assert result.counters.forced_merges > 0
+    path = export_trajectories(result.log, tmp_path / "trajectories.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FORCED_MERGE_SHA256

@@ -8,14 +8,17 @@ import pytest
 
 from rampmerge.coordinator import HARD_BRAKE
 from rampmerge.fuel import METERS_PER_MILE, ML_PER_GALLON, fuel_rate
+from rampmerge.idm import idm_accel
 from rampmerge.simulation import (
     CollisionError,
     ControlMode,
     DemandPhase,
     RunMetrics,
+    STALL_SPEED,
     STOP_MARGIN,
     ScenarioConfig,
     TrajectoryLog,
+    _Run,
     _can_stop,
     _forced_gap,
     compute_metrics,
@@ -426,3 +429,18 @@ class TestStoppingBound:
         rear = _forced_gap(10.0) + 1.0
         assert not _can_stop(rear, 30.0, 20.0, self.DT)
         assert _can_stop(45.0, 30.0, 20.0, self.DT)
+
+
+def test_stall_tier_brakes_at_least_as_hard_as_the_envelope():
+    # the commanded-vehicle guard calls only the stall tier behind a
+    # predecessor slower than STALL_SPEED; that equals taking the lesser
+    # of both tiers only while the stall tier is never the milder one
+    run = _Run(small_config(mode=ControlMode.OPTIMAL))
+    rng = np.random.default_rng(11)
+    v_max = run.config.limits.v_max
+    for _ in range(5000):
+        v = float(rng.uniform(0.0, v_max))
+        v_pred = float(rng.uniform(0.0, STALL_SPEED))
+        gap = float(10.0 ** rng.uniform(-3.0, 2.5))
+        stall = idm_accel(v, gap, v - v_pred, run.stall_guard_idm)
+        assert stall <= idm_accel(v, gap, v - v_pred, run.envelope_idm)
