@@ -162,13 +162,6 @@ def _parse_fields(raw, declared: dict[str, Field], path: str, issues) -> dict:
     return out
 
 
-def _section(default, values: dict):
-    """``default`` with the file's values set.  A field declared with a
-    None default is derived from the others unless the file sets it."""
-    derived = {name: None for name, f in settable(default).items() if f.default is None}
-    return replace(default, **{**derived, **values})
-
-
 def _file_path(path: str) -> str:
     """A config issue's path in the file's keys: demand rates are named
     as in YAML (``demand[0].mainline_rate`` -> ``demand[0].mainline``)."""
@@ -210,7 +203,7 @@ def load_config(path: str | Path, mode: str | None = None,
     if seed is not None:
         kw["seed"] = seed
     for name, default in sections.items():
-        kw[name] = _section(default, _parse_fields(raw.get(name), settable(default), name, issues))
+        kw[name] = replace(default, **_parse_fields(raw.get(name), settable(default), name, issues))
 
     phase_fields = settable(DemandPhase)
     declared = {key: phase_fields[name] for key, name in _PHASE_KEYS.items()}

@@ -3,13 +3,14 @@
 The coordinator owns the control loop that turns individual vehicles into
 jointly controlled merge strings:
 
-* it watches the ramp for the next *leader* (the first uncontrolled ramp
-  vehicle still upstream of the trigger line) and paces that leader so
-  ramp inflow never exceeds the suggested rate;
+* it watches the ramp for the next *leader* (the first ramp vehicle
+  never controlled) and paces that leader so ramp inflow never exceeds
+  the suggested rate;
 * when the leader crosses the trigger line it opens a *decision cycle*:
-  it collects the ramp buffer occupants and a flow-proportional share of
-  mainline traffic, picks the cheapest merge order, and freezes gains,
-  reference and safety floors into a :class:`ControlSet`;
+  it collects the leader, the ramp vehicles right behind it in the
+  buffer zone and a flow-proportional share of mainline traffic, picks
+  the cheapest merge order, and freezes gains, reference and safety
+  floors into a :class:`ControlSet`;
 * every step it issues one acceleration command per controlled vehicle
   from the converged receding-horizon law, watches short-range
   predictions for developing gap violations (re-planning when needed),
@@ -44,12 +45,7 @@ from .tracking import (
     rollout,
     steady_state_feedforward,
 )
-from .vehicles import (
-    ControlLimits,
-    Lane,
-    MergeGeometry,
-    VehicleState,
-)
+from .vehicles import Lane, MergeGeometry, VehicleState
 
 #: Hard deceleration available to safety interventions (m/s^2).  Comfort
 #: limits bound planned commands; holds and last-resort braking may use this.
@@ -172,32 +168,6 @@ def inflow_group_cap(
     return max(1, math.floor(tolerance * q_suggested * window))
 
 
-def find_ramp_leader(
-    ordered_ids: np.ndarray,
-    ordered_positions: np.ndarray,
-    controlled: set[int],
-    trigger_point: float,
-) -> int | None:
-    """Pick the next leader from the downstream-first ramp queue.
-
-    The leader is the first vehicle that (a) has never been controlled,
-    (b) sits behind every controlled ramp vehicle, and (c) has not yet
-    crossed the trigger line.  Returns ``None`` when no such vehicle
-    exists (empty ramp, or everything already controlled).
-    """
-    last_controlled = -1
-    for i, vid in enumerate(ordered_ids):
-        if int(vid) in controlled:
-            last_controlled = i
-    for i in range(last_controlled + 1, len(ordered_ids)):
-        vid = int(ordered_ids[i])
-        if vid in controlled:
-            continue
-        if ordered_positions[i] < trigger_point:
-            return vid
-    return None
-
-
 def travel_time_estimate(
     distance: float,
     speed: float,
@@ -256,14 +226,12 @@ class MergeCoordinator:
     def __init__(
         self,
         geometry: MergeGeometry,
-        limits: ControlLimits,
         scoring: ScoringContext,
         ramp_idm: IdmParams,
     ) -> None:
         geometry.validate()
-        limits.validate()
+        scoring.limits.validate()
         self.geometry = geometry
-        self.limits = limits
         self.scoring = scoring
         self.ramp_idm = ramp_idm
 
@@ -274,9 +242,9 @@ class MergeCoordinator:
         self.events: list[str] = []
         #: the pending leader may not cross the trigger line before this
         self.release_time = -math.inf
+        #: the pending leader when this step's pacing commands it
+        self.regulated_leader: int | None = None
         self._cycle_count = 0
-        self._leader_id: int | None = None
-        self._leader_regulating = False
         self._eta_cache: tuple[int, float, float] | None = None
         self._density_samples: deque[tuple[float, float]] = deque()
         self._last_lookahead = -math.inf
@@ -293,19 +261,29 @@ class MergeCoordinator:
     def active_member_ids(self) -> set[int]:
         return {vid for s in self.sets for vid in s.ids}
 
-    @property
-    def regulated_leader(self) -> int | None:
-        return self._leader_id if self._leader_regulating else None
-
     # -- main entry ----------------------------------------------------
 
     def step(self, snap: WorldSnapshot) -> dict[int, float]:
-        """Advance one control step; returns accel commands by vehicle id."""
+        """Advance one control step; returns accel commands by vehicle id.
+
+        Controlled ramp vehicles always form a downstream prefix of the
+        ramp queue: a cycle takes the first never-controlled vehicle and
+        the ones right behind it, the enumeration cap sheds only from the
+        group's tail, arrivals join the queue at its tail, and a lane has
+        no overtaking.  So one scan finds rank ``k``, the first
+        never-controlled vehicle.  If it is at or past the trigger line a
+        cycle admits it and the ranks behind it, and ``k`` moves past
+        them; the vehicle then at rank ``k`` is the pending leader.
+        """
         self._observe_density(snap)
         self._retire_and_shrink(snap)
-        self._maybe_trigger(snap)
-        commands: dict[int, float] = {}
-        commands.update(self._leader_command(snap))
+        order = snap.ordered(Lane.RAMP)
+        k = 0
+        while k < len(order) and int(snap.ids[order[k]]) in self.ever_controlled:
+            k += 1
+        if k < len(order) and snap.positions[order[k]] >= self.geometry.trigger_point:
+            k += self._on_trigger(k, snap)
+        commands = self._leader_command(k, snap)
         commands.update(self._set_commands(snap))
         return commands
 
@@ -327,83 +305,51 @@ class MergeCoordinator:
 
     # -- leader tracking and the admission gate ------------------------
 
-    def _current_leader(self, snap: WorldSnapshot) -> int | None:
-        if self._leader_id is not None:
-            if not snap.has(self._leader_id) or self._leader_id in self.ever_controlled:
-                self._leader_id = None
-        if self._leader_id is None:
-            order = snap.ordered(Lane.RAMP)
-            self._leader_id = find_ramp_leader(
-                snap.ids[order],
-                snap.positions[order],
-                self.ever_controlled,
-                self.geometry.trigger_point,
-            )
-            self._eta_cache = None
-        return self._leader_id
-
-    def _maybe_trigger(self, snap: WorldSnapshot) -> None:
-        """Open a cycle when the downstream-most uncontrolled ramp
-        vehicle has crossed the trigger line (at most one per step)."""
-        for idx in snap.ordered(Lane.RAMP):
-            vid = int(snap.ids[idx])
-            if vid in self.ever_controlled:
-                continue
-            if snap.positions[idx] >= self.geometry.trigger_point:
-                self._on_trigger(vid, snap)
-                self._leader_id = None
-                self._leader_regulating = False
-            return
-
-    def _leader_command(self, snap: WorldSnapshot) -> dict[int, float]:
-        """Pace the pending leader toward its admission time.
+    def _leader_command(self, k: int, snap: WorldSnapshot) -> dict[int, float]:
+        """Pace the pending leader, rank ``k`` of the ramp queue, toward
+        its admission time.
 
         Two layers: proportional speed pacing toward an on-time arrival,
         and a hard hold just upstream of the trigger line that a leader
         cannot pass before its release time.  The hold is what guarantees
         consecutive cycles stay separated by the proper arrival time.
         """
-        self._leader_regulating = False
-        leader = self._current_leader(snap)
-        if leader is None:
+        self.regulated_leader = None
+        order = snap.ordered(Lane.RAMP)
+        if k >= len(order):
             return {}
-        idx = snap.index_of(leader)
+        idx = int(order[k])
         pos = float(snap.positions[idx])
-        v = float(snap.speeds[idx])
-        trigger = self.geometry.trigger_point
-        distance = trigger - pos
-        if distance <= 0.0:
-            return {}
+        distance = self.geometry.trigger_point - pos
         remaining = self.release_time - snap.t
+        if distance <= 0.0 or remaining <= 0.0:
+            return {}
+        leader = int(snap.ids[idx])
+        v = float(snap.speeds[idx])
 
         # IDM fallback toward the actual ramp predecessor
-        order = snap.ordered(Lane.RAMP)
-        rank = int(np.flatnonzero(order == idx)[0])
-        pred_idx = int(order[rank - 1]) if rank > 0 else -1
+        pred_idx = int(order[k - 1]) if k > 0 else -1
         gap, dv = math.inf, 0.0
         if pred_idx >= 0:
             gap = float(snap.positions[pred_idx] - pos) - self.scoring.vehicle_length
             dv = v - float(snap.speeds[pred_idx])
         idm_now = idm_accel(v, max(gap, 0.1), dv, self.ramp_idm)
-
-        command = idm_now
-        if remaining > 0.0:
-            eta = self._leader_eta(snap, leader, idx, pred_idx, remaining)
-            state = snap.state_of(idx)
-            command, regulating = regulate_leader(
-                state, idm_now, distance, remaining, eta,
-                k_p=K_P, limits=self.limits,
-            )
-            self._leader_regulating = regulating
-            # hard hold: do not let an early leader reach the line
-            if distance <= GATE_WINDOW:
-                stop_dist = max(distance - 0.5, 0.3)
-                hold = -(v * v) / (2.0 * stop_dist)
-                if hold < command:
-                    command = max(hold, HARD_BRAKE)
-                    self._leader_regulating = True
-        if not self._leader_regulating:
+        eta = self._leader_eta(snap, leader, idx, pred_idx, remaining)
+        state = snap.state_of(idx)
+        command, regulating = regulate_leader(
+            state, idm_now, distance, remaining, eta,
+            k_p=K_P, limits=self.scoring.limits,
+        )
+        # hard hold: do not let an early leader reach the line
+        if distance <= GATE_WINDOW:
+            stop_dist = max(distance - 0.5, 0.3)
+            hold = -(v * v) / (2.0 * stop_dist)
+            if hold < command:
+                command = max(hold, HARD_BRAKE)
+                regulating = True
+        if not regulating:
             return {}
+        self.regulated_leader = leader
         return {leader: float(command)}
 
     def _leader_eta(
@@ -457,23 +403,15 @@ class MergeCoordinator:
         )
         return model, weights, law
 
-    def _collect_ramp_members(self, leader: int, snap: WorldSnapshot) -> list[int]:
-        cap = inflow_group_cap(snap.q_suggested)
-        members = [leader]
+    def _collect_ramp_members(self, k: int, snap: WorldSnapshot) -> list[int]:
+        """The leader at rank ``k`` of the ramp queue and the ranks right
+        behind it, up to the buffer-zone start and the inflow cap."""
         order = snap.ordered(Lane.RAMP)
-        leader_pos = snap.positions[snap.index_of(leader)]
-        for idx in order:
-            vid = int(snap.ids[idx])
-            pos = snap.positions[idx]
-            if vid == leader or vid in self.ever_controlled:
-                continue
-            if pos >= leader_pos:
-                continue
-            if pos < self.geometry.ramp_buffer_start:
+        members = [int(snap.ids[order[k]])]
+        for idx in order[k + 1:k + inflow_group_cap(snap.q_suggested)]:
+            if snap.positions[idx] < self.geometry.ramp_buffer_start:
                 break
-            if len(members) >= cap:
-                break
-            members.append(vid)
+            members.append(int(snap.ids[idx]))
         return members
 
     def _collect_mainline_members(
@@ -496,7 +434,7 @@ class MergeCoordinator:
             return travel_time_estimate(
                 -float(snap.positions[idx]),
                 float(snap.speeds[idx]),
-                self.limits.acc_max,
+                self.scoring.limits.acc_max,
                 v_des,
             )
 
@@ -535,18 +473,18 @@ class MergeCoordinator:
             out.append(vid)
         return out
 
-    def _on_trigger(self, leader: int, snap: WorldSnapshot) -> None:
-        ramp_ids = self._collect_ramp_members(leader, snap)
+    def _on_trigger(self, k: int, snap: WorldSnapshot) -> int:
+        """Run a decision cycle led by rank ``k`` of the ramp queue;
+        returns how many ramp vehicles it admitted."""
+        ramp_ids = self._collect_ramp_members(k, snap)
         main_ids = self._collect_mainline_members(ramp_ids, snap)
         # enumeration budget: shed upstream ramp vehicles first (they can
-        # lead the next cycle), then upstream mainline vehicles
+        # lead the next cycle), then upstream mainline vehicles; the
+        # leader alone always fits, since the cap is at least one
         while count_sequences(len(main_ids), len(ramp_ids)) > self.scoring.cap:
-            if len(ramp_ids) > 1:
-                lane, dropped = Lane.RAMP, ramp_ids.pop()
-            elif main_ids:
-                lane, dropped = Lane.MAINLINE, main_ids.pop()
-            else:  # pragma: no cover - cap >= 1 admits a single vehicle
-                break
+            lane, group = ((Lane.RAMP, ramp_ids) if len(ramp_ids) > 1
+                           else (Lane.MAINLINE, main_ids))
+            dropped = group.pop()
             self.events.append(
                 f"t={snap.t:.1f} cycle {self._cycle_count}: enumeration cap, "
                 f"dropped {lane.value} vehicle {dropped}"
@@ -557,7 +495,7 @@ class MergeCoordinator:
         best = optimal_sequence(main_ids, ramp_ids, states, self.scoring)
         seq = best.sequence
 
-        floors = pair_gap_floors(seq, states, self.limits)
+        floors = pair_gap_floors(seq, states, self.scoring.limits)
         r_vec = self.scoring.reference(floors)
         model, weights, law = self._controller_for(seq.lanes, r_vec)
         cset = ControlSet(
@@ -578,7 +516,7 @@ class MergeCoordinator:
             CycleRecord(
                 cycle_id=self._cycle_count,
                 t=snap.t,
-                leader_id=leader,
+                leader_id=ramp_ids[0],
                 ramp_ids=tuple(ramp_ids),
                 mainline_ids=tuple(main_ids),
                 sequence_ids=seq.ids,
@@ -596,6 +534,7 @@ class MergeCoordinator:
             )
         self.release_time = snap.t + t_proper
         self._cycle_count += 1
+        return len(ramp_ids)
 
     # -- releases ------------------------------------------------------
 
@@ -636,6 +575,7 @@ class MergeCoordinator:
 
     def _set_commands(self, snap: WorldSnapshot) -> dict[int, float]:
         commands: dict[int, float] = {}
+        limits = self.scoring.limits
         run_lookahead = snap.t - self._last_lookahead >= LOOKAHEAD_CADENCE - 1e-9
         if run_lookahead:
             self._last_lookahead = snap.t
@@ -650,7 +590,7 @@ class MergeCoordinator:
                 cset.repair_k += 1
             else:
                 u = cset.law.control(0, x)
-            u = np.clip(u, self.limits.acc_min, self.limits.acc_max)
+            u = np.clip(u, limits.acc_min, limits.acc_max)
             for i, vid in enumerate(cset.ids):
                 commands[vid] = float(u[i])
         return commands
@@ -675,7 +615,7 @@ class MergeCoordinator:
         # quick screen: comfortably formed strings skip the rollout
         if not breaches(x, 1.5 * cset.floors):
             return
-        forecast = rollout(cset.model, cset.law, x, self.limits).x[1:]
+        forecast = rollout(cset.model, cset.law, x, self.scoring.limits).x[1:]
         if breaches(forecast, REPAIR_GAP_FRACTION * cset.floors):
             self._repair_set(cset, x, snap)
 
@@ -684,7 +624,6 @@ class MergeCoordinator:
     ) -> None:
         result = self.scoring.solve(
             cset.model, cset.weights, cset.r_vec, x, cset.floors, cset.lanes,
-            self.limits,
         )
         cset.repair = result.solution
         cset.repair_k = 0

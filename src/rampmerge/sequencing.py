@@ -152,23 +152,20 @@ class ScoringContext(Checked):
         x0: np.ndarray,
         floors: np.ndarray,
         lanes: tuple[Lane, ...],
-        limits: ControlLimits,
     ) -> RepairResult:
         """Plan the string from ``x0`` with horizon repair."""
         return solve_with_repair(
-            model, weights, r_vec, x0, limits, floors, lanes, self.vehicle_length,
+            model, weights, r_vec, x0, self.limits, floors, lanes, self.vehicle_length,
             horizon=self.horizon, merge_entry=self.merge_entry,
             activation_margin=self.activation_margin, growth=self.horizon_growth,
             max_horizon=self.max_horizon,
         )
 
-    def solve_batch(
-        self, problems: list[StringProblem], limits: ControlLimits
-    ) -> list[RepairResult]:
+    def solve_batch(self, problems: list[StringProblem]) -> list[RepairResult]:
         """Plan many strings at once; each result is what :meth:`solve`
         gives that string alone."""
         return solve_with_repair_batch(
-            problems, limits, self.vehicle_length,
+            problems, self.limits, self.vehicle_length,
             horizon=self.horizon, merge_entry=self.merge_entry,
             activation_margin=self.activation_margin, growth=self.horizon_growth,
             max_horizon=self.max_horizon,
@@ -226,7 +223,7 @@ def score_sequences(
             floors, sequence.lanes,
         ))
     scores = []
-    for sequence, result in zip(sequences, ctx.solve_batch(problems, ctx.limits)):
+    for sequence, result in zip(sequences, ctx.solve_batch(problems)):
         n = len(sequence)
         speeds = np.maximum(result.trajectory.x[:-1, n:], 0.0)
         total = sum(

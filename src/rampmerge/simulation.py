@@ -525,7 +525,7 @@ class _Run:
         self.counters = SimCounters(arrived=sum(len(e.times) for e in self.entrances))
         self.coordinator = None
         if config.mode is ControlMode.OPTIMAL:
-            self.coordinator = MergeCoordinator(geo, limits, config.scoring, config.ramp_idm)
+            self.coordinator = MergeCoordinator(geo, config.scoring, config.ramp_idm)
         # emergency backstop for commanded vehicles: reaction-margin headway
         # far below any planned gap, so it binds only when a plan goes stale
         self.envelope_idm = IdmParams(v0=limits.v_max, T=0.3, a=2.0, b=4.0, s0=2.0)

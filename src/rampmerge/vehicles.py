@@ -85,26 +85,18 @@ class MergeGeometry(Checked):
     """Static layout of the merge area on the shared axis.
 
     The ramp control zone ends at the merge point (position 0); the ramp
-    buffer zone lies immediately upstream of it.  ``trigger_point`` is the
-    downstream boundary of the ramp buffer zone, i.e. the line whose
-    crossing by a ramp leader starts a new decision cycle.  The extent
-    fields describe how much roadway the simulation models around the
-    merge point.
+    buffer zone lies immediately upstream of it.  The extent fields
+    describe how much roadway the simulation models around the merge
+    point.
     """
 
     ramp_control_zone_len: float = param("length", 300.0, "> 0")
     ramp_buffer_zone_len: float = param("length", 150.0, "> 0")
     mainline_control_zone_len: float = param("length", 1000.0, "> 0")
     merge_zone_len: float = param("length", 200.0, "> 0")
-    # downstream boundary of the ramp buffer zone; derived when omitted
-    trigger_point: float | None = param("length", None, "< 0")
     upstream_extent: float = param("length", 2000.0, "> 0")
     downstream_extent: float = param("length", 500.0, "> 0")
     ramp_length: float = param("length", 900.0, "> 0")
-
-    def __post_init__(self) -> None:
-        if self.trigger_point is None:
-            self.trigger_point = -self.ramp_control_zone_len
 
     def issues(self) -> list[tuple[str, str]]:
         out = super().issues()
@@ -114,6 +106,12 @@ class MergeGeometry(Checked):
         if self.merge_zone_len > self.downstream_extent:
             out.append(("merge_zone_len", "extends past the modeled downstream extent"))
         return out
+
+    @property
+    def trigger_point(self) -> float:
+        """Downstream boundary of the ramp buffer zone: the line whose
+        crossing by a ramp leader starts a new decision cycle."""
+        return -self.ramp_control_zone_len
 
     @property
     def ramp_buffer_start(self) -> float:

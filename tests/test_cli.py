@@ -55,8 +55,8 @@ ACCEPTED_KEYS = {
     "top": {"name", "mode", "seed", "dt", "vehicle_length", "demand", "geometry",
             "limits", "mainline_idm", "ramp_idm", "scoring", "fuel"},
     "geometry": {"ramp_control_zone_len", "ramp_buffer_zone_len",
-                 "mainline_control_zone_len", "merge_zone_len", "trigger_point",
-                 "upstream_extent", "downstream_extent", "ramp_length"},
+                 "mainline_control_zone_len", "merge_zone_len", "upstream_extent",
+                 "downstream_extent", "ramp_length"},
     "limits": {"acc_min", "acc_max", "gap_min_headway", "gap_floor", "v_max"},
     "mainline_idm": {"v0", "T", "a", "b", "s0", "delta"},
     "ramp_idm": {"v0", "T", "a", "b", "s0", "delta"},
@@ -153,12 +153,14 @@ class TestLoadConfig:
         assert cfg.mode.value == "metering" and cfg.seed == 11
 
     def test_unknown_field_is_named(self, tmp_path):
-        # a typo, and the thread-pool knob that scoring no longer has
-        for name in ("contrl_weight", "workers"):
-            path = write_config(tmp_path, f"scoring: {{{name}: 3}}\n" + MINIMAL)
+        # a typo, the thread-pool knob that scoring no longer has, and the
+        # trigger line, which is the start of the ramp control zone
+        for section, name in (("scoring", "contrl_weight"), ("scoring", "workers"),
+                              ("geometry", "trigger_point")):
+            path = write_config(tmp_path, f"{section}: {{{name}: -3}}\n" + MINIMAL)
             with pytest.raises(ConfigError) as err:
                 load_config(path)
-            assert (f"scoring.{name}", "unknown field") in err.value.issues
+            assert (f"{section}.{name}", "unknown field") in err.value.issues
 
     @pytest.mark.parametrize("field,value", [
         ("horizon_growth", 1.0), ("horizon", 0), ("max_horizon", 0), ("cap", 0),

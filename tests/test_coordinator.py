@@ -1,5 +1,7 @@
 """Decision-cycle coordinator behavior."""
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +12,23 @@ from rampmerge.coordinator import (
     LOOKAHEAD_STEPS,
     MergeCoordinator,
     WorldSnapshot,
-    find_ramp_leader,
     inflow_group_cap,
     mainline_buffer_length,
     proper_arrival_time,
     travel_time_estimate,
 )
+from rampmerge.cli import load_config
 from rampmerge.idm import IdmParams
 from rampmerge.sequencing import ScoringContext
+from rampmerge.simulation import run_scenario
 from rampmerge.tracking import rollout
-from rampmerge.vehicles import ControlLimits, Lane, MergeGeometry, lane_orders
+from rampmerge.vehicles import (
+    ControlLimits,
+    ControlStatus,
+    Lane,
+    MergeGeometry,
+    lane_orders,
+)
 
 LIMITS = ControlLimits()
 GEO = MergeGeometry()
@@ -52,7 +61,7 @@ def make_snapshot(t, rows, q_main=1600 / 3600, q_sug=200 / 3600):
 
 def make_coordinator(q_cap=252):
     ctx = ScoringContext(limits=LIMITS, cap=q_cap)
-    return MergeCoordinator(GEO, LIMITS, ctx, RAMP_IDM)
+    return MergeCoordinator(GEO, ctx, RAMP_IDM)
 
 
 class TestBufferLength:
@@ -136,28 +145,94 @@ class TestTravelTime:
 
 
 class TestFindRampLeader:
+    """The pending leader, the one a step paces, is the first
+    never-controlled vehicle of the ramp queue after any cycle the step
+    opens."""
+
+    def paced_step(self, rows, controlled=()):
+        coord = make_coordinator()
+        coord.ever_controlled.update(controlled)
+        # an early schedule: every pending leader gets paced
+        coord.release_time = 100.0
+        cmds = coord.step(make_snapshot(50.0, rows))
+        return coord, cmds
+
     def test_no_control_yet_picks_leading_vehicle(self):
-        ids = np.array([4, 7, 9])
-        pos = np.array([-310.0, -350.0, -420.0])
-        assert find_ramp_leader(ids, pos, set(), -300.0) == 4
+        coord, cmds = self.paced_step([
+            (4, Lane.RAMP, -310.0, 10.0), (7, Lane.RAMP, -350.0, 10.0),
+            (9, Lane.RAMP, -420.0, 10.0),
+        ])
+        assert coord.regulated_leader == 4
+        assert set(cmds) == {4}
 
     def test_first_vehicle_behind_last_controlled(self):
-        ids = np.array([2, 4, 7, 9])
-        pos = np.array([-250.0, -310.0, -350.0, -420.0])
-        assert find_ramp_leader(ids, pos, {2, 4}, -300.0) == 7
+        coord, cmds = self.paced_step([
+            (2, Lane.RAMP, -250.0, 10.0), (4, Lane.RAMP, -310.0, 10.0),
+            (7, Lane.RAMP, -350.0, 10.0), (9, Lane.RAMP, -420.0, 10.0),
+        ], controlled={2, 4})
+        assert coord.regulated_leader == 7
+        assert set(cmds) == {7}
 
     def test_all_controlled(self):
-        ids = np.array([2, 4])
-        pos = np.array([-250.0, -310.0])
-        assert find_ramp_leader(ids, pos, {2, 4}, -300.0) is None
+        coord, cmds = self.paced_step(
+            [(2, Lane.RAMP, -250.0, 10.0), (4, Lane.RAMP, -310.0, 10.0)],
+            controlled={2, 4},
+        )
+        assert coord.regulated_leader is None
+        assert cmds == {}
+        assert coord.records == []
 
     def test_vehicle_already_past_line_is_not_a_candidate(self):
-        ids = np.array([5, 6])
-        pos = np.array([-290.0, -320.0])
-        assert find_ramp_leader(ids, pos, set(), -300.0) == 6
+        coord = make_coordinator()
+        cmds = coord.step(make_snapshot(0.0, [
+            (5, Lane.RAMP, -290.0, 10.0, 10.0), (6, Lane.RAMP, -320.0, 10.0),
+        ]))
+        # 200 veh/h admits one vehicle per cycle and holds the next 18 s
+        assert [rec.ramp_ids for rec in coord.records] == [(5,)]
+        assert coord.regulated_leader == 6
+        assert set(cmds) == {5, 6}
 
     def test_empty_ramp(self):
-        assert find_ramp_leader(np.array([]), np.array([]), set(), -300.0) is None
+        coord, cmds = self.paced_step([(1, Lane.MAINLINE, -500.0, 33.0)])
+        assert coord.regulated_leader is None
+        assert cmds == {}
+
+
+@pytest.mark.parametrize("suggested", [None, 800 / 3600])
+def test_controlled_ramp_vehicles_stay_a_queue_prefix(monkeypatch, suggested):
+    """Over a coordinated run, the ramp vehicles ever controlled are the
+    downstream ranks of the ramp queue at every step, and each cycle
+    admits consecutive ranks.  smoke.yaml's 400 veh/h admits one ramp
+    vehicle per cycle; 800 veh/h admits groups of up to three."""
+    original = MergeCoordinator.step
+    seen = {"cycles": 0}
+
+    def ramp_queue(coord, snap):
+        queue = [int(v) for v in snap.ids[snap.ordered(Lane.RAMP)]]
+        controlled = [vid in coord.ever_controlled for vid in queue]
+        assert controlled == sorted(controlled, reverse=True), (snap.t, queue)
+        return queue
+
+    def checked_step(coord, snap):
+        ramp_queue(coord, snap)
+        n_records = len(coord.records)
+        commands = original(coord, snap)
+        queue = ramp_queue(coord, snap)
+        for rec in coord.records[n_records:]:
+            rank = queue.index(rec.leader_id)
+            assert tuple(queue[rank:rank + len(rec.ramp_ids)]) == rec.ramp_ids
+            seen["cycles"] += 1
+        return commands
+
+    monkeypatch.setattr(MergeCoordinator, "step", checked_step)
+    config = load_config(Path(__file__).parents[1] / "configs" / "smoke.yaml", mode="optimal")
+    if suggested is not None:
+        config.phases = [replace(p, q_suggested=suggested) for p in config.phases]
+    result = run_scenario(config)
+    records = result.coordinator.records
+    assert seen["cycles"] == len(records) >= 2
+    assert (suggested is None) == all(len(rec.ramp_ids) == 1 for rec in records)
+    assert np.any(result.log["status"] == ControlStatus.RAMP_LEADER_REGULATED.code)
 
 
 class TestDecisionCycle:

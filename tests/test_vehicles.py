@@ -44,13 +44,13 @@ class TestValidation:
 
     def test_geometry_rejects_downstream_trigger(self):
         with pytest.raises(ValueError):
-            MergeGeometry(trigger_point=10.0).validate()
+            MergeGeometry(ramp_control_zone_len=-10.0).validate()
 
     @pytest.mark.parametrize("trigger, ok", [(-750.0, True), (-750.5, False), (-1000.0, False)])
     def test_buffer_zone_must_fit_upstream_of_the_trigger(self, trigger, ok):
-        # the 150 m buffer zone upstream of an explicit trigger point has to
-        # start on the 900 m ramp; the control zone length does not enter
-        geometry = MergeGeometry(trigger_point=trigger)
+        # the 150 m buffer zone upstream of the trigger line, where the
+        # ramp control zone starts, has to start on the 900 m ramp
+        geometry = MergeGeometry(ramp_control_zone_len=-trigger)
         if ok:
             geometry.validate()
         else:
