@@ -23,22 +23,20 @@ lanes = (Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE)
 weights = weights_for(lanes, control_weight=2.0)
 
 # desired: 36 m net gaps at 30 m/s, i.e. position differences of 41 m
-ref = build_reference(
-    n,
-    pair_gap_min=np.array([20.0, 20.0]),
+r_vec = build_reference(
+    floors=np.array([20.0, 20.0]),
     desired_speed=30.0,
     desired_time_headway=1.2,
     vehicle_length=5.0,
-    horizon=300,
 )
 
-solution = solve_finite_horizon(model, weights, ref)
+solution = solve_finite_horizon(model, weights, np.tile(r_vec, (301, 1)))
 print(f"finite horizon N=300: feedback gain K_0 shape {solution.K[0].shape}")
 
 K, Ky = converged_gains(model, weights)
 print(f"converged gains within {np.max(np.abs(K - solution.K[0])):.2e} of K_0")
 
-V = steady_state_feedforward(model, weights, K, ref.r[0])
+V = steady_state_feedforward(model, weights, K, r_vec)
 
 # start bunched and slow relative to the reference
 x = np.array([0.0, -28.0, -60.0, 24.0, 26.0, 22.0])
@@ -52,5 +50,5 @@ for k in range(1200):
               f" {y[2]:7.2f} {y[3]:7.2f} {y[4]:7.2f}")
 
 y = model.observe(x)
-print(f"\nreference was gaps {ref.r[0][:2]} speeds {ref.r[0][2:]}")
+print(f"\nreference was gaps {r_vec[:2]} speeds {r_vec[2:]}")
 print(f"settled to     gaps {np.round(y[:2], 3)} speeds {np.round(y[2:], 3)}")

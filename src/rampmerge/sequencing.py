@@ -140,9 +140,8 @@ class ScoringContext(Checked):
     def reference(self, floors: np.ndarray) -> np.ndarray:
         """Constant reference vector of a string with these gap floors."""
         return build_reference(
-            len(floors) + 1, floors, self.desired_speed, self.desired_time_headway,
-            self.vehicle_length, 1,
-        ).r[0]
+            floors, self.desired_speed, self.desired_time_headway, self.vehicle_length
+        )
 
     def solve(
         self,
@@ -161,11 +160,13 @@ class ScoringContext(Checked):
             max_horizon=self.max_horizon,
         )
 
-    def solve_batch(self, problems: list[StringProblem]) -> list[RepairResult]:
-        """Plan many strings at once; each result is what :meth:`solve`
-        gives that string alone."""
+    def solve_batch(
+        self, model: LtiModel, problems: list[StringProblem]
+    ) -> list[RepairResult]:
+        """Plan many strings of one model at once; each result is what
+        :meth:`solve` gives that string alone."""
         return solve_with_repair_batch(
-            problems, self.limits, self.vehicle_length,
+            model, problems, self.limits, self.vehicle_length,
             horizon=self.horizon, merge_entry=self.merge_entry,
             activation_margin=self.activation_margin, growth=self.horizon_growth,
             max_horizon=self.max_horizon,
@@ -205,26 +206,22 @@ def score_sequences(
     states: Mapping[int, VehicleState],
     ctx: ScoringContext,
 ) -> list[SequenceScore]:
-    """Roll out candidate orders as one batch and integrate each one's
-    predicted fuel."""
-    models: dict[int, LtiModel] = {}
+    """Roll out candidate orders of one string length as one batch and
+    integrate each one's predicted fuel."""
+    n = len(sequences[0])
+    model = build_model(n, ctx.dt)
     problems = []
     for sequence in sequences:
-        n = len(sequence)
-        if n not in models:
-            models[n] = build_model(n, ctx.dt)
         x0 = np.concatenate([
             [states[v].position for v in sequence.ids],
             [states[v].speed for v in sequence.ids],
         ])
         floors = pair_gap_floors(sequence, states, ctx.limits)
         problems.append(StringProblem(
-            models[n], ctx.weights(sequence.lanes), ctx.reference(floors), x0,
-            floors, sequence.lanes,
+            ctx.weights(sequence.lanes), ctx.reference(floors), x0, floors, sequence.lanes,
         ))
     scores = []
-    for sequence, result in zip(sequences, ctx.solve_batch(problems)):
-        n = len(sequence)
+    for sequence, result in zip(sequences, ctx.solve_batch(model, problems)):
         speeds = np.maximum(result.trajectory.x[:-1, n:], 0.0)
         total = sum(
             trajectory_fuel(speeds[:, i], result.trajectory.u[:, i], ctx.dt, ctx.fuel)

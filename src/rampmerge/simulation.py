@@ -115,16 +115,6 @@ class ScenarioConfig(Checked):
     arrival_min_headway: float = 1.0
     name: str = ""
 
-    def __post_init__(self) -> None:
-        # one source of truth for what the planner shares with the world
-        self.scoring = replace(
-            self.scoring,
-            dt=self.dt,
-            limits=self.limits,
-            vehicle_length=self.vehicle_length,
-            fuel=self.fuel,
-        )
-
     def issues(self) -> list[tuple[str, str]]:
         """Every field out of range, by its path (``demand[0].duration``)."""
         out = super().issues()
@@ -525,7 +515,11 @@ class _Run:
         self.counters = SimCounters(arrived=sum(len(e.times) for e in self.entrances))
         self.coordinator = None
         if config.mode is ControlMode.OPTIMAL:
-            self.coordinator = MergeCoordinator(geo, config.scoring, config.ramp_idm)
+            # read at run start: the config is mutable, and the planner must
+            # share the world's step, limits, length and fuel
+            scoring = replace(config.scoring, dt=config.dt, limits=limits,
+                              vehicle_length=config.vehicle_length, fuel=config.fuel)
+            self.coordinator = MergeCoordinator(geo, scoring, config.ramp_idm)
         # emergency backstop for commanded vehicles: reaction-margin headway
         # far below any planned gap, so it binds only when a plan goes stale
         self.envelope_idm = IdmParams(v0=limits.v_max, T=0.3, a=2.0, b=4.0, s0=2.0)

@@ -22,11 +22,12 @@ and the feedforward gain against the next-step costate:
 K_k, Ky_k and S_k depend only on the model, the weights and the steps
 left, so they are kept once per (model, weights) in a table indexed by
 time-to-go; each solve reads its gains from the table and recurses only
-V_k.  Problems of one string size are solved, rolled out and repaired as
-stacked batches; a stacked ``matmul`` or ``solve`` makes one BLAS/LAPACK
-call per problem, so each batched result is bitwise the one-problem
-result.  Receding-horizon use relies on the backward recursion converging
-to constant gains, computed here by fixed-point iteration.
+V_k.  A batch's problems share one model (one string size and step) and
+are solved, rolled out and repaired as stacks; a stacked ``matmul`` or
+``solve`` makes one BLAS/LAPACK call per problem, so each batched result
+is bitwise the one-problem result.  Receding-horizon use relies on the
+backward recursion converging to constant gains, computed here by
+fixed-point iteration.
 """
 from __future__ import annotations
 
@@ -77,32 +78,15 @@ def weights_for(
     return TrackerWeights(Q=Q, R=control_weight * np.eye(n), Q_N=terminal_factor * Q)
 
 
-@dataclass(frozen=True)
-class ReferenceTrajectory:
-    """Output reference, one row per step including the terminal step."""
-
-    r: np.ndarray  # (N+1, 2n-1)
-
-    @property
-    def horizon(self) -> int:
-        return self.r.shape[0] - 1
-
-
-def constant_reference(r_vec: np.ndarray, horizon: int) -> ReferenceTrajectory:
-    r_vec = np.asarray(r_vec, dtype=float)
-    return ReferenceTrajectory(r=np.tile(r_vec, (horizon + 1, 1)))
-
-
 def build_reference(
-    n: int,
-    pair_gap_min: np.ndarray,
+    floors: np.ndarray,
     desired_speed: float,
     desired_time_headway: float,
     vehicle_length: float,
-    horizon: int,
     gap_margin: float = 0.5,
-) -> ReferenceTrajectory:
-    """Constant reference: uniform desired speed and safe desired gaps.
+) -> np.ndarray:
+    """Constant reference ``(2n-1,)``: safe desired gaps for the ``n-1``
+    pairwise gap floors, then a uniform desired speed.
 
     Desired position differences combine the vehicle length with the
     larger of each pair's padded minimum net gap and the desired time
@@ -110,14 +94,11 @@ def build_reference(
     inside the feasible set; without it the loop converges onto the floor
     itself and its transient undershoot reads as a violation.
     """
-    pair_gap_min = np.asarray(pair_gap_min, dtype=float)
-    if pair_gap_min.shape != (n - 1,):
-        raise ValueError(f"expected {n - 1} pairwise gap floors, got {pair_gap_min.shape}")
+    floors = np.asarray(floors, dtype=float)
     gaps = vehicle_length + np.maximum(
-        pair_gap_min + gap_margin, desired_time_headway * desired_speed
+        floors + gap_margin, desired_time_headway * desired_speed
     )
-    r_vec = np.concatenate([gaps, np.full(n, desired_speed)])
-    return constant_reference(r_vec, horizon)
+    return np.concatenate([gaps, np.full(len(floors) + 1, desired_speed)])
 
 
 @dataclass
@@ -178,32 +159,28 @@ class RiccatiTable:
             grown[:self.size + extra] = old[:self.size + extra]
             setattr(self, name, grown)
 
-    def extend(self, N: int) -> None:
-        """Fill the table up to ``N`` steps to go."""
-        extend_tables([self], N)
-
 
 def extend_tables(tables: list[RiccatiTable], N: int) -> None:
     """Fill every table up to ``N`` steps to go in one stacked recursion.
 
-    Tables of equal dimensions advance together, one stacked step per
-    time-to-go, and a table joins the stack at the step where its own
-    fill ends.  A stacked ``matmul`` or ``solve`` makes one BLAS/LAPACK
-    call per table, with the operations of the per-table recursion in the
-    same order, so every entry is bitwise what the table computes alone.
+    The tables share one string size and advance together, one stacked
+    step per time-to-go; a table joins the stack at the step where its
+    own fill ends.  A stacked ``matmul`` or ``solve`` makes one
+    BLAS/LAPACK call per table, with the operations of the per-table
+    recursion in the same order, so every entry is bitwise what the table
+    computes alone.
     """
-    groups: dict[tuple, list[RiccatiTable]] = {}
-    for table in dict.fromkeys(tables):
-        if table.size < N:
-            groups.setdefault(table.K.shape[1:], []).append(table)
-    for group in groups.values():
-        starts = sorted({t.size for t in group})
-        for t in group:
-            t._grow(N)
-        for start, stop in zip(starts, starts[1:] + [N]):
-            _fill([t for t in group if t.size <= start], start, stop)
-        for t in group:
-            t.size = N
+    shapes = {t.A.shape for t in tables}
+    if len(shapes) > 1:
+        raise ValueError(f"tables of one fill share a state size, got {sorted(shapes)}")
+    group = [t for t in dict.fromkeys(tables) if t.size < N]
+    starts = sorted({t.size for t in group})
+    for t in group:
+        t._grow(N)
+    for start, stop in zip(starts, starts[1:] + [N]):
+        _fill([t for t in group if t.size <= start], start, stop)
+    for t in group:
+        t.size = N
 
 
 def _fill(tables: list[RiccatiTable], start: int, stop: int) -> None:
@@ -253,15 +230,15 @@ def _table_key(model: LtiModel, weights: TrackerWeights) -> tuple:
 
 
 def _riccati_tables_for(
-    models: list[LtiModel], weights: list[TrackerWeights], N: int
+    model: LtiModel, weights: list[TrackerWeights], N: int
 ) -> list[RiccatiTable]:
-    """Process-wide tables for each ``(model, weights)``, filled to ``N`` steps.
+    """Process-wide tables of ``model`` under each weights, filled to ``N`` steps.
 
     The caller must hold the returned tables while it reads them: once the
     cache is over its byte budget it may drop any of them.
     """
     tables = []
-    for model, w in zip(models, weights):
+    for w in weights:
         key = _table_key(model, w)
         table = _riccati_tables.get(key)
         if table is None:
@@ -277,9 +254,9 @@ def _riccati_tables_for(
 
 
 def solve_finite_horizon_batch(
-    models: list[LtiModel], weights: list[TrackerWeights], r: np.ndarray
+    model: LtiModel, weights: list[TrackerWeights], r: np.ndarray
 ) -> list[LqSolution]:
-    """Finite-horizon solutions of equal-sized problems over one horizon.
+    """Finite-horizon solutions of one model's problems over one horizon.
 
     ``r`` stacks each problem's reference rows, shape ``(G, N+1, 2n-1)``.
     The gains and quadratic terms come from the shared time-to-go tables
@@ -288,16 +265,17 @@ def solve_finite_horizon_batch(
     step per time step.  The returned ``K``, ``Ky`` and ``S`` are
     read-only views into the tables.
     """
+    if r.shape[2:] != (model.output_dim,):
+        raise ValueError(f"references {r.shape} do not fit model outputs ({model.output_dim},)")
     N = r.shape[1] - 1
-    tables = _riccati_tables_for(models, weights, N)
-    C = np.stack([m.C for m in models])
+    tables = _riccati_tables_for(model, weights, N)
     Q = np.stack([w.Q for w in weights])
     Q_N = np.stack([w.Q_N for w in weights])
-    Ct = C.swapaxes(1, 2)
+    Ct = model.C.T
     CtQ = Ct @ Q
     forcing = (CtQ[:, None] @ r[..., None])[..., 0]  # C' Q r_k for every k
 
-    V = np.empty((len(models), N + 1, C.shape[2]))
+    V = np.empty((len(weights), N + 1, model.state_dim))
     V[:, N] = (Ct @ (Q_N @ r[:, N, :, None]))[..., 0]
     AclT = np.stack([t.Acl[:N] for t in tables]).swapaxes(2, 3)
     for k in range(N - 1, -1, -1):
@@ -312,21 +290,17 @@ def solve_finite_horizon_batch(
 
 
 def solve_finite_horizon(
-    model: LtiModel,
-    weights: TrackerWeights,
-    ref: ReferenceTrajectory,
-    horizon: int | None = None,
+    model: LtiModel, weights: TrackerWeights, r: np.ndarray
 ) -> LqSolution:
-    """Backward Riccati recursion over the reference's horizon.
+    """Backward Riccati recursion over the horizon of the reference rows
+    ``r``, shape ``(N+1, 2n-1)``.
 
     The one-problem case of :func:`solve_finite_horizon_batch`.
     """
-    N = ref.horizon if horizon is None else horizon
-    if N < 1:
-        raise ValueError(f"horizon must be >= 1, got {N}")
-    if ref.horizon != N:
-        raise ValueError(f"reference has horizon {ref.horizon}, expected {N}")
-    return solve_finite_horizon_batch([model], [weights], ref.r[None])[0]
+    r = np.asarray(r, dtype=float)
+    if len(r) < 2:
+        raise ValueError(f"horizon must be >= 1, got {len(r) - 1}")
+    return solve_finite_horizon_batch(model, [weights], r[None])[0]
 
 
 @dataclass
@@ -480,10 +454,9 @@ class RepairResult:
 
 @dataclass(frozen=True)
 class StringProblem:
-    """One string to plan: model, weights, constant reference, start state,
-    per-pair gap floors and the members' lanes."""
+    """One string to plan under its batch's model: weights, constant
+    reference, start state, per-pair gap floors and the members' lanes."""
 
-    model: LtiModel
     weights: TrackerWeights
     r_vec: np.ndarray      # (2n-1,)
     x0: np.ndarray         # (2n,)
@@ -495,26 +468,20 @@ class StringProblem:
 _CHUNK_SHARE = 8
 
 
-def _chunks(problems: list[StringProblem], pending: list[int], N: int):
-    """Split ``pending`` into runs of equal-sized problems whose stacked
-    arrays at horizon ``N`` fit the chunk budget.
+def _chunks(pending: list[int], n: int, N: int) -> list[list[int]]:
+    """Split ``pending`` into runs whose stacked arrays for ``n``-vehicle
+    strings at horizon ``N`` fit the chunk budget.
 
     The largest stack is a fill's: ``K``, ``Ky``, ``A - B K`` and ``S``
     for every step of every table in the chunk.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i in pending:
-        model = problems[i].model
-        groups.setdefault((model.n, model.dt), []).append(i)
-    budget = RICCATI_CACHE_BYTES // _CHUNK_SHARE
-    for (n, _), group in groups.items():
-        per_problem = 8 * N * 2 * (2 * n) * (2 * n + n)
-        size = max(1, budget // per_problem)
-        for c in range(0, len(group), size):
-            yield group[c:c + size]
+    per_problem = 8 * N * 2 * (2 * n) * (2 * n + n)
+    size = max(1, RICCATI_CACHE_BYTES // _CHUNK_SHARE // per_problem)
+    return [pending[c:c + size] for c in range(0, len(pending), size)]
 
 
 def solve_with_repair_batch(
+    model: LtiModel,
     problems: list[StringProblem],
     limits: ControlLimits,
     vehicle_length: float,
@@ -534,11 +501,11 @@ def solve_with_repair_batch(
     solution is returned flagged as degraded (still executable, since
     its inputs are clipped).
 
-    Repair runs in rounds: every problem starts at ``horizon``, each
-    round solves, rolls out and checks its problems in stacked chunks,
-    and the problems whose rollout is still short of a gap floor go on
-    to the next horizon together.  Each result is bitwise what the
-    problem gets alone.
+    Repair runs in rounds: every problem, all under ``model``, starts at
+    ``horizon``, each round solves, rolls out and checks its problems in
+    stacked chunks, and the problems whose rollout is still short of a
+    gap floor go on to the next horizon together.  Each result is
+    bitwise what the problem gets alone.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -549,14 +516,13 @@ def solve_with_repair_batch(
     N = min(horizon, max_horizon)
     while pending:
         retry = []
-        for chunk in _chunks(problems, pending, N):
+        for chunk in _chunks(pending, model.n, N):
             batch = [problems[i] for i in chunk]
             r_vecs = np.stack([np.asarray(p.r_vec, dtype=float) for p in batch])
             solutions = solve_finite_horizon_batch(
-                [p.model for p in batch], [p.weights for p in batch],
+                model, [p.weights for p in batch],
                 np.broadcast_to(r_vecs[:, None], (len(batch), N + 1, r_vecs.shape[1])),
             )
-            model = batch[0].model
             traj = rollout_batch(model, solutions, np.stack([p.x0 for p in batch]), limits)
             short = check_constraints(
                 traj.x[..., :model.n], np.stack([p.floors for p in batch]),
@@ -592,9 +558,9 @@ def solve_with_repair(
     max_horizon: int = 1200,
 ) -> RepairResult:
     """The one-string case of :func:`solve_with_repair_batch`."""
-    problem = StringProblem(model, weights, r_vec, x0, floors, lanes)
+    problem = StringProblem(weights, r_vec, x0, floors, lanes)
     return solve_with_repair_batch(
-        [problem], limits, vehicle_length, horizon=horizon,
+        model, [problem], limits, vehicle_length, horizon=horizon,
         merge_entry=merge_entry, activation_margin=activation_margin,
         growth=growth, max_horizon=max_horizon,
     )[0]

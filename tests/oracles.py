@@ -14,14 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def qp_control_sequence(model, weights, ref, x0) -> np.ndarray:
+def qp_control_sequence(model, weights, r, x0) -> np.ndarray:
     """Optimal inputs via one dense equality-free QP over stacked dynamics.
 
     X = F x0 + G U for X = [x_1 .. x_N]; minimize the tracking cost over
-    U directly with a single linear solve.
+    U directly with a single linear solve.  ``r`` holds the reference
+    rows, shape ``(N+1, 2n-1)``.
     """
     A, B, C = model.A, model.B, model.C
-    N = ref.r.shape[0] - 1
+    N = r.shape[0] - 1
     nx, nu, ny = model.state_dim, model.n, model.output_dim
     F = np.zeros((N * nx, nx))
     G = np.zeros((N * nx, N * nu))
@@ -38,19 +39,20 @@ def qp_control_sequence(model, weights, ref, x0) -> np.ndarray:
     Qbar = np.kron(np.eye(N), weights.Q)
     Qbar[-ny:, -ny:] = weights.Q_N
     Rbar = np.kron(np.eye(N), weights.R)
-    rstack = ref.r[1:].reshape(-1)
+    rstack = r[1:].reshape(-1)
     H = G.T @ Cbar.T @ Qbar @ Cbar @ G + Rbar
     g = G.T @ Cbar.T @ Qbar @ (Cbar @ F @ x0 - rstack)
     return np.linalg.solve(H, -g).reshape(N, nu)
 
 
-def riccati_recursion(model, weights, ref):
+def riccati_recursion(model, weights, r):
     """Backward Riccati recursion over one horizon, solved from scratch.
 
     The per-horizon recursion the tracker ran before gains were shared
-    by time-to-go; returns ``(K, Ky, S, V)`` with step-indexed rows.
+    by time-to-go, over the reference rows ``r`` of shape ``(N+1, 2n-1)``;
+    returns ``(K, Ky, S, V)`` with step-indexed rows.
     """
-    N = ref.r.shape[0] - 1
+    N = r.shape[0] - 1
     A, B, C = model.A, model.B, model.C
     nx, nu = model.state_dim, model.n
     CtQC = C.T @ weights.Q @ C
@@ -62,7 +64,7 @@ def riccati_recursion(model, weights, ref):
     Ky = np.empty((N, nu, nx))
 
     S[N] = C.T @ weights.Q_N @ C
-    V[N] = C.T @ (weights.Q_N @ ref.r[N])
+    V[N] = C.T @ (weights.Q_N @ r[N])
     for k in range(N - 1, -1, -1):
         Sn = S[k + 1]
         BtS = B.T @ Sn
@@ -72,7 +74,7 @@ def riccati_recursion(model, weights, ref):
         Acl = A - B @ K[k]
         Sk = CtQC + A.T @ Sn @ Acl
         S[k] = 0.5 * (Sk + Sk.T)
-        V[k] = Acl.T @ V[k + 1] + CtQ @ ref.r[k]
+        V[k] = Acl.T @ V[k + 1] + CtQ @ r[k]
     return K, Ky, S, V
 
 
@@ -148,7 +150,6 @@ def score_by_loop(sequence, states, ctx):
     from rampmerge.fuel import trajectory_fuel
     from rampmerge.sequencing import pair_gap_floors
     from rampmerge.statespace import build_model
-    from rampmerge.tracking import constant_reference
 
     n = len(sequence)
     model = build_model(n, ctx.dt)
@@ -162,7 +163,7 @@ def score_by_loop(sequence, states, ctx):
     limits, dt = ctx.limits, ctx.dt
     N = min(ctx.horizon, ctx.max_horizon)
     while True:
-        K, Ky, _, V = riccati_recursion(model, weights, constant_reference(r_vec, N))
+        K, Ky, _, V = riccati_recursion(model, weights, np.tile(r_vec, (N + 1, 1)))
         x = np.empty((N + 1, 2 * n))
         u = np.empty((N, n))
         x[0] = x0

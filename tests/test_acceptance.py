@@ -33,9 +33,7 @@ from rampmerge.simulation import (
 )
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
-    ReferenceTrajectory,
     TrackerWeights,
-    constant_reference,
     converged_gains,
     solve_finite_horizon,
 )
@@ -117,7 +115,7 @@ def test_criterion_1_tracker_matches_dense_qp():
             R=H @ H.T + 0.1 * np.eye(nu),
             Q_N=G_T @ G_T.T,
         )
-        ref = ReferenceTrajectory(r=rng.normal(scale=5.0, size=(N + 1, ny)))
+        ref = rng.normal(scale=5.0, size=(N + 1, ny))
         x0 = rng.normal(scale=3.0, size=nx)
         solution = solve_finite_horizon(model, weights, ref)
         x = x0.copy()
@@ -146,7 +144,7 @@ def test_criterion_2_converged_gains_consistency():
         weights = weights_for(lanes, control_weight=2.0)
         K_inf, _ = converged_gains(model, weights)
         ny = model.output_dim
-        ref = constant_reference(np.linspace(20.0, 40.0, ny), 2000)
+        ref = np.tile(np.linspace(20.0, 40.0, ny), (2001, 1))
         solution = solve_finite_horizon(model, weights, ref)
         worst_gain = max(worst_gain, float(np.max(np.abs(K_inf - solution.K[0]))))
         for S_i in solution.S:

@@ -17,7 +17,7 @@ from rampmerge.sequencing import (
     score_sequences,
 )
 from rampmerge.statespace import build_model
-from rampmerge.tracking import constant_reference, solve_finite_horizon
+from rampmerge.tracking import solve_finite_horizon
 from rampmerge.vehicles import ControlLimits, Lane, VehicleState
 
 
@@ -218,7 +218,7 @@ class TestBatchedScoring:
         r = np.full(11, 30.0)
         for seq, N in zip(seqs[:12], (40, 150, 90) * 4):
             solve_finite_horizon(model, self.CTX.weights(seq.lanes),
-                                 constant_reference(r, N))
+                                 np.tile(r, (N + 1, 1)))
         sizes = {t.size for t in tracking._riccati_tables.values()}
         assert sizes == {40, 90, 150}
         self.assert_exact(expected)

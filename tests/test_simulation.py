@@ -101,10 +101,22 @@ class TestConfig:
             ScenarioConfig(phases=[DemandPhase(10.0, 0.1, 0.1, 0.0)]).validate()
 
     def test_scoring_synced_to_run_settings(self):
-        cfg = small_config()
-        assert cfg.scoring.dt == cfg.dt
-        assert cfg.scoring.limits is cfg.limits
-        assert cfg.scoring.vehicle_length == cfg.vehicle_length
+        cfg = small_config(mode=ControlMode.OPTIMAL)
+        scoring = _Run(cfg).coordinator.scoring
+        assert scoring.dt == cfg.dt
+        assert scoring.limits is cfg.limits
+        assert scoring.vehicle_length == cfg.vehicle_length
+        assert scoring.fuel is cfg.fuel
+
+    def test_scoring_follows_settings_changed_after_construction(self):
+        # the config is mutable: the planner reads the settings the run has
+        cfg = small_config(duration=20.0, mode=ControlMode.OPTIMAL)
+        cfg.dt = 0.2
+        cfg.vehicle_length = 4.0
+        cfg.limits = ControlLimits(v_max=33.0)
+        scoring = run_scenario(cfg).coordinator.scoring
+        assert (scoring.dt, scoring.vehicle_length) == (0.2, 4.0)
+        assert scoring.limits is cfg.limits
 
 
 class TestLogAndMetrics:
@@ -317,7 +329,6 @@ class TestCollisionGuard:
         # must still finish with every logged same-lane gap open
         cfg = small_config(duration=60.0, mainline=1800.0, ramp=0.0, seed=2)
         cfg.dt = 2.5
-        cfg.scoring = type(cfg.scoring)(dt=2.5, limits=cfg.limits)
         log = run_scenario(cfg).log
         order = np.lexsort((log["position"], log["lane"], log["t"]))
         t, lane, pos = (log[k][order] for k in ("t", "lane", "position"))

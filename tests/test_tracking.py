@@ -14,12 +14,12 @@ from rampmerge.tracking import (
     active_pairs,
     build_reference,
     check_constraints,
-    constant_reference,
     converged_gains,
     cross_lane,
     extend_tables,
     rollout,
     solve_finite_horizon,
+    solve_finite_horizon_batch,
     solve_with_repair,
     steady_state_feedforward,
     weights_for,
@@ -40,7 +40,7 @@ class TestHandWorkedSingleStep:
         self.model = build_model(1, 1.0)
         self.weights = unit_weights(1, 1)
         self.sol = solve_finite_horizon(
-            self.model, self.weights, constant_reference(np.array([8.0]), 1)
+            self.model, self.weights, np.tile(np.array([8.0]), (2, 1))
         )
 
     def test_terminal_quadratic_term(self):
@@ -75,8 +75,7 @@ class TestAgainstDenseQp:
                     R=np.diag(rng.uniform(0.2, 3.0, n)),
                     Q_N=np.diag(rng.uniform(1.0, 20.0, ny)),
                 )
-                from rampmerge.tracking import ReferenceTrajectory
-                ref = ReferenceTrajectory(r=rng.normal(10.0, 5.0, (N + 1, ny)))
+                ref = rng.normal(10.0, 5.0, (N + 1, ny))
                 x0 = rng.normal(0.0, 20.0, 2 * n)
                 sol = solve_finite_horizon(model, weights, ref)
                 traj = rollout(model, sol, x0)
@@ -86,7 +85,7 @@ class TestAgainstDenseQp:
     def test_string_instance_tight_tolerance(self):
         model = build_model(3, 0.1)
         weights = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
-        ref = build_reference(3, np.array([30.0, 30.0]), 30.0, 1.2, 5.0, 12)
+        ref = np.tile(build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0), (13, 1))
         x0 = np.array([0.0, -42.0, -80.0, 29.0, 31.0, 30.0])
         sol = solve_finite_horizon(model, weights, ref)
         traj = rollout(model, sol, x0)
@@ -100,7 +99,7 @@ class TestRecursionProperties:
         self.weights = weights_for(
             (Lane.MAINLINE, Lane.MAINLINE, Lane.RAMP, Lane.RAMP)
         )
-        ref = build_reference(4, np.full(3, 30.0), 32.99, 1.2, 5.0, 80)
+        ref = np.tile(build_reference(np.full(3, 30.0), 32.99, 1.2, 5.0), (81, 1))
         self.sol = solve_finite_horizon(self.model, self.weights, ref)
 
     def test_cost_to_go_symmetric(self):
@@ -116,8 +115,8 @@ class TestRecursionProperties:
         weights = weights_for((Lane.MAINLINE, Lane.RAMP))
         r = np.array([40.0, 30.0, 30.0])
         x0 = np.array([0.0, -60.0, 25.0, 32.0])
-        sol1 = solve_finite_horizon(model, weights, constant_reference(r, 50))
-        sol2 = solve_finite_horizon(model, weights, constant_reference(2 * r, 50))
+        sol1 = solve_finite_horizon(model, weights, np.tile(r, (51, 1)))
+        sol2 = solve_finite_horizon(model, weights, np.tile(2 * r, (51, 1)))
         u1 = rollout(model, sol1, x0).u
         u2 = rollout(model, sol2, 2 * x0).u
         assert np.allclose(u2, 2 * u1, atol=1e-9)
@@ -128,26 +127,30 @@ class TestRecursionProperties:
         x0 = np.array([0.0, -70.0, 26.0, 33.0])
         cheap = weights_for((Lane.MAINLINE, Lane.RAMP), control_weight=1.0)
         dear = weights_for((Lane.MAINLINE, Lane.RAMP), control_weight=1e6)
-        u_cheap = rollout(model, solve_finite_horizon(model, cheap, constant_reference(r, 100)), x0).u
-        u_dear = rollout(model, solve_finite_horizon(model, dear, constant_reference(r, 100)), x0).u
+        ref = np.tile(r, (101, 1))
+        u_cheap = rollout(model, solve_finite_horizon(model, cheap, ref), x0).u
+        u_dear = rollout(model, solve_finite_horizon(model, dear, ref), x0).u
         assert np.max(np.abs(u_dear)) < 1e-3 * np.max(np.abs(u_cheap))
 
     def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            solve_finite_horizon(
-                self.model, self.weights,
-                constant_reference(np.full(7, 1.0), 10), horizon=9,
-            )
+        # one row is the terminal step alone: horizon 0
+        with pytest.raises(ValueError, match="horizon"):
+            solve_finite_horizon(self.model, self.weights, np.ones((1, 7)))
+
+    def test_reference_width_must_match_the_model(self):
+        r = np.tile(build_reference(np.array([30.0]), 30.0, 1.2, 5.0), (11, 1))
+        with pytest.raises(ValueError, match=r"\(1, 11, 3\).*\(5,\)"):
+            solve_finite_horizon_batch(build_model(3, 0.1), [unit_weights(5, 3)], r[None])
 
 
 def test_closed_loop_reaches_constant_reference():
     model = build_model(3, 0.1)
     weights = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
-    ref = build_reference(3, np.array([30.0, 30.0]), 30.0, 1.2, 5.0, 600)
+    r_vec = build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0)
     x0 = np.array([0.0, -30.0, -75.0, 26.0, 33.0, 28.0])
-    sol = solve_finite_horizon(model, weights, ref)
+    sol = solve_finite_horizon(model, weights, np.tile(r_vec, (601, 1)))
     traj = rollout(model, sol, x0)
-    err = model.observe(traj.x[-1]) - ref.r[-1]
+    err = model.observe(traj.x[-1]) - r_vec
     assert np.max(np.abs(err)) < 1e-3
     # and the inputs die out once the string is formed
     assert np.max(np.abs(traj.u[-50:])) < 1e-3
@@ -170,8 +173,9 @@ class TestSharedRiccatiTable:
     @staticmethod
     def problem(lanes, N):
         n = len(lanes)
+        r_vec = build_reference(np.full(n - 1, 12.0), 30.0, 1.2, 5.0)
         return (build_model(n, 0.1), weights_for(lanes, control_weight=100.0),
-                build_reference(n, np.full(n - 1, 12.0), 30.0, 1.2, 5.0, N))
+                np.tile(r_vec, (N + 1, 1)))
 
     def assert_bitwise(self, lanes, horizons):
         for N in horizons:
@@ -198,16 +202,17 @@ class TestSharedRiccatiTable:
 
     def test_stacked_fill_matches_the_oracle(self):
         # three 3-vehicle tables enter at different fill levels and stack;
-        # the 2-vehicle table fills in its own stack, once though passed twice
-        patterns = self.PATTERNS[1:3] + (
+        # the first fills once though passed twice
+        patterns = (
+            self.PATTERNS[2],
             (Lane.RAMP, Lane.MAINLINE, Lane.MAINLINE),
             (Lane.MAINLINE, Lane.MAINLINE, Lane.RAMP),
         )
         tables = []
-        for lanes, filled in zip(patterns, (40, 0, 120, 250)):
+        for lanes, filled in zip(patterns, (0, 120, 250)):
             model, weights, _ = self.problem(lanes, 1)
             table = tracking.RiccatiTable(model, weights)
-            table.extend(filled)
+            extend_tables([table], filled)
             tables.append(table)
         extend_tables(tables + tables[:1], 300)
         for lanes, table in zip(patterns, tables):
@@ -217,11 +222,18 @@ class TestSharedRiccatiTable:
             assert np.array_equal(table.Ky, Ky[::-1]), lanes
             assert np.array_equal(table.S, S[::-1]), lanes
 
+    def test_tables_of_two_string_sizes_are_refused(self):
+        tables = [tracking.RiccatiTable(*self.problem(lanes, 1)[:2])
+                  for lanes in self.PATTERNS[1:3]]
+        with pytest.raises(ValueError, match="state size"):
+            extend_tables(tables, 10)
+        assert [t.size for t in tables] == [0, 0]
+
     def test_solution_is_read_only(self):
         model = build_model(2, 0.1)
         weights = weights_for(self.PATTERNS[1])
         sol = solve_finite_horizon(
-            model, weights, constant_reference(np.array([40.0, 30.0, 30.0]), 20)
+            model, weights, np.tile(np.array([40.0, 30.0, 30.0]), (21, 1))
         )
         with pytest.raises(ValueError):
             sol.K[0, 0, 0] = 1.0
@@ -258,8 +270,8 @@ class TestConvergedGains:
 
     def test_matches_long_horizon_initial_gain(self):
         K, Ky = converged_gains(self.model, self.weights)
-        ref = build_reference(3, np.array([30.0, 30.0]), 30.0, 1.2, 5.0, 2000)
-        sol = solve_finite_horizon(self.model, self.weights, ref)
+        r_vec = build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0)
+        sol = solve_finite_horizon(self.model, self.weights, np.tile(r_vec, (2001, 1)))
         assert np.max(np.abs(sol.K[0] - K)) < 1e-8
         assert np.max(np.abs(sol.Ky[0] - Ky)) < 1e-8
 
@@ -291,9 +303,9 @@ class TestRollout:
         model = build_model(2, 0.1)
         weights = weights_for((Lane.MAINLINE, Lane.RAMP))
         # enormous initial gap error forces commands past the actuator range
-        ref = build_reference(2, np.array([30.0]), 30.0, 1.2, 5.0, 120)
+        r_vec = build_reference(np.array([30.0]), 30.0, 1.2, 5.0)
         x0 = np.array([0.0, -400.0, 30.0, 30.0])
-        sol = solve_finite_horizon(model, weights, ref)
+        sol = solve_finite_horizon(model, weights, np.tile(r_vec, (121, 1)))
         traj = rollout(model, sol, x0, LIMITS)
         assert np.max(traj.u) == LIMITS.acc_max  # saturated, not exceeded
         assert np.min(traj.u) >= LIMITS.acc_min
@@ -301,7 +313,7 @@ class TestRollout:
     def test_unclipped_when_no_limits(self):
         model = build_model(1, 0.1)
         sol = solve_finite_horizon(
-            model, unit_weights(1, 1), constant_reference(np.array([5.0]), 20)
+            model, unit_weights(1, 1), np.tile(np.array([5.0]), (21, 1))
         )
         traj = rollout(model, sol, np.array([0.0, 30.0]))
         for k in range(sol.horizon):
@@ -310,7 +322,7 @@ class TestRollout:
     def test_bad_state_shape(self):
         model = build_model(2, 0.1)
         sol = solve_finite_horizon(
-            model, unit_weights(3, 2), constant_reference(np.zeros(3), 5)
+            model, unit_weights(3, 2), np.zeros((6, 3))
         )
         with pytest.raises(ValueError):
             rollout(model, sol, np.zeros(3))
@@ -443,10 +455,10 @@ class TestRepair:
     def _setup(self, follower_pos, floor, **kwargs):
         model = build_model(2, 0.1)
         weights = weights_for((Lane.MAINLINE, Lane.MAINLINE))
-        ref = build_reference(2, np.array([floor]), 15.0, 1.2, 5.0, 1)
+        r_vec = build_reference(np.array([floor]), 15.0, 1.2, 5.0)
         x0 = np.array([0.0, follower_pos, 15.0, 15.0])
         return solve_with_repair(
-            model, weights, ref.r[0], x0, LIMITS,
+            model, weights, r_vec, x0, LIMITS,
             np.array([floor]), (Lane.MAINLINE, Lane.MAINLINE), 5.0, **kwargs
         )
 
@@ -486,24 +498,15 @@ class TestRepair:
 
 class TestReferenceConstruction:
     def test_gap_floor_dominates_when_large(self):
-        ref = build_reference(3, np.array([50.0, 20.0]), 32.99, 1.2, 5.0, 10)
+        r_vec = build_reference(np.array([50.0, 20.0]), 32.99, 1.2, 5.0)
         # padded floor for the tight pair, headway gap for the loose one
-        assert ref.r[0, 0] == pytest.approx(55.5)
-        assert ref.r[0, 1] == pytest.approx(5.0 + 1.2 * 32.99)
-        assert np.allclose(ref.r[0, 2:], 32.99)
+        assert r_vec[0] == pytest.approx(55.5)
+        assert r_vec[1] == pytest.approx(5.0 + 1.2 * 32.99)
+        assert np.allclose(r_vec[2:], 32.99)
 
     def test_settle_point_strictly_above_floor(self):
-        ref = build_reference(2, np.array([45.0]), 32.99, 1.2, 5.0, 10)
-        assert ref.r[0, 0] - 5.0 > 45.0 + 0.4
-
-    def test_reference_is_constant(self):
-        ref = build_reference(2, np.array([30.0]), 30.0, 1.2, 5.0, 25)
-        assert ref.r.shape == (26, 3)
-        assert np.all(ref.r == ref.r[0])
-
-    def test_floor_shape_validated(self):
-        with pytest.raises(ValueError):
-            build_reference(3, np.array([30.0]), 30.0, 1.2, 5.0, 10)
+        r_vec = build_reference(np.array([45.0]), 32.99, 1.2, 5.0)
+        assert r_vec[0] - 5.0 > 45.0 + 0.4
 
 
 class TestWeights:
