@@ -13,10 +13,12 @@ network downstream of the merge.  Three modes are supported:
   mainline gap through the merge zone and force their way in after a
   timeout, which is what produces the familiar merge shockwaves.
 
-Whatever the mode asks for, every vehicle then passes a stopping-distance
-bound (:func:`safe_next_speed`): it may not outrun its ability to stop
-behind its same-lane predecessor, so from a state inside the bound no
-plan or car-following model can steer two vehicles into contact.
+Whatever the mode asks for, every vehicle then passes one safety layer,
+a stopping-distance bound (:func:`safe_next_speed`), at hard braking, and
+a commanded vehicle passes it first at comfort braking: it may not outrun
+its ability to stop behind its same-lane predecessor, so from a state
+inside the bound no plan or car-following model can steer two vehicles
+into contact.
 
 The trajectory log quantizes every float to six decimals at append time
 so that an exported CSV reproduces the log, and therefore the metrics,
@@ -57,11 +59,12 @@ ACCEPT_TAU = 0.5
 ACCEPT_YIELD = 3.0
 #: uncontrolled ramp vehicles adopt mainline behavior from here on
 ACCEL_LANE_START = -30.0
-#: a predecessor below this speed (m/s) counts as stalled traffic and
-#: flips a commanded follower's envelope to comfort-range braking
-STALL_SPEED = 3.0
 #: net gap (m) the stopping-distance bound keeps to a stopped predecessor
 STOP_MARGIN = 0.5
+#: braking rate (m/s^2) and stopped net gap (m) of the bound commanded
+#: vehicles pass first, and of a planned merger's stop at the merge bar
+COMFORT_BRAKE = 2.0
+COMFORT_MARGIN = 2.0
 
 
 class ControlMode(Enum):
@@ -323,12 +326,15 @@ class SimCounters:
     spawned: int = 0
     exited: int = 0
     coordinator_commands: int = 0
-    #: vehicle-steps whose acceleration a safety layer lowered: the IDM
-    #: guard on commanded vehicles plus the stopping-distance bound on all
+    #: vehicle-steps whose acceleration the stopping-distance bound lowered,
+    #: per pass: comfort braking on commanded vehicles, hard braking on all
     envelope_interventions: int = 0
     forced_merges: int = 0
     meter_releases: int = 0
     degraded_plans: int = 0
+    #: vehicle-steps of mainline set members standing (below 0.1 m/s)
+    #: with their lane clear ahead for a stop from the desired speed
+    stalls: int = 0
 
 
 @dataclass
@@ -396,45 +402,45 @@ def _insertion_neighbors(world: _World, pos: float):
     return lead, lag
 
 
-def stopping_distance(v, dt: float):
-    """Distance a vehicle covers braking at ``HARD_BRAKE`` from speed ``v``
-    to a stop, under the simulator's update (speeds clipped at zero,
+def stopping_distance(v, dt: float, brake: float):
+    """Distance a vehicle covers braking at ``brake`` (m/s^2) from speed
+    ``v`` to a stop, under the simulator's update (speeds clipped at zero,
     positions advanced by the trapezoid of successive speeds).
 
-    With ``u = |HARD_BRAKE| dt`` and ``v = j u + r`` (``0 <= r < u``) the
-    speed falls by ``u`` for ``j`` steps and by ``r`` in the last one, so
-    the distance is ``dt (u j^2 / 2 + r (j + 1/2))``.
+    With ``u = brake dt`` and ``v = j u + r`` (``0 <= r < u``) the speed
+    falls by ``u`` for ``j`` steps and by ``r`` in the last one, so the
+    distance is ``dt (u j^2 / 2 + r (j + 1/2))``.
     """
-    u = -HARD_BRAKE * dt
+    u = brake * dt
     j = np.floor(np.divide(v, u))
     r = v - j * u
     return dt * (0.5 * u * j * j + r * (j + 0.5))
 
 
-def safe_next_speed(net_gap, v, v_lead, dt: float):
+def safe_next_speed(net_gap, v, v_lead, dt: float, brake: float, margin: float):
     """Fastest speed a follower may reach this step and still stop behind
     its predecessor (Gipps 1981; RSS, Shalev-Shwartz et al. 2017).
 
-    The predecessor is assumed to brake at ``HARD_BRAKE`` from now on,
+    The predecessor is assumed to brake at ``brake`` (m/s^2) from now on,
     the follower to drive this step at its chosen acceleration and brake
-    at ``HARD_BRAKE`` from the next, and both to stop ``STOP_MARGIN``
-    apart.  Both stopping distances use the simulator's own update, so
-    a follower inside the bound can always meet it again on the next
-    step by braking hard.  The result is negative when even a stop this
-    step cannot keep the margin.
+    at ``brake`` from the next, and both to stop ``margin`` apart.  Both
+    stopping distances use the simulator's own update, so a follower
+    inside the bound can always meet it again on the next step by braking
+    at ``brake``.  The result is negative when even a stop this step
+    cannot keep the margin.
     """
-    u = -HARD_BRAKE * dt
+    u = brake * dt
     # z dt is the room for the stop from the next speed w plus w's half
     # of this step's trapezoid (the current speed's half is taken out).
     # For w = j u + r that distance is dt (u j (j + 1) / 2 + r (j + 1)),
     # piecewise linear in w with knots where z / u is a triangular
     # number, so j comes from the triangular root of z / u
-    z = (net_gap - STOP_MARGIN + stopping_distance(v_lead, dt)) / dt - 0.5 * v
+    z = (net_gap - margin + stopping_distance(v_lead, dt, brake)) / dt - 0.5 * v
     j = np.floor(0.5 * np.sqrt(np.maximum(8.0 / u * z + 1.0, 1.0)) - 0.5)
     return 0.5 * u * j + z / (j + 1.0)
 
 
-def stopping_bound(acc, net_gap, v, v_lead, dt: float):
+def stopping_bound(acc, net_gap, v, v_lead, dt: float, brake: float, margin: float):
     """Cap followers' accelerations at the stopping-distance bound.
 
     Returns the capped accelerations and how many the bound lowered.
@@ -442,19 +448,19 @@ def stopping_bound(acc, net_gap, v, v_lead, dt: float):
     # cheap screen first: the bound cannot bind where the requested next
     # speed w fits with room to spare under outer estimates of both
     # stopping distances, v^2 / 2b <= D(v) <= v^2 / 2b + b dt^2 / 8
-    b = -HARD_BRAKE
     w = v + acc * dt
-    need = 0.5 * (v + w) * dt + (w * w - v_lead * v_lead) / (2.0 * b)
-    if np.all(net_gap >= need + (STOP_MARGIN + b * dt * dt / 8.0)):
+    need = 0.5 * (v + w) * dt + (w * w - v_lead * v_lead) / (2.0 * brake)
+    if np.all(net_gap >= need + (margin + brake * dt * dt / 8.0)):
         return acc, 0
-    bound = (safe_next_speed(net_gap, v, v_lead, dt) - v) / dt
+    bound = (safe_next_speed(net_gap, v, v_lead, dt, brake, margin) - v) / dt
     tight = bound < acc
     return np.where(tight, bound, acc), int(np.count_nonzero(tight))
 
 
 def _can_stop(net_gap: float, v: float, v_lead: float, dt: float) -> bool:
-    """True if a follower in this state can meet the stopping bound."""
-    return bool(safe_next_speed(net_gap, v, v_lead, dt) >= max(v + HARD_BRAKE * dt, 0.0))
+    """True if a follower in this state can meet the hard-braking bound."""
+    next_speed = safe_next_speed(net_gap, v, v_lead, dt, -HARD_BRAKE, STOP_MARGIN)
+    return bool(next_speed >= max(v + HARD_BRAKE * dt, 0.0))
 
 
 def _bar_hold(v: float, distance: float, params: IdmParams) -> float:
@@ -487,7 +493,6 @@ class _Run:
         config.validate()
         self.config = config
         geo = config.geometry
-        limits = config.limits
         rng = np.random.default_rng(config.seed)
 
         # arrival schedules: per-phase draws, then one pass to keep the
@@ -517,17 +522,9 @@ class _Run:
         if config.mode is ControlMode.OPTIMAL:
             # read at run start: the config is mutable, and the planner must
             # share the world's step, limits, length and fuel
-            scoring = replace(config.scoring, dt=config.dt, limits=limits,
+            scoring = replace(config.scoring, dt=config.dt, limits=config.limits,
                               vehicle_length=config.vehicle_length, fuel=config.fuel)
             self.coordinator = MergeCoordinator(geo, scoring, config.ramp_idm)
-        # emergency backstop for commanded vehicles: reaction-margin headway
-        # far below any planned gap, so it binds only when a plan goes stale
-        self.envelope_idm = IdmParams(v0=limits.v_max, T=0.3, a=2.0, b=4.0, s0=2.0)
-        # second tier for stalled traffic ahead: the tight envelope engages
-        # too late for a cruise-speed approach to a stopped string (physics
-        # caps braking at HARD_BRAKE), so against a near-stopped predecessor
-        # a commanded vehicle must brake like a driver, from far out
-        self.stall_guard_idm = IdmParams(v0=limits.v_max, T=1.0, a=2.0, b=2.0, s0=2.0)
         self.meter_next_green = 0.0
         # under coordination the advisory rate is broadcast upstream, so
         # excess ramp demand waits off-network at the entrance instead of
@@ -590,11 +587,11 @@ class _Run:
 
     def _car_following(self) -> None:
         """Base IDM accelerations along each lane chain, and each vehicle's
-        same-lane predecessor, net gap and closing speed."""
+        same-lane predecessor and net gap."""
         world, n, L = self.world, len(self.world), self.config.vehicle_length
         self.acc = acc = np.empty(n)
         self.gap = gap_all = np.full(n, np.inf)
-        self.dv = dv_all = np.zeros(n)
+        dv_all = np.zeros(n)
         self.pred_of = pred_of = np.full(n, -1, dtype=int)
         self.chains = lane_orders(world.lane, world.pos)
         for lane, order in self.chains.items():
@@ -620,8 +617,8 @@ class _Run:
             )
 
     def _mode_layer(self) -> None:
-        """Coordinator commands under the IDM guard, or the metering hold;
-        writes each vehicle's control status code."""
+        """Coordinator commands, or the metering hold; writes each vehicle's
+        control status code."""
         world, t = self.world, self.t
         self.status = np.zeros(len(world), dtype=np.int64)
         if self.coordinator is not None:
@@ -643,21 +640,6 @@ class _Run:
                 i = snap.index_of(vid)
                 self.status[i] = (ControlStatus.RAMP_LEADER_REGULATED if vid == leader
                                   else ControlStatus.OPTIMAL_CONTROLLED).code
-                j = self.pred_of[i]
-                if j >= 0:
-                    # the stall tier brakes at least as hard as the envelope
-                    # wherever it applies (longer T, softer b, dv > -STALL_SPEED)
-                    params = (self.stall_guard_idm if world.v[j] < STALL_SPEED
-                              else self.envelope_idm)
-                    guard = idm_accel(world.v[i], max(self.gap[i], 1e-3), self.dv[i], params)
-                    # emergency only: the guard must itself demand braking
-                    # and demand more of it than the plan already applies.
-                    # No deadband: near standstill even a mildly negative
-                    # guard must win, or the vehicle creeps through the
-                    # envelope's standstill floor a step at a time
-                    if guard < 0.0 and guard < u:
-                        u = guard
-                        self.counters.envelope_interventions += 1
                 self.acc[i] = u
         elif self.config.mode is ControlMode.METERING:
             # hold the first unreleased vehicle at the stop bar
@@ -684,24 +666,35 @@ class _Run:
                 continue  # past the stop point; the transfer logic owns it
             if self.config.mode is ControlMode.METERING and not world.released[j]:
                 break  # still held upstream at the metering bar
-            planned = self.status[j] != ControlStatus.UNCONTROLLED.code
-            # a planned merge deferred this long is an anomaly: stop at the
-            # bar instead of overriding the plan early
-            if not planned or world.pos[j] > bar - 25.0:
-                params = self.envelope_idm if planned else self.config.ramp_idm
-                self.acc[j] = min(self.acc[j], _bar_hold(world.v[j], bar - world.pos[j], params))
+            v, distance = world.v[j], bar - world.pos[j]
+            if self.status[j] == ControlStatus.UNCONTROLLED.code:
+                self.acc[j] = min(self.acc[j], _bar_hold(v, distance, self.config.ramp_idm))
+            elif world.pos[j] > bar - 25.0:
+                # a planned merge deferred this long is an anomaly: stop at the
+                # bar as behind a stopped vehicle, not override the plan early
+                stop = safe_next_speed(distance, v, 0.0, self.config.dt,
+                                       COMFORT_BRAKE, COMFORT_MARGIN)
+                self.acc[j] = min(self.acc[j], (stop - v) / self.config.dt)
             break
 
     def _stopping_bound(self) -> None:
         # whatever the layers above asked for, no vehicle may outrun its
-        # ability to stop behind its predecessor
-        led = np.nonzero(self.pred_of >= 0)[0]
-        if len(led):
-            v = self.world.v
-            self.acc[led], hits = stopping_bound(
-                self.acc[led], self.gap[led], v[led], v[self.pred_of[led]], self.config.dt
+        # ability to stop behind its predecessor: a commanded one at
+        # comfort braking, then every one at hard braking
+        v, led = self.world.v, self.pred_of >= 0
+        commanded = self.status != ControlStatus.UNCONTROLLED.code
+        for rows, brake, margin in ((led & commanded, COMFORT_BRAKE, COMFORT_MARGIN),
+                                    (led, -HARD_BRAKE, STOP_MARGIN)):
+            rows = np.nonzero(rows)[0]
+            self.acc[rows], hits = stopping_bound(
+                self.acc[rows], self.gap[rows], v[rows], v[self.pred_of[rows]],
+                self.config.dt, brake, margin,
             )
             self.counters.envelope_interventions += hits
+        clear = stopping_distance(self.config.scoring.desired_speed, self.config.dt, -HARD_BRAKE)
+        stalled = (self.status == ControlStatus.OPTIMAL_CONTROLLED.code) & (self.gap >= clear)
+        self.counters.stalls += int(np.count_nonzero(
+            stalled & (self.world.lane == Lane.MAINLINE.code) & (v < 0.1)))
 
     def _integrate_and_log(self) -> None:
         world, dt, limits = self.world, self.config.dt, self.config.limits

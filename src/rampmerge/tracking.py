@@ -137,7 +137,7 @@ class RiccatiTable:
     """
 
     def __init__(self, model: LtiModel, weights: TrackerWeights) -> None:
-        self.A, self.B, self.R = model.A, model.B, weights.R
+        self.R = weights.R
         C = model.C
         self.CtQC = C.T @ weights.Q @ C
         nx, nu = model.state_dim, model.n
@@ -160,42 +160,41 @@ class RiccatiTable:
             setattr(self, name, grown)
 
 
-def extend_tables(tables: list[RiccatiTable], N: int) -> None:
-    """Fill every table up to ``N`` steps to go in one stacked recursion.
+def extend_tables(model: LtiModel, tables: list[RiccatiTable], N: int) -> None:
+    """Fill ``model``'s tables up to ``N`` steps to go in one stacked recursion.
 
-    The tables share one string size and advance together, one stacked
-    step per time-to-go; a table joins the stack at the step where its
-    own fill ends.  A stacked ``matmul`` or ``solve`` makes one
-    BLAS/LAPACK call per table, with the operations of the per-table
-    recursion in the same order, so every entry is bitwise what the table
-    computes alone.
+    The tables advance together, one stacked step per time-to-go; a table
+    joins the stack at the step where its own fill ends.  A stacked
+    ``matmul`` or ``solve`` makes one BLAS/LAPACK call per table, with the
+    operations of the per-table recursion in the same order, so every
+    entry is bitwise what the table computes alone.
     """
-    shapes = {t.A.shape for t in tables}
-    if len(shapes) > 1:
-        raise ValueError(f"tables of one fill share a state size, got {sorted(shapes)}")
+    sizes = sorted({t.S.shape[1] for t in tables} - {model.state_dim})
+    if sizes:
+        raise ValueError(f"tables of one fill share the model's state size "
+                         f"{model.state_dim}, got {sizes}")
     group = [t for t in dict.fromkeys(tables) if t.size < N]
     starts = sorted({t.size for t in group})
     for t in group:
         t._grow(N)
     for start, stop in zip(starts, starts[1:] + [N]):
-        _fill([t for t in group if t.size <= start], start, stop)
+        _fill(model, [t for t in group if t.size <= start], start, stop)
     for t in group:
         t.size = N
 
 
-def _fill(tables: list[RiccatiTable], start: int, stop: int) -> None:
+def _fill(model: LtiModel, tables: list[RiccatiTable], start: int, stop: int) -> None:
     """Recursion steps ``start`` to ``stop`` of tables filled to ``start``."""
-    A = np.stack([t.A for t in tables])
-    B = np.stack([t.B for t in tables])
+    A, B = model.A, model.B
     R = np.stack([t.R for t in tables])
     CtQC = np.stack([t.CtQC for t in tables])
-    At, Bt = A.swapaxes(1, 2), B.swapaxes(1, 2)
+    At, Bt = A.T, B.T
     steps = (len(tables), stop - start)
     K = np.empty(steps + tables[0].K.shape[1:])
     Ky = np.empty_like(K)
     Acl = np.empty(steps + tables[0].Acl.shape[1:])
     S = np.empty_like(Acl)
-    nx = A.shape[1]
+    nx = model.state_dim
     rhs = np.empty(K.shape[:1] + (K.shape[2], 2 * nx))  # [B'S A | B'], one solve
     rhs[..., nx:] = Bt
     Sn = np.stack([t.S[start] for t in tables])
@@ -245,7 +244,7 @@ def _riccati_tables_for(
             table = _riccati_tables[key] = RiccatiTable(model, w)
         _riccati_tables.move_to_end(key)
         tables.append(table)
-    extend_tables(tables, N)
+    extend_tables(model, tables, N)
     held = sum(t.nbytes for t in _riccati_tables.values())
     while held > RICCATI_CACHE_BYTES and len(_riccati_tables) > 1:
         _, dropped = _riccati_tables.popitem(last=False)

@@ -20,7 +20,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMOKE = CONFIGS / "smoke.yaml"
 
 EXPORT_SHA256 = {
-    "optimal": "0adef2538bad4b36ad1d345eef4233d7939143d5fa5537ed7402202d79c3f134",
+    "optimal": "14c80d7c16f5c5db910bc8f1e36f718e9e8cbfb1cca799bccecbda7294b5ebff",
     "metering": "7dcc4bdea76326be879b733c77561db41cda675e5e52cb4321bd7dde5d657065",
     "none": "8241c9ab89446c4c579c9ef12ba3b8cf98d35f9a7d25aaa68402a0afa2a2ec1f",
 }
@@ -33,7 +33,7 @@ def test_smoke_export_is_unchanged(tmp_path, mode):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[mode]
 
 
-REPLAN_SHA256 = "37b417fadfa592f75f6d5467bb6262cbd61647844c8b9c23e7abee56a8abe2bc"
+REPLAN_SHA256 = "16e8ffaac52ce91a1481a996c725d87d86ca1b0658139c6eae18354a7dcfeea7"
 
 
 def test_replanning_export_is_unchanged(tmp_path):

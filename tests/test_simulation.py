@@ -2,19 +2,21 @@
 import concurrent.futures
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rampmerge.cli import load_config
 from rampmerge.coordinator import HARD_BRAKE
 from rampmerge.fuel import METERS_PER_MILE, ML_PER_GALLON, fuel_rate
-from rampmerge.idm import idm_accel
 from rampmerge.simulation import (
+    COMFORT_BRAKE,
+    COMFORT_MARGIN,
     CollisionError,
     ControlMode,
     DemandPhase,
     RunMetrics,
-    STALL_SPEED,
     STOP_MARGIN,
     ScenarioConfig,
     TrajectoryLog,
@@ -31,7 +33,12 @@ from rampmerge.simulation import (
     stopping_bound,
     stopping_distance,
 )
-from rampmerge.vehicles import ControlLimits, Lane
+from rampmerge.vehicles import ControlLimits, ControlStatus, Lane
+
+#: the stopping bound's (braking rate, margin) pairs: every vehicle's,
+#: and the one commanded vehicles pass first
+BOUNDS = ((-HARD_BRAKE, STOP_MARGIN), (COMFORT_BRAKE, COMFORT_MARGIN))
+SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml"
 
 
 def small_config(duration=120.0, mainline=900.0, ramp=200.0, q_sug=600.0,
@@ -311,7 +318,7 @@ class TestCollisionGuard:
         # throttle lets a dense mainline stream run into itself
         monkeypatch.setattr(
             "rampmerge.simulation.stopping_bound",
-            lambda acc, net_gap, v, v_lead, dt: (np.full_like(acc, 10.0), 0),
+            lambda acc, *args: (np.full_like(acc, 10.0), 0),
         )
         cfg = small_config(duration=60.0, mainline=1800.0, ramp=0.0, seed=7)
         with pytest.raises(CollisionError) as caught:
@@ -337,23 +344,23 @@ class TestCollisionGuard:
         assert np.all(np.diff(pos)[same] - cfg.vehicle_length > 0.0)
 
 
-def brake_replay(net_gap, v_follow, v_lead, command, dt=0.1, length=5.0,
-                 seconds=30.0):
-    """Net gaps while a leader brakes at HARD_BRAKE to a stop.
+def brake_replay(net_gap, v_follow, v_lead, command, brake=-HARD_BRAKE,
+                 margin=STOP_MARGIN, dt=0.1, length=5.0, seconds=30.0):
+    """Net gaps while a leader brakes at ``brake`` (m/s^2) to a stop.
 
     The follower asks for ``command`` every step; the ask passes the
-    simulator's stopping bound and actuation clip, and both vehicles
-    move by the simulator's update (speeds clipped to ``[0, v_max]``,
-    positions by the trapezoid of successive speeds).
+    stopping bound at ``brake`` and ``margin`` and the actuation clip,
+    and both vehicles move by the simulator's update (speeds clipped to
+    ``[0, v_max]``, positions by the trapezoid of successive speeds).
     """
     limits = ControlLimits(v_max=34.65)
     x = np.array([net_gap + length, 0.0])
     v = np.array([v_lead, v_follow], dtype=float)
     gaps = [net_gap]
     for _ in range(int(round(seconds / dt))):
-        acc = np.array([HARD_BRAKE, command])
+        acc = np.array([-brake, command])
         acc[1:], _ = stopping_bound(
-            acc[1:], np.array([x[0] - x[1] - length]), v[1:], v[:1], dt)
+            acc[1:], np.array([x[0] - x[1] - length]), v[1:], v[:1], dt, brake, margin)
         acc = np.clip(acc, HARD_BRAKE, limits.acc_max)
         v_next = np.clip(v + acc * dt, 0.0, limits.v_max)
         x = x + 0.5 * (v + v_next) * dt
@@ -366,13 +373,14 @@ class TestStoppingBound:
     DT = 0.1
 
     def test_distance_matches_stepped_braking(self):
-        for v0 in (0.0, 0.3, 0.6, 5.0, 17.8, 25.8, 34.65):
-            v, travelled = v0, 0.0
-            while v > 0.0:
-                v_next = max(v + HARD_BRAKE * self.DT, 0.0)
-                travelled += 0.5 * (v + v_next) * self.DT
-                v = v_next
-            assert stopping_distance(v0, self.DT) == pytest.approx(travelled, abs=1e-9)
+        for brake, _ in BOUNDS:
+            for v0 in (0.0, 0.3, 0.6, 5.0, 17.8, 25.8, 34.65):
+                v, travelled = v0, 0.0
+                while v > 0.0:
+                    v_next = max(v - brake * self.DT, 0.0)
+                    travelled += 0.5 * (v + v_next) * self.DT
+                    v = v_next
+                assert stopping_distance(v0, self.DT, brake) == pytest.approx(travelled, abs=1e-9)
 
     def test_string_member_stops_behind_hard_braking_leader(self):
         # scenario-1 seed 4 at t=773.9 s: a commanded mainline vehicle
@@ -385,23 +393,26 @@ class TestStoppingBound:
     @pytest.mark.parametrize("v_lead", [0.0, 8.0, 17.8, 25.8, 34.65])
     @pytest.mark.parametrize("v_follow", [0.0, 0.4, 12.0, 25.4, 34.65])
     def test_no_overlap_from_inside_the_bound(self, v_follow, v_lead):
-        # tightest follower state the bound admits: braking hard this
-        # step lands on it, up to a rounding allowance
+        # tightest follower state the bound admits: braking at its rate
+        # this step lands on it, up to a rounding allowance
         dt = self.DT
-        w = max(v_follow + HARD_BRAKE * dt, 0.0)
-        tight = (STOP_MARGIN - stopping_distance(v_lead, dt)
-                 + 0.5 * (v_follow + w) * dt + stopping_distance(w, dt))
-        net_gap = max(tight + 1e-9, 0.1)
-        assert _can_stop(net_gap, v_follow, v_lead, dt)
-        gaps, _ = brake_replay(net_gap, v_follow, v_lead, command=2.5)
-        assert gaps.min() > 0.0
-        assert gaps[-1] >= STOP_MARGIN - 1e-9
+        for brake, margin in BOUNDS:
+            w = max(v_follow - brake * dt, 0.0)
+            tight = (margin - stopping_distance(v_lead, dt, brake)
+                     + 0.5 * (v_follow + w) * dt + stopping_distance(w, dt, brake))
+            net_gap = max(tight + 1e-9, 0.1)
+            assert safe_next_speed(net_gap, v_follow, v_lead, dt, brake, margin) >= w
+            if brake == -HARD_BRAKE:
+                assert _can_stop(net_gap, v_follow, v_lead, dt)
+            gaps, _ = brake_replay(net_gap, v_follow, v_lead, 2.5, brake, margin)
+            assert gaps.min() > 0.0
+            assert gaps[-1] >= margin - 1e-9
 
     def test_bound_binds_only_when_needed(self):
         acc = np.array([1.0, 1.0])
         capped, hits = stopping_bound(
             acc, np.array([200.0, 10.0]), np.array([30.0, 30.0]),
-            np.array([30.0, 0.0]), self.DT)
+            np.array([30.0, 0.0]), self.DT, -HARD_BRAKE, STOP_MARGIN)
         assert hits == 1
         assert capped[0] == 1.0
         assert capped[1] < HARD_BRAKE
@@ -411,28 +422,31 @@ class TestStoppingBound:
         # half the cases sit just inside the screen's edge, where the
         # requested speed is mid-way between braking knots and the
         # stopping distance exceeds v^2 / 2b the most
-        dt, u = self.DT, -HARD_BRAKE * self.DT
-        rng = np.random.default_rng(3)
-        for case in range(2000):
-            acc = np.array([rng.uniform(-7.0, 3.0)])
-            if case % 2:
-                gap, v, v_lead = rng.uniform(0.0, 120.0), *rng.uniform(0.0, 35.0, 2)
-            else:
-                w = (rng.integers(0, 55) + 0.5) * u
-                v, v_lead = w - acc[0] * dt, rng.integers(0, 58) * u
-                if v < 0.0:
-                    continue
-                gap = (STOP_MARGIN + 0.5 * (v + w) * dt
-                       + (w * w - v_lead * v_lead) / (2.0 * u / dt)
-                       + rng.uniform(0.0, u * dt / 8.0))
-            exact = (safe_next_speed(gap, v, v_lead, dt) - v) / dt
-            capped, hits = stopping_bound(
-                acc, np.array([gap]), np.array([v]), np.array([v_lead]), dt)
-            assert capped[0] == min(acc[0], exact)
-            assert hits == int(exact < acc[0])
+        for brake, margin in BOUNDS:
+            dt, u = self.DT, brake * self.DT
+            knots = int(35.0 / u)
+            rng = np.random.default_rng(3)
+            for case in range(2000):
+                acc = np.array([rng.uniform(-7.0, 3.0)])
+                if case % 2:
+                    gap, v, v_lead = rng.uniform(0.0, 120.0), *rng.uniform(0.0, 35.0, 2)
+                else:
+                    w = (rng.integers(0, knots - 3) + 0.5) * u
+                    v, v_lead = w - acc[0] * dt, rng.integers(0, knots) * u
+                    if v < 0.0:
+                        continue
+                    gap = (margin + 0.5 * (v + w) * dt
+                           + (w * w - v_lead * v_lead) / (2.0 * brake)
+                           + rng.uniform(0.0, u * dt / 8.0))
+                exact = (safe_next_speed(gap, v, v_lead, dt, brake, margin) - v) / dt
+                capped, hits = stopping_bound(
+                    acc, np.array([gap]), np.array([v]), np.array([v_lead]), dt, brake, margin)
+                assert capped[0] == min(acc[0], exact)
+                assert hits == int(exact < acc[0])
 
     def test_negative_when_no_stop_keeps_the_margin(self):
-        assert safe_next_speed(0.2, 0.0, 0.0, self.DT) < 0.0
+        for brake, margin in BOUNDS:
+            assert safe_next_speed(0.2, 0.0, 0.0, self.DT, brake, margin) < 0.0
 
     def test_commanded_merge_needs_stopping_room(self):
         # a 30 m/s follower behind a 20 m/s merger: the hard-braking gap
@@ -442,16 +456,51 @@ class TestStoppingBound:
         assert _can_stop(45.0, 30.0, 20.0, self.DT)
 
 
-def test_stall_tier_brakes_at_least_as_hard_as_the_envelope():
-    # the commanded-vehicle guard calls only the stall tier behind a
-    # predecessor slower than STALL_SPEED; that equals taking the lesser
-    # of both tiers only while the stall tier is never the milder one
-    run = _Run(small_config(mode=ControlMode.OPTIMAL))
-    rng = np.random.default_rng(11)
-    v_max = run.config.limits.v_max
-    for _ in range(5000):
-        v = float(rng.uniform(0.0, v_max))
-        v_pred = float(rng.uniform(0.0, STALL_SPEED))
-        gap = float(10.0 ** rng.uniform(-3.0, 2.5))
-        stall = idm_accel(v, gap, v - v_pred, run.stall_guard_idm)
-        assert stall <= idm_accel(v, gap, v - v_pred, run.envelope_idm)
+class TestSafetyLayer:
+    def test_commanded_followers_keep_the_comfort_bound(self, monkeypatch):
+        """Over smoke.yaml coordinated, each commanded follower's final
+        acceleration is at most its stopping bound at comfort braking."""
+        original = _Run._integrate_and_log
+        seen = {"checked": 0, "binding": 0}
+
+        def checked(run):
+            rows = np.nonzero((run.status != ControlStatus.UNCONTROLLED.code)
+                              & (run.pred_of >= 0))[0]
+            v, dt = run.world.v[rows], run.config.dt
+            bound = (safe_next_speed(run.gap[rows], v, run.world.v[run.pred_of[rows]], dt,
+                                     COMFORT_BRAKE, COMFORT_MARGIN) - v) / dt
+            assert np.all(run.acc[rows] <= bound), run.t
+            seen["checked"] += len(rows)
+            seen["binding"] += int(np.count_nonzero(run.acc[rows] == bound))
+            original(run)
+
+        monkeypatch.setattr(_Run, "_integrate_and_log", checked)
+        run_scenario(load_config(SMOKE, mode="optimal"))
+        assert seen["checked"] > 0
+        assert seen["binding"] > 0  # the run exercises the bound
+
+    @staticmethod
+    def stalls(vehicles):
+        """The stall count of one step over hand-placed mainline vehicles,
+        each given as (position, speed, lane, status)."""
+        run = _Run(small_config(mode=ControlMode.OPTIMAL))
+        for vid, (x, v, lane, _) in enumerate(vehicles):
+            run.world.add(vid, lane.code, x, v)
+        run.on_ramp = run.world.lane == Lane.RAMP.code
+        run._car_following()
+        run.status = np.array([status.code for *_, status in vehicles])
+        run._stopping_bound()
+        return run.counters.stalls
+
+    def test_standing_member_with_an_empty_lane_ahead_is_stalled(self):
+        member = ControlStatus.OPTIMAL_CONTROLLED
+        assert self.stalls([(100.0, 0.0, Lane.MAINLINE, member)]) == 1
+        # moving, or on the ramp waiting for a mainline slot: not stalled
+        assert self.stalls([(100.0, 0.2, Lane.MAINLINE, member)]) == 0
+        assert self.stalls([(100.0, 0.0, Lane.RAMP, member)]) == 0
+
+    def test_member_standing_behind_a_stopped_vehicle_is_not_stalled(self):
+        assert self.stalls([
+            (100.0, 0.0, Lane.MAINLINE, ControlStatus.OPTIMAL_CONTROLLED),
+            (115.0, 0.0, Lane.MAINLINE, ControlStatus.UNCONTROLLED),  # 10 m ahead
+        ]) == 0

@@ -212,9 +212,9 @@ class TestSharedRiccatiTable:
         for lanes, filled in zip(patterns, (0, 120, 250)):
             model, weights, _ = self.problem(lanes, 1)
             table = tracking.RiccatiTable(model, weights)
-            extend_tables([table], filled)
+            extend_tables(model, [table], filled)
             tables.append(table)
-        extend_tables(tables + tables[:1], 300)
+        extend_tables(model, tables + tables[:1], 300)
         for lanes, table in zip(patterns, tables):
             K, Ky, S, _ = riccati_recursion(*self.problem(lanes, 300))
             assert table.size == 300
@@ -225,8 +225,9 @@ class TestSharedRiccatiTable:
     def test_tables_of_two_string_sizes_are_refused(self):
         tables = [tracking.RiccatiTable(*self.problem(lanes, 1)[:2])
                   for lanes in self.PATTERNS[1:3]]
-        with pytest.raises(ValueError, match="state size"):
-            extend_tables(tables, 10)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="state size"):
+                extend_tables(build_model(n, 0.1), tables, 10)
         assert [t.size for t in tables] == [0, 0]
 
     def test_solution_is_read_only(self):
