@@ -9,12 +9,16 @@ jointly controlled merge strings:
 * when the leader crosses the trigger line it opens a *decision cycle*:
   it collects the leader, the ramp vehicles right behind it in the
   buffer zone and a flow-proportional share of mainline traffic, picks
-  the cheapest merge order, and freezes gains, reference and safety
-  floors into a :class:`ControlSet`;
+  the cheapest merge order, and keeps the winner's string problem
+  (lanes, gap floors, weights and reference) in a :class:`ControlSet`;
 * every step it issues one acceleration command per controlled vehicle
   from the converged receding-horizon law, watches short-range
-  predictions for developing gap violations (re-planning when needed),
-  and releases vehicles once they clear the merge zone.
+  predictions for developing gap violations (re-planning the same
+  problem from the current state when needed), and releases vehicles
+  once they clear the merge zone, leaving the suffix of the problem.
+
+The merge point is the origin of the merge axis: a vehicle at or past it
+has merged, and ``-position`` is its distance to the merge.
 
 All functions here are pure with respect to the traffic world: the
 simulation hands in a :class:`WorldSnapshot` each step and applies the
@@ -24,21 +28,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .idm import IdmParams, idm_accel, predict_eta, regulate_leader
-from .sequencing import (
-    ScoringContext,
-    count_sequences,
-    optimal_sequence,
-    pair_gap_floors,
-)
+from .sequencing import ScoringContext, count_sequences, optimal_sequence
 from .statespace import LtiModel, build_model
 from .tracking import (
     LqSolution,
-    TrackerWeights,
+    StringProblem,
     active_pairs,
     converged_gains,
     cross_lane,
@@ -188,16 +187,13 @@ def travel_time_estimate(
 
 @dataclass
 class ControlSet:
-    """One decision cycle's frozen plan and live controller state."""
+    """One decision cycle's string problem and live controller state."""
 
     cycle_id: int
     ids: tuple[int, ...]
-    lanes: tuple[Lane, ...]
+    problem: StringProblem  # the members' lanes, floors, weights, reference
     model: LtiModel
-    weights: TrackerWeights
     law: LqSolution  # converged receding-horizon law, LOOKAHEAD_STEPS long
-    r_vec: np.ndarray
-    floors: np.ndarray
     repair: LqSolution | None = None
     repair_k: int = 0
     last_repair_t: float = -math.inf
@@ -250,9 +246,9 @@ class MergeCoordinator:
         self._last_lookahead = -math.inf
         # converged gains depend only on the string's lane pattern, and
         # shrinking a string always leaves a suffix of its pattern, so a
-        # small cache serves every rebuild
+        # small cache serves every release
         self._gains_cache: dict[
-            tuple[int, ...], tuple[LtiModel, TrackerWeights, np.ndarray, np.ndarray]
+            tuple[int, ...], tuple[LtiModel, np.ndarray, np.ndarray]
         ] = {}
 
     # -- public view ---------------------------------------------------
@@ -383,25 +379,20 @@ class MergeCoordinator:
 
     # -- decision cycle ------------------------------------------------
 
-    def _controller_for(
-        self, lanes: tuple[Lane, ...], r_vec: np.ndarray
-    ) -> tuple[LtiModel, TrackerWeights, LqSolution]:
-        """Model, weights and converged law of a string tracking ``r_vec``."""
-        key = tuple(lane.code for lane in lanes)
+    def _law_for(self, problem: StringProblem) -> tuple[LtiModel, LqSolution]:
+        """Model and converged law of a string problem."""
+        key = tuple(lane.code for lane in problem.lanes)
         hit = self._gains_cache.get(key)
         if hit is None:
-            model = build_model(len(lanes), self.scoring.dt)
-            weights = self.scoring.weights(lanes)
-            K, Ky = converged_gains(model, weights)
-            hit = self._gains_cache[key] = (model, weights, K, Ky)
-        model, weights, K, Ky = hit
-        V = steady_state_feedforward(model, weights, K, r_vec)
-        law = LqSolution(
+            model = build_model(len(problem.lanes), self.scoring.dt)
+            hit = self._gains_cache[key] = (model, *converged_gains(model, problem.weights))
+        model, K, Ky = hit
+        V = steady_state_feedforward(model, problem.weights, K, problem.r_vec)
+        return model, LqSolution(
             K=np.broadcast_to(K, (LOOKAHEAD_STEPS,) + K.shape),
             Ky=np.broadcast_to(Ky, (LOOKAHEAD_STEPS,) + Ky.shape),
             V=np.broadcast_to(V, (LOOKAHEAD_STEPS + 1,) + V.shape),
         )
-        return model, weights, law
 
     def _collect_ramp_members(self, k: int, snap: WorldSnapshot) -> list[int]:
         """The leader at rank ``k`` of the ramp queue and the ranks right
@@ -453,15 +444,13 @@ class MergeCoordinator:
         for idx in snap.ordered(Lane.MAINLINE):
             vid = int(snap.ids[idx])
             pos = float(snap.positions[idx])
-            if pos >= self.scoring.merge_entry:
+            if pos >= 0.0:
                 continue
             if pos < -zone:
                 break
             # constant-speed estimate: pessimistic for vehicles still
             # recovering speed, which keeps them inside the window
-            eta = (self.scoring.merge_entry - pos) / min(
-                max(float(snap.speeds[idx]), 3.0), v_des
-            )
+            eta = -pos / min(max(float(snap.speeds[idx]), 3.0), v_des)
             if vid in self.ever_controlled:
                 if out:
                     break  # never span an active string
@@ -494,21 +483,11 @@ class MergeCoordinator:
 
         best = optimal_sequence(main_ids, ramp_ids, states, self.scoring)
         seq = best.sequence
-
-        floors = pair_gap_floors(seq, states, self.scoring.limits)
-        r_vec = self.scoring.reference(floors)
-        model, weights, law = self._controller_for(seq.lanes, r_vec)
-        cset = ControlSet(
-            cycle_id=self._cycle_count,
-            ids=seq.ids,
-            lanes=seq.lanes,
-            model=model,
-            weights=weights,
-            law=law,
-            r_vec=r_vec,
-            floors=floors,
-        )
-        self.sets.append(cset)
+        model, law = self._law_for(best.problem)
+        self.sets.append(ControlSet(
+            cycle_id=self._cycle_count, ids=seq.ids, problem=best.problem,
+            model=model, law=law,
+        ))
         self.ever_controlled.update(seq.ids)
 
         t_proper = proper_arrival_time(len(ramp_ids), snap.q_suggested)
@@ -539,33 +518,31 @@ class MergeCoordinator:
     # -- releases ------------------------------------------------------
 
     def _retire_and_shrink(self, snap: WorldSnapshot) -> None:
+        """Release the members at the front of each string that cleared
+        the merge zone or left the network; the rest fly the suffix of
+        the string's problem from their current state."""
         end = self.geometry.merge_zone_end
         live = []
         for cset in self.sets:
-            changed = False
-            while cset.ids:
-                front = cset.ids[0]
-                if not snap.has(front):
-                    pass  # exited the network entirely
-                elif snap.positions[snap.index_of(front)] < end:
+            gone = 0
+            for vid in cset.ids:
+                if snap.has(vid) and snap.positions[snap.index_of(vid)] < end:
                     break
-                cset.ids = cset.ids[1:]
-                cset.lanes = cset.lanes[1:]
-                cset.floors = cset.floors[1:]
-                changed = True
-            if not cset.ids:
+                gone += 1
+            if gone == len(cset.ids):
                 continue  # the last member left: the set is done
-            if changed:
-                self._rebuild_set(cset)
+            if gone:
+                cset.ids = cset.ids[gone:]
+                problem = cset.problem
+                cset.problem = self.scoring.problem(
+                    problem.lanes[gone:], problem.floors[gone:],
+                    self._assemble_state(cset, snap),
+                )
+                cset.model, cset.law = self._law_for(cset.problem)
+                cset.repair = None
+                cset.repair_k = 0
             live.append(cset)
         self.sets = live
-
-    def _rebuild_set(self, cset: ControlSet) -> None:
-        """Refit the controller after the front of the string released."""
-        cset.r_vec = self.scoring.reference(cset.floors)
-        cset.model, cset.weights, cset.law = self._controller_for(cset.lanes, cset.r_vec)
-        cset.repair = None
-        cset.repair_k = 0
 
     # -- per-step commands ---------------------------------------------
 
@@ -602,29 +579,25 @@ class MergeCoordinator:
         if snap.t - cset.last_repair_t < REPAIR_COOLDOWN:
             return
         n = len(cset.ids)
-        cross = cross_lane(cset.lanes)
+        cross = cross_lane(cset.problem.lanes)
+        floors = cset.problem.floors
 
-        def breaches(states: np.ndarray, floors: np.ndarray) -> bool:
+        def breaches(states: np.ndarray, share: float) -> bool:
             gaps = (states[..., :n - 1] - states[..., 1:n]) - self.scoring.vehicle_length
-            active = active_pairs(
-                states[..., :n], cross,
-                self.scoring.merge_entry, self.scoring.activation_margin,
-            )
-            return bool(np.any(active & (gaps < floors)))
+            active = active_pairs(states[..., :n], cross, -self.scoring.activation_margin)
+            return bool(np.any(active & (gaps < share * floors)))
 
         # quick screen: comfortably formed strings skip the rollout
-        if not breaches(x, 1.5 * cset.floors):
+        if not breaches(x, 1.5):
             return
         forecast = rollout(cset.model, cset.law, x, self.scoring.limits).x[1:]
-        if breaches(forecast, REPAIR_GAP_FRACTION * cset.floors):
+        if breaches(forecast, REPAIR_GAP_FRACTION):
             self._repair_set(cset, x, snap)
 
     def _repair_set(
         self, cset: ControlSet, x: np.ndarray, snap: WorldSnapshot
     ) -> None:
-        result = self.scoring.solve(
-            cset.model, cset.weights, cset.r_vec, x, cset.floors, cset.lanes,
-        )
+        [result] = self.scoring.solve_batch(cset.model, [replace(cset.problem, x0=x)])
         cset.repair = result.solution
         cset.repair_k = 0
         cset.last_repair_t = snap.t

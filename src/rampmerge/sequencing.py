@@ -22,9 +22,7 @@ from .statespace import LtiModel, build_model
 from .tracking import (
     RepairResult,
     StringProblem,
-    TrackerWeights,
     build_reference,
-    solve_with_repair,
     solve_with_repair_batch,
     weights_for,
 )
@@ -100,9 +98,12 @@ def enumerate_sequences(
 class ScoringContext(Checked):
     """Everything a string plan needs, bundled once per decision.
 
-    The methods below are the one place that turns these fields into a
-    string's tracker weights, reference and repaired plan, for
-    candidate scoring and for the coordinator alike.
+    :meth:`problem` is the one place that turns these fields into a
+    string's tracker weights and reference, and :meth:`solve_batch` the
+    one place that plans strings with horizon repair, for candidate
+    scoring and for the coordinator's releases and re-plans alike.  The
+    merge point is the origin of the axis: a cross-lane pair's gap floor
+    applies from ``activation_margin`` upstream of it.
     """
 
     dt: float = 0.1
@@ -120,14 +121,15 @@ class ScoringContext(Checked):
     terminal_factor: float = param("plain", 10.0)
     desired_speed: float = param("speed", 32.99, "> 0")
     desired_time_headway: float = param("time", 1.2)
-    merge_entry: float = param("length", 0.0)
     activation_margin: float = param("length", 50.0)
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     cap: int = param("plain", 252, ">= 1")
 
-    def weights(self, lanes: tuple[Lane, ...]) -> TrackerWeights:
-        """Tracker weights of a string with these lanes."""
-        return weights_for(
+    def problem(
+        self, lanes: tuple[Lane, ...], floors: np.ndarray, x0: np.ndarray
+    ) -> StringProblem:
+        """The string with these lanes, gap floors and start state."""
+        weights = weights_for(
             lanes,
             gap_weight_mainline=self.gap_weight_mainline,
             gap_weight_ramp=self.gap_weight_ramp,
@@ -136,40 +138,20 @@ class ScoringContext(Checked):
             control_weight=self.control_weight,
             terminal_factor=self.terminal_factor,
         )
-
-    def reference(self, floors: np.ndarray) -> np.ndarray:
-        """Constant reference vector of a string with these gap floors."""
-        return build_reference(
+        r_vec = build_reference(
             floors, self.desired_speed, self.desired_time_headway, self.vehicle_length
         )
-
-    def solve(
-        self,
-        model: LtiModel,
-        weights: TrackerWeights,
-        r_vec: np.ndarray,
-        x0: np.ndarray,
-        floors: np.ndarray,
-        lanes: tuple[Lane, ...],
-    ) -> RepairResult:
-        """Plan the string from ``x0`` with horizon repair."""
-        return solve_with_repair(
-            model, weights, r_vec, x0, self.limits, floors, lanes, self.vehicle_length,
-            horizon=self.horizon, merge_entry=self.merge_entry,
-            activation_margin=self.activation_margin, growth=self.horizon_growth,
-            max_horizon=self.max_horizon,
-        )
+        return StringProblem(weights, r_vec, x0, floors, lanes)
 
     def solve_batch(
         self, model: LtiModel, problems: list[StringProblem]
     ) -> list[RepairResult]:
-        """Plan many strings of one model at once; each result is what
-        :meth:`solve` gives that string alone."""
+        """Plan strings of one model with horizon repair; each result is
+        what that string gets alone."""
         return solve_with_repair_batch(
             model, problems, self.limits, self.vehicle_length,
-            horizon=self.horizon, merge_entry=self.merge_entry,
-            activation_margin=self.activation_margin, growth=self.horizon_growth,
-            max_horizon=self.max_horizon,
+            horizon=self.horizon, activation_line=-self.activation_margin,
+            growth=self.horizon_growth, max_horizon=self.max_horizon,
         )
 
 
@@ -180,6 +162,7 @@ class SequenceScore:
     feasible: bool
     horizon: int
     result: RepairResult
+    problem: StringProblem
 
 
 def pair_gap_floors(
@@ -210,18 +193,20 @@ def score_sequences(
     integrate each one's predicted fuel."""
     n = len(sequences[0])
     model = build_model(n, ctx.dt)
-    problems = []
-    for sequence in sequences:
-        x0 = np.concatenate([
-            [states[v].position for v in sequence.ids],
-            [states[v].speed for v in sequence.ids],
-        ])
-        floors = pair_gap_floors(sequence, states, ctx.limits)
-        problems.append(StringProblem(
-            ctx.weights(sequence.lanes), ctx.reference(floors), x0, floors, sequence.lanes,
-        ))
+    problems = [
+        ctx.problem(
+            sequence.lanes,
+            pair_gap_floors(sequence, states, ctx.limits),
+            np.concatenate([
+                [states[v].position for v in sequence.ids],
+                [states[v].speed for v in sequence.ids],
+            ]),
+        )
+        for sequence in sequences
+    ]
     scores = []
-    for sequence, result in zip(sequences, ctx.solve_batch(model, problems)):
+    results = ctx.solve_batch(model, problems)
+    for sequence, problem, result in zip(sequences, problems, results):
         speeds = np.maximum(result.trajectory.x[:-1, n:], 0.0)
         total = sum(
             trajectory_fuel(speeds[:, i], result.trajectory.u[:, i], ctx.dt, ctx.fuel)
@@ -233,6 +218,7 @@ def score_sequences(
             feasible=not result.degraded,
             horizon=result.horizon,
             result=result,
+            problem=problem,
         ))
     return scores
 

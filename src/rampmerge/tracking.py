@@ -25,9 +25,12 @@ time-to-go; each solve reads its gains from the table and recurses only
 V_k.  A batch's problems share one model (one string size and step) and
 are solved, rolled out and repaired as stacks; a stacked ``matmul`` or
 ``solve`` makes one BLAS/LAPACK call per problem, so each batched result
-is bitwise the one-problem result.  Receding-horizon use relies on the
-backward recursion converging to constant gains, computed here by
-fixed-point iteration.
+is bitwise the one-problem result.
+
+Receding-horizon use flies the recursion's limit: the gains by
+fixed-point iteration (:func:`converged_gains`) and, for a constant
+reference, the costate as one linear solve on the tracked outputs
+(:func:`steady_state_feedforward`).
 """
 from __future__ import annotations
 
@@ -221,13 +224,6 @@ RICCATI_CACHE_BYTES = 128 * 2**20
 _riccati_tables: OrderedDict[tuple, RiccatiTable] = OrderedDict()
 
 
-def _table_key(model: LtiModel, weights: TrackerWeights) -> tuple:
-    return tuple(
-        m.tobytes()
-        for m in (model.A, model.B, model.C, weights.Q, weights.R, weights.Q_N)
-    )
-
-
 def _riccati_tables_for(
     model: LtiModel, weights: list[TrackerWeights], N: int
 ) -> list[RiccatiTable]:
@@ -236,9 +232,10 @@ def _riccati_tables_for(
     The caller must hold the returned tables while it reads them: once the
     cache is over its byte budget it may drop any of them.
     """
+    model_key = tuple(m.tobytes() for m in (model.A, model.B, model.C))
     tables = []
     for w in weights:
-        key = _table_key(model, w)
+        key = model_key + tuple(m.tobytes() for m in (w.Q, w.R, w.Q_N))
         table = _riccati_tables.get(key)
         if table is None:
             table = _riccati_tables[key] = RiccatiTable(model, w)
@@ -382,18 +379,15 @@ def cross_lane(lanes: tuple[Lane, ...]) -> np.ndarray:
 
 
 def active_pairs(
-    positions: np.ndarray,
-    cross: np.ndarray,
-    merge_entry: float,
-    activation_margin: float,
+    positions: np.ndarray, cross: np.ndarray, activation_line: float
 ) -> np.ndarray:
     """Which pairs' gap floors apply, for positions of shape ``(..., n)``.
 
     Returns a ``(..., n-1)`` mask: a same-lane pair always applies, a
     cross-lane pair (``cross``, see :func:`cross_lane`) once its follower
-    is at or past ``merge_entry - activation_margin``.
+    is at or past ``activation_line``.
     """
-    return ~cross | (positions[..., 1:] >= merge_entry - activation_margin)
+    return ~cross | (positions[..., 1:] >= activation_line)
 
 
 def check_constraints(
@@ -402,8 +396,7 @@ def check_constraints(
     cross: np.ndarray,
     vehicle_length: float,
     dt: float,
-    merge_entry: float = 0.0,
-    activation_margin: float = 50.0,
+    activation_line: float = -50.0,
     settle_time: float = 1.0,
 ) -> np.ndarray:
     """Which rolled-out strings end short of a gap floor.
@@ -435,7 +428,7 @@ def check_constraints(
         )
     gap_tol = 1e-3
     hold = max(1, int(round(settle_time / dt)))
-    active = active_pairs(positions, cross[:, None], merge_entry, activation_margin)
+    active = active_pairs(positions, cross[:, None], activation_line)
     # active steps from each step to the end: the last ``hold`` have 1..hold
     to_go = np.cumsum(active[:, ::-1], axis=1)[:, ::-1]
     gaps = positions[..., :-1] - positions[..., 1:] - vehicle_length
@@ -485,8 +478,7 @@ def solve_with_repair_batch(
     limits: ControlLimits,
     vehicle_length: float,
     horizon: int = 300,
-    merge_entry: float = 0.0,
-    activation_margin: float = 50.0,
+    activation_line: float = -50.0,
     growth: float = 1.5,
     max_horizon: int = 1200,
 ) -> list[RepairResult]:
@@ -526,7 +518,7 @@ def solve_with_repair_batch(
             short = check_constraints(
                 traj.x[..., :model.n], np.stack([p.floors for p in batch]),
                 np.stack([cross_lane(p.lanes) for p in batch]), vehicle_length,
-                model.dt, merge_entry=merge_entry, activation_margin=activation_margin,
+                model.dt, activation_line=activation_line,
             )
             for g, i in enumerate(chunk):
                 if short[g] and N < max_horizon:
@@ -551,8 +543,7 @@ def solve_with_repair(
     lanes: tuple[Lane, ...],
     vehicle_length: float,
     horizon: int = 300,
-    merge_entry: float = 0.0,
-    activation_margin: float = 50.0,
+    activation_line: float = -50.0,
     growth: float = 1.5,
     max_horizon: int = 1200,
 ) -> RepairResult:
@@ -560,8 +551,7 @@ def solve_with_repair(
     problem = StringProblem(weights, r_vec, x0, floors, lanes)
     return solve_with_repair_batch(
         model, [problem], limits, vehicle_length, horizon=horizon,
-        merge_entry=merge_entry, activation_margin=activation_margin,
-        growth=growth, max_horizon=max_horizon,
+        activation_line=activation_line, growth=growth, max_horizon=max_horizon,
     )[0]
 
 
@@ -602,30 +592,20 @@ def steady_state_feedforward(
 ) -> np.ndarray:
     """Converged costate for a constant reference under converged gains.
 
-    Unique fixed point of ``V = (A - B K)' V + C' Q r``, obtained by a
-    direct linear solve; the backward recursion converges to the same
-    vector but geometrically slowly when the closed loop is lightly
-    damped, so iterating is not an option here.
+    The limit of ``V = (A - B K)' V + C' Q r`` from ``V_N = C' Q_N r``.
+    The gains see only the outputs (``K = K_y C``) and the outputs evolve
+    on their own (``C A = A_y C``, ``C B = B_y``), so
+    ``(A - B K)' C' = C' (A_y - B_y K_y)'`` and the recursion never leaves
+    the range of ``C'``.  With ``V = C' w`` the fixed point reads
+    ``(C' - (A - B K)' C') w = C' Q r``; ``C'`` has full column rank and
+    the output loop ``A_y - B_y K_y`` is stable, so ``w`` is unique and a
+    least-squares solve returns it.  A uniform translation ``e`` of the
+    string is a neutral closed-loop mode, but ``C e = 0``, so ``e' V = 0``
+    and the limit carries no translation component.  Iterating is not an
+    option: the recursion converges geometrically slowly when the closed
+    loop is lightly damped.
     """
-    r_vec = np.asarray(r_vec, dtype=float)
-    M = (model.A - model.B @ K).T
-    forcing = model.C.T @ (weights.Q @ r_vec)
-    lhs = np.eye(M.shape[0]) - M
-    U, sig, Vt = np.linalg.svd(lhs)
-    cut = 1e-12 * (sig[0] if sig.size else 1.0)
-    null = sig <= cut
-    if not np.any(null):
-        return np.linalg.solve(lhs, forcing)
-    # an unanchored string keeps neutral closed-loop modes (uniform
-    # translations).  Their costate component never moves during the
-    # backward recursion, so the recursion's limit carries it straight
-    # from the terminal condition; reproduce that split here.
-    W = Vt[null].T   # right null vectors of lhs: M w = w
-    Y = U[:, null]   # left null vectors: M' y = y
-    if np.max(np.abs(Y.T @ forcing)) > 1e-9 * (1.0 + np.max(np.abs(forcing))):
-        raise RuntimeError("reference excites a neutral closed-loop mode")
-    inv_sig = np.where(null, 0.0, 1.0 / np.where(null, 1.0, sig))
-    V_part = (Vt.T * inv_sig) @ (U.T @ forcing)
-    V_term = model.C.T @ (weights.Q_N @ r_vec)
-    coeff = np.linalg.solve(Y.T @ W, Y.T @ (V_term - V_part))
-    return V_part + W @ coeff
+    Ct = model.C.T
+    lhs = Ct - (model.A - model.B @ K).T @ Ct
+    forcing = Ct @ (weights.Q @ np.asarray(r_vec, dtype=float))
+    return Ct @ np.linalg.lstsq(lhs, forcing, rcond=None)[0]

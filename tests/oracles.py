@@ -116,13 +116,13 @@ def fuel_by_loop(speeds, accels, dt, coeffs) -> float:
 
 
 def settled_by_loop(positions, floors, lanes, vehicle_length, dt,
-                    merge_entry=0.0, activation_margin=50.0, settle_time=1.0):
+                    activation_line=-50.0, settle_time=1.0):
     """Whether every pair of one string holds its floor once it settles.
 
     The per-pair loop the tracker ran before the check was stacked: a
     pair is checked at the steps where it applies (a same-lane pair
     always, a cross-lane pair once its follower is at or past
-    ``merge_entry - activation_margin``), and only the last
+    ``activation_line``), and only the last
     ``settle_time`` of those steps must keep the net gap within a
     millimeter of the floor.  ``positions`` has shape ``(N+1, n)``.
     """
@@ -132,7 +132,7 @@ def settled_by_loop(positions, floors, lanes, vehicle_length, dt,
         steps = [
             k for k in range(positions.shape[0])
             if lanes[i] == lanes[i + 1]
-            or positions[k, i + 1] >= merge_entry - activation_margin
+            or positions[k, i + 1] >= activation_line
         ]
         if any(gaps[k] < floor - 1e-3 for k in steps[-hold:]):
             return False
@@ -153,13 +153,13 @@ def score_by_loop(sequence, states, ctx):
 
     n = len(sequence)
     model = build_model(n, ctx.dt)
-    weights = ctx.weights(sequence.lanes)
     x0 = np.concatenate([
         [states[v].position for v in sequence.ids],
         [states[v].speed for v in sequence.ids],
     ])
     floors = pair_gap_floors(sequence, states, ctx.limits)
-    r_vec = ctx.reference(floors)
+    problem = ctx.problem(sequence.lanes, floors, x0)
+    weights, r_vec = problem.weights, problem.r_vec
     limits, dt = ctx.limits, ctx.dt
     N = min(ctx.horizon, ctx.max_horizon)
     while True:
@@ -177,7 +177,7 @@ def score_by_loop(sequence, states, ctx):
             x[k + 1, n:] = v_next
         ok = settled_by_loop(
             x[:, :n], floors, sequence.lanes, ctx.vehicle_length, dt,
-            merge_entry=ctx.merge_entry, activation_margin=ctx.activation_margin,
+            activation_line=-ctx.activation_margin,
         )
         if ok or N >= ctx.max_horizon:
             break

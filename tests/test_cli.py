@@ -63,7 +63,7 @@ ACCEPTED_KEYS = {
     "scoring": {"horizon", "horizon_growth", "max_horizon", "gap_weight_mainline",
                 "gap_weight_ramp", "speed_weight_mainline", "speed_weight_ramp",
                 "control_weight", "terminal_factor", "desired_speed",
-                "desired_time_headway", "merge_entry", "activation_margin", "cap"},
+                "desired_time_headway", "activation_margin", "cap"},
     "fuel": {"b0", "b1", "b2", "b3", "c0", "c1", "c2"},
     "demand": {"duration", "mainline", "ramp", "suggested"},
 }
@@ -500,6 +500,12 @@ class TestCommands:
         code = main(["validate", "--config", str(bad)])
         assert code == EXIT_CONFIG
         assert "scoring.horizon_growth: must be > 1" in capsys.readouterr().err
+
+    def test_merge_entry_is_no_longer_a_setting(self, tmp_path, capsys):
+        # the merge point is the origin of the merge axis
+        bad = write_config(tmp_path, "scoring: {merge_entry: 0.0}\n" + MINIMAL)
+        assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
+        assert "scoring.merge_entry: unknown field" in capsys.readouterr().err
 
     def test_validate_prints_resolved_set(self, capsys):
         code = main(["validate", "--config", CONFIG_DIR + "/smoke.yaml"])

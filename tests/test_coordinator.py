@@ -317,10 +317,30 @@ class TestDecisionCycle:
         assert coord.sets[0].ids == (1,)
         assert 1 in cmds
 
+    def test_release_flies_the_suffix_of_the_problem(self):
+        coord = make_coordinator()
+        coord.step(self.trigger_snapshot())
+        [cset] = coord.sets
+        ids, problem = cset.ids, cset.problem
+        # the front member past the merge zone end, the others short of it
+        lanes = dict(zip(ids, problem.lanes))
+        snap = make_snapshot(30.0, [
+            (ids[0], Lane.MAINLINE, 260.0, 33.0, 15.0),
+            (ids[1], lanes[ids[1]], -100.0, 30.0, 15.0),
+            (ids[2], lanes[ids[2]], -160.0, 30.0, 15.0),
+        ])
+        coord.step(snap)
+        assert cset.ids == ids[1:]
+        assert cset.problem.lanes == problem.lanes[1:]
+        assert np.array_equal(cset.problem.floors, problem.floors[1:])
+        assert np.array_equal(cset.problem.x0, coord._assemble_state(cset, snap))
+        assert cset.model.n == 2 and cset.law.K.shape[1:] == (2, 4)
+
     def test_release_and_completion(self):
         coord = make_coordinator()
         coord.step(self.trigger_snapshot())
         [cset] = coord.sets
+        problem = cset.problem
         # everyone well past the merge zone end
         snap = make_snapshot(
             60.0,
@@ -332,6 +352,8 @@ class TestDecisionCycle:
         )
         cmds = coord.step(snap)
         assert cset.ids == (3,)
+        assert cset.problem.lanes == problem.lanes[2:]
+        assert np.array_equal(cset.problem.floors, problem.floors[2:])
         assert coord.sets == [cset]
         assert set(cmds) == {3}
         assert coord.active_member_ids == {3}
@@ -410,7 +432,7 @@ class TestLeaderRegulation:
 
 
 class TestPredictionRepair:
-    def test_imminent_breach_triggers_replan(self):
+    def test_imminent_breach_triggers_replan(self, monkeypatch):
         coord = make_coordinator()
         snap = make_snapshot(
             0.0,
@@ -433,9 +455,23 @@ class TestPredictionRepair:
                 (follow_id, lanes[follow_id], -28.0, 19.0, 15.0),
             ],
         )
+        solved = []
+        solve_batch = coord.scoring.solve_batch
+
+        def spy(model, problems):
+            solved.append((model, problems))
+            return solve_batch(model, problems)
+
+        monkeypatch.setattr(coord.scoring, "solve_batch", spy)
         cmds = coord.step(tight)
         assert cset.repair is not None
         assert any("re-planned" in e for e in coord.events)
+        # the re-plan solves the set's own problem from the current state
+        [(model, [replanned])] = solved
+        assert model is cset.model
+        assert np.array_equal(replanned.x0, coord._assemble_state(cset, tight))
+        for name in ("weights", "r_vec", "floors", "lanes"):
+            assert getattr(replanned, name) is getattr(cset.problem, name)
         for u in cmds.values():
             assert LIMITS.acc_min - 1e-12 <= u <= LIMITS.acc_max + 1e-12
 
@@ -456,9 +492,9 @@ class TestStringLaw:
             x = coord._assemble_state(cset, snap)
         else:
             # formed on its reference, just off the desired speed
-            gaps = cset.r_vec[:n - 1]
+            gaps = cset.problem.r_vec[:n - 1]
             positions = -100.0 - np.concatenate([[0.0], np.cumsum(gaps)])
-            x = np.concatenate([positions, cset.r_vec[n - 1:] - 0.5])
+            x = np.concatenate([positions, cset.problem.r_vec[n - 1:] - 0.5])
         forecast = rollout(cset.model, law, x, LIMITS)
         want = lookahead_by_loop(
             law.K[0], law.Ky[0], law.V[0], x, cset.model.dt, LIMITS, LOOKAHEAD_STEPS

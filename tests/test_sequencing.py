@@ -190,6 +190,7 @@ class TestBatchedScoring:
         assert len(scores) == len(expected) == 20
         for seq, score, (fuel, feasible, horizon, x, u) in zip(seqs, scores, expected):
             assert score.sequence == seq
+            assert score.problem.lanes == seq.lanes
             assert (score.total_fuel, score.feasible, score.horizon) == (
                 fuel, feasible, horizon), seq.ids
             assert np.array_equal(score.result.trajectory.x, x), seq.ids
@@ -217,8 +218,8 @@ class TestBatchedScoring:
         model = build_model(6, self.CTX.dt)
         r = np.full(11, 30.0)
         for seq, N in zip(seqs[:12], (40, 150, 90) * 4):
-            solve_finite_horizon(model, self.CTX.weights(seq.lanes),
-                                 np.tile(r, (N + 1, 1)))
+            weights = self.CTX.problem(seq.lanes, np.zeros(5), np.zeros(12)).weights
+            solve_finite_horizon(model, weights, np.tile(r, (N + 1, 1)))
         sizes = {t.size for t in tracking._riccati_tables.values()}
         assert sizes == {40, 90, 150}
         self.assert_exact(expected)

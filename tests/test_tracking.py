@@ -1,3 +1,4 @@
+import itertools
 from collections import OrderedDict
 
 import numpy as np
@@ -280,13 +281,26 @@ class TestConvergedGains:
         with pytest.raises(RuntimeError):
             converged_gains(self.model, self.weights, max_iter=3)
 
-    def test_steady_feedforward_fixed_point(self):
-        K, _ = converged_gains(self.model, self.weights)
-        r_vec = np.array([40.0, 36.0, 30.0, 30.0, 30.0])
-        V = steady_state_feedforward(self.model, self.weights, K, r_vec)
-        Acl = self.model.A - self.model.B @ K
-        residual = Acl.T @ V + self.model.C.T @ (self.weights.Q @ r_vec) - V
+    @pytest.mark.parametrize("control_weight", [1.0, 100.0])
+    @pytest.mark.parametrize("lanes", [
+        lanes for n in range(1, 8)
+        for lanes in itertools.product((Lane.MAINLINE, Lane.RAMP), repeat=n)
+    ], ids=lambda lanes: "".join(str(lane.code) for lane in lanes))
+    def test_steady_feedforward_fixed_point(self, lanes, control_weight):
+        n = len(lanes)
+        model = build_model(n, 0.1)
+        weights = weights_for(lanes, control_weight=control_weight)
+        K, _ = converged_gains(model, weights)
+        rng = np.random.default_rng(n)
+        r_vec = build_reference(rng.uniform(2.0, 40.0, n - 1), rng.uniform(10.0, 33.0), 1.2, 5.0)
+        V = steady_state_feedforward(model, weights, K, r_vec)
+        Acl = model.A - model.B @ K
+        residual = Acl.T @ V + model.C.T @ (weights.Q @ r_vec) - V
         assert np.max(np.abs(residual)) < 1e-8
+        # a uniform translation of the string is a neutral mode the
+        # outputs never see, so the costate carries none of it
+        translation = np.concatenate([np.ones(n), np.zeros(n)])
+        assert abs(translation @ V) <= 1e-12 * np.max(np.abs(V))
 
     def test_receding_horizon_loop_tracks_constant_reference(self):
         K, Ky = converged_gains(self.model, self.weights)
@@ -330,7 +344,7 @@ class TestRollout:
 
 
 def _gap_trajectory(gaps, floor, cross_lane=False, follower_positions=None,
-                    merge_entry=0.0, activation_margin=50.0):
+                    activation_line=-50.0):
     """Whether a hand-built 2-vehicle string with this net-gap profile ends
     short of its floor."""
     steps = len(gaps)
@@ -343,7 +357,7 @@ def _gap_trajectory(gaps, floor, cross_lane=False, follower_positions=None,
         positions[0, :, 0] = positions[0, :, 1] + 5.0 + np.asarray(gaps, dtype=float)
     short = check_constraints(
         positions, np.array([[floor]]), np.array([[cross_lane]]), 5.0, 0.1,
-        merge_entry=merge_entry, activation_margin=activation_margin,
+        activation_line=activation_line,
     )
     assert short.shape == (1,)
     return bool(short[0])
@@ -353,15 +367,15 @@ class TestActivePairs:
     def test_same_lane_always_cross_lane_from_the_margin(self):
         cross = cross_lane((Lane.MAINLINE, Lane.MAINLINE, Lane.RAMP))
         assert cross.tolist() == [False, True]
-        edge = 10.0 - 60.0  # merge_entry - activation_margin
+        edge = -50.0
         positions = np.array([
             [0.0, -900.0, -900.0],
             [0.0, -900.0, edge],
             [0.0, -900.0, np.nextafter(edge, -np.inf)],
         ])
-        got = active_pairs(positions, cross, merge_entry=10.0, activation_margin=60.0)
+        got = active_pairs(positions, cross, activation_line=edge)
         assert got.tolist() == [[True, False], [True, True], [True, False]]
-        assert active_pairs(positions[1], cross, 10.0, 60.0).tolist() == [True, True]
+        assert active_pairs(positions[1], cross, edge).tolist() == [True, True]
 
 
 class TestConstraintChecks:
@@ -405,14 +419,13 @@ class TestConstraintChecks:
         """Random strings against the per-pair loop, checked as stacks.
 
         Positions wander back and forth, cross-lane followers sit exactly
-        on ``merge_entry - activation_margin`` or hop across it (so the
+        on the activation line or hop across it (so the
         active steps need not be contiguous), some gaps sit within or just
         past the millimeter of slack, and the settle window is often
         longer than the plan.
         """
         rng = np.random.default_rng(7)
-        merge_entry, margin = 10.0, 60.0
-        edge = merge_entry - margin
+        edge = -50.0
         checked = short_seen = 0
         for _ in range(300):
             n = int(rng.integers(2, 6))
@@ -438,13 +451,11 @@ class TestConstraintChecks:
             positions[:, ::2, i] = edge
             cross = np.stack([cross_lane(ln) for ln in lanes])
             short = check_constraints(
-                positions, floors, cross, 5.0, dt,
-                merge_entry=merge_entry, activation_margin=margin,
+                positions, floors, cross, 5.0, dt, activation_line=edge,
             )
             for g in range(G):
                 settled = settled_by_loop(
-                    positions[g], floors[g], lanes[g], 5.0, dt,
-                    merge_entry=merge_entry, activation_margin=margin,
+                    positions[g], floors[g], lanes[g], 5.0, dt, activation_line=edge,
                 )
                 assert short[g] == (not settled), (g, positions[g], floors[g], lanes[g])
                 checked += 1
