@@ -539,14 +539,8 @@ def _cmd_sweep(args) -> int:
     out_dir = _out_dir(args)
     jobs = [(args.config, mode, seed) for mode in modes for seed in seeds]
     results = []
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            for item in pool.map(_sweep_one, jobs):
-                results.append(item)
-                print(f"  done: {item[0]} seed {item[1]}")
-    else:
-        for job in jobs:
-            item = _sweep_one(job)
+    with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+        for item in pool.map(_sweep_one, jobs):
             results.append(item)
             print(f"  done: {item[0]} seed {item[1]}")
 

@@ -6,6 +6,10 @@ jointly controlled merge strings:
 * it watches the ramp for the next *leader* (the first ramp vehicle
   never controlled) and paces that leader so ramp inflow never exceeds
   the suggested rate;
+* it times everything by arrival at a line with one estimate,
+  :func:`travel_time_estimate`: the pending leader's at the trigger
+  line under the ramp IDM, and each cycle member's at the merge toward
+  the desired speed;
 * when the leader crosses the trigger line it opens a *decision cycle*:
   it collects the leader, the ramp vehicles right behind it in the
   buffer zone and a flow-proportional share of mainline traffic, picks
@@ -32,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .idm import IdmParams, idm_accel, predict_eta, regulate_leader
+from .idm import IdmParams, idm_accel
 from .sequencing import ScoringContext, count_sequences, optimal_sequence
 from .statespace import LtiModel, build_model
 from .tracking import (
@@ -53,8 +57,6 @@ HARD_BRAKE = -6.0
 K_P = 0.5
 #: distance upstream of the trigger line (m) where an early leader is held
 GATE_WINDOW = 40.0
-#: age (s) after which the leader's predicted arrival is recomputed
-ETA_REFRESH = 0.5
 #: steps of each string's short-range forecast
 LOOKAHEAD_STEPS = 30
 #: interval (s) between forecasts
@@ -241,7 +243,6 @@ class MergeCoordinator:
         #: the pending leader when this step's pacing commands it
         self.regulated_leader: int | None = None
         self._cycle_count = 0
-        self._eta_cache: tuple[int, float, float] | None = None
         self._density_samples: deque[tuple[float, float]] = deque()
         self._last_lookahead = -math.inf
         # converged gains depend only on the string's lane pattern, and
@@ -294,9 +295,10 @@ class MergeCoordinator:
         while self._density_samples and self._density_samples[0][0] < cutoff:
             self._density_samples.popleft()
 
-    def _density_estimate(self, snap: WorldSnapshot) -> float:
-        if not self._density_samples:
-            return snap.q_mainline / max(self.scoring.desired_speed, 1.0)
+    def _density_estimate(self) -> float:
+        """Mean of the samples in the window; ``step`` observes the
+        current sample before any cycle reads this, so it is never
+        empty there."""
         return float(np.mean([d for _, d in self._density_samples]))
 
     # -- leader tracking and the admission gate ------------------------
@@ -309,6 +311,12 @@ class MergeCoordinator:
         and a hard hold just upstream of the trigger line that a leader
         cannot pass before its release time.  The hold is what guarantees
         consecutive cycles stay separated by the proper arrival time.
+
+        The pacing is one-sided: a leader whose unpaced arrival, driving
+        by the ramp IDM, is on time or late keeps its IDM acceleration.
+        An early one gets proportional feedback on the speed that would
+        arrive exactly on schedule, clipped to the actuation limits and
+        never above what IDM toward the vehicle ahead allows.
         """
         self.regulated_leader = None
         order = snap.ordered(Lane.RAMP)
@@ -323,19 +331,20 @@ class MergeCoordinator:
         leader = int(snap.ids[idx])
         v = float(snap.speeds[idx])
 
-        # IDM fallback toward the actual ramp predecessor
-        pred_idx = int(order[k - 1]) if k > 0 else -1
+        # IDM toward the actual ramp predecessor
         gap, dv = math.inf, 0.0
-        if pred_idx >= 0:
+        if k > 0:
+            pred_idx = int(order[k - 1])
             gap = float(snap.positions[pred_idx] - pos) - self.scoring.vehicle_length
             dv = v - float(snap.speeds[pred_idx])
-        idm_now = idm_accel(v, max(gap, 0.1), dv, self.ramp_idm)
-        eta = self._leader_eta(snap, leader, idx, pred_idx, remaining)
-        state = snap.state_of(idx)
-        command, regulating = regulate_leader(
-            state, idm_now, distance, remaining, eta,
-            k_p=K_P, limits=self.scoring.limits,
-        )
+        command = idm_accel(v, max(gap, 0.1), dv, self.ramp_idm)
+        eta = travel_time_estimate(distance, v, self.ramp_idm.a, self.ramp_idm.v0)
+        regulating = eta < remaining
+        if regulating:
+            limits = self.scoring.limits
+            paced = K_P * (distance / remaining - v)
+            paced = min(max(paced, limits.acc_min), limits.acc_max)
+            command = min(paced, command)
         # hard hold: do not let an early leader reach the line
         if distance <= GATE_WINDOW:
             stop_dist = max(distance - 0.5, 0.3)
@@ -347,35 +356,6 @@ class MergeCoordinator:
             return {}
         self.regulated_leader = leader
         return {leader: float(command)}
-
-    def _leader_eta(
-        self,
-        snap: WorldSnapshot,
-        leader: int,
-        idx: int,
-        pred_idx: int,
-        remaining: float,
-    ) -> float:
-        """Predicted unregulated arrival at the trigger, cached briefly."""
-        if self._eta_cache is not None:
-            cached_id, cached_t, cached_eta = self._eta_cache
-            if cached_id == leader and snap.t - cached_t < ETA_REFRESH:
-                return max(cached_eta - (snap.t - cached_t), 0.0)
-        state = snap.state_of(idx)
-        track = None
-        if pred_idx >= 0:
-            track = (float(snap.positions[pred_idx]), float(snap.speeds[pred_idx]))
-        eta = predict_eta(
-            state,
-            self.geometry.trigger_point,
-            self.ramp_idm,
-            dt=self.scoring.dt,
-            predecessor=track,
-            vehicle_length=self.scoring.vehicle_length,
-            max_time=min(remaining + 1.0, 300.0),
-        )
-        self._eta_cache = (leader, snap.t, eta)
-        return eta
 
     # -- decision cycle ------------------------------------------------
 
@@ -410,12 +390,13 @@ class MergeCoordinator:
     ) -> list[int]:
         """Mainline vehicles that will share the merge with this group.
 
-        Selection is by predicted arrival time at each vehicle's own
-        speed: anything reaching the merge between just before the ramp
-        leader and one buffer span after the ramp tail gets planned.
-        Time alignment matters because a slowed mainline vehicle that a
-        pure distance window would skip does not clear the merge before
-        the group arrives.
+        Selection is by arrival time at the merge, estimated for every
+        vehicle, ramp or mainline, as the plan will drive it: from its
+        speed toward ``desired_speed`` at ``acc_max``.  Anything reaching
+        the merge between just before the ramp leader and one buffer
+        span after the ramp tail gets planned.  Time alignment matters
+        because a slowed mainline vehicle that a pure distance window
+        would skip does not clear the merge before the group arrives.
         """
         v_des = self.scoring.desired_speed
         zone = self.geometry.mainline_control_zone_len
@@ -435,7 +416,7 @@ class MergeCoordinator:
             snap.q_mainline,
             snap.q_suggested,
             len(ramp_members),
-            self._density_estimate(snap),
+            self._density_estimate(),
             upper=zone,
         )
         lo = max(leader_eta - PARTNER_MARGIN, 0.0)
@@ -448,13 +429,11 @@ class MergeCoordinator:
                 continue
             if pos < -zone:
                 break
-            # constant-speed estimate: pessimistic for vehicles still
-            # recovering speed, which keeps them inside the window
-            eta = -pos / min(max(float(snap.speeds[idx]), 3.0), v_des)
             if vid in self.ever_controlled:
                 if out:
                     break  # never span an active string
                 continue
+            eta = group_eta(vid)
             if eta < lo:
                 continue
             if eta > hi:

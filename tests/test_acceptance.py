@@ -59,12 +59,13 @@ def _min_logged_net_gap(log) -> float:
 
 
 class MatrixRun:
-    def __init__(self, metrics, wall, min_gap, crossings, export_sha):
+    def __init__(self, metrics, wall, min_gap, crossings, export_sha, stalls):
         self.metrics = metrics
         self.wall = wall
         self.min_gap = min_gap
         self.crossings = crossings
         self.export_sha = export_sha
+        self.stalls = stalls
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,7 @@ def matrix(tmp_path_factory):
                     min_gap=_min_logged_net_gap(result.log),
                     crossings=crossings,
                     export_sha=export_sha,
+                    stalls=result.counters.stalls,
                 )
     return out
 
@@ -333,3 +335,10 @@ def test_criterion_9_deterministic_exports(matrix, tmp_path):
         assert again_sha == reference_sha, scen_name
     print("\nCRITERION 9: PASS — repeated (config, seed) runs export "
           "byte-identical trajectories for both studies")
+
+
+def test_criterion_10_no_stalls(matrix):
+    stalled = {key: run.stalls for key, run in matrix.items() if run.stalls}
+    assert not stalled, stalled
+    print(f"\nCRITERION 10: PASS — no mainline string member stands with "
+          f"its lane clear ahead in any of the {len(matrix)} runs")

@@ -18,7 +18,7 @@ from rampmerge.coordinator import (
     travel_time_estimate,
 )
 from rampmerge.cli import load_config
-from rampmerge.idm import IdmParams
+from rampmerge.idm import IdmParams, idm_accel
 from rampmerge.sequencing import ScoringContext
 from rampmerge.simulation import run_scenario
 from rampmerge.tracking import rollout
@@ -363,6 +363,18 @@ class TestDecisionCycle:
         assert cmds2 == {}
         assert coord.active_member_ids == set()
 
+    def test_slow_mainline_vehicle_ahead_of_the_window_is_not_enrolled(self):
+        # 200 m from the merge at 12 m/s: 16.7 s at constant speed, inside
+        # the window, but 8.7 s accelerating toward the desired speed,
+        # before the ramp leader's 11.0 s less the 2 s margin
+        coord = make_coordinator()
+        coord.step(make_snapshot(0.0, [
+            (1, Lane.RAMP, -299.5, 15.0, 15.0),
+            (2, Lane.MAINLINE, -200.0, 12.0),
+            (3, Lane.MAINLINE, -600.0, 32.99),
+        ]))
+        assert coord.records[0].mainline_ids == (3,)
+
     def test_member_exit_from_network_completes_set(self):
         coord = make_coordinator()
         coord.step(self.trigger_snapshot())
@@ -371,6 +383,48 @@ class TestDecisionCycle:
 
 
 class TestLeaderRegulation:
+    def paced(self, rows, remaining, controlled=()):
+        """One step at t = 50 s with the pending leader due in
+        ``remaining`` s, more than the gate window short of the line."""
+        coord = make_coordinator()
+        coord.ever_controlled.update(controlled)
+        coord.release_time = 50.0 + remaining
+        cmds = coord.step(make_snapshot(50.0, rows))
+        return coord, cmds
+
+    def test_on_schedule_keeps_idm(self):
+        # 120 m at 14 m/s takes 8.0 s under the ramp IDM; due in 7 s
+        coord, cmds = self.paced([(4, Lane.RAMP, -420.0, 14.0, 14.0)], 7.0)
+        assert cmds == {}
+        assert coord.regulated_leader is None
+
+    def test_early_arrival_slows_down(self):
+        # would arrive in 6.7 s, wanted in 20 s: pace toward 5 m/s
+        coord, cmds = self.paced([(4, Lane.RAMP, -400.0, 15.0, 15.0)], 20.0)
+        assert coord.regulated_leader == 4
+        assert cmds[4] == pytest.approx(LIMITS.acc_min)
+
+    def test_gentle_when_nearly_on_pace(self):
+        # would arrive in 7.2 s, wanted in 10 s: pace toward 10 m/s
+        coord, cmds = self.paced([(4, Lane.RAMP, -400.0, 10.5, 10.5)], 10.0)
+        assert coord.regulated_leader == 4
+        assert cmds[4] == pytest.approx(0.5 * (10.0 - 10.5))
+
+    def test_never_overrides_idm_safety_braking(self):
+        # an early leader 32 m behind a controlled vehicle 6 m/s slower
+        coord, cmds = self.paced([
+            (2, Lane.RAMP, -363.0, 9.0, 9.0), (4, Lane.RAMP, -400.0, 15.0, 15.0),
+        ], 20.0, controlled={2})
+        braking = idm_accel(15.0, 32.0, 6.0, RAMP_IDM)
+        assert braking < LIMITS.acc_min
+        assert coord.regulated_leader == 4
+        assert cmds == {4: braking}
+
+    def test_expired_schedule_releases(self):
+        coord, cmds = self.paced([(4, Lane.RAMP, -350.0, 12.0, 12.0)], 0.0)
+        assert cmds == {}
+        assert coord.regulated_leader is None
+
     def test_gate_holds_early_leader_at_line(self):
         coord = make_coordinator()
         coord.release_time = 100.0
@@ -403,8 +457,6 @@ class TestLeaderRegulation:
             if 4 in cmds:
                 a = cmds[4]
             else:
-                from rampmerge.idm import idm_accel
-
                 a = idm_accel(v, math.inf, 0.0, RAMP_IDM)
             v_next = min(max(v + a * dt, 0.0), LIMITS.v_max)
             pos += 0.5 * (v + v_next) * dt
@@ -513,14 +565,8 @@ class TestDensityEstimate:
             coord._observe_density(make_snapshot(t, rows3))
         for t in np.arange(5.0, 10.0, 1.0):
             coord._observe_density(make_snapshot(t, rows5))
-        est = coord._density_estimate(make_snapshot(10.0, rows5))
+        est = coord._density_estimate()
         assert est == pytest.approx((5 * 3 + 5 * 5) / 10.0 / 1000.0)
-
-    def test_cold_start_falls_back_to_flow_over_speed(self):
-        coord = make_coordinator()
-        snap = make_snapshot(0.0, [], q_main=1600 / 3600)
-        est = coord._density_estimate(snap)
-        assert est == pytest.approx((1600 / 3600) / 32.99)
 
     def test_old_samples_age_out(self):
         coord = make_coordinator()
@@ -528,5 +574,5 @@ class TestDensityEstimate:
         coord._observe_density(make_snapshot(0.0, rows))
         for t in np.arange(11.0, 16.0, 1.0):
             coord._observe_density(make_snapshot(t, []))
-        est = coord._density_estimate(make_snapshot(16.0, []))
+        est = coord._density_estimate()
         assert est == 0.0

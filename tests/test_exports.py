@@ -1,11 +1,17 @@
 """Exported trajectories stay bit for bit the same.
 
-Runs ``configs/smoke.yaml`` (120 s, seed 3) in each mode, a 120 s window
+Runs ``configs/smoke.yaml`` (120 s, seed 3) in each mode, a 180 s window
 of ``configs/scenario2.yaml`` (seed 2, coordinated) whose strings get
 re-planned, and the first 300 s of ``configs/scenario1.yaml`` (seed 1,
-no control) where ramp vehicles force their way in, and compares the SHA-256 of each trajectory CSV with the
-digests below, recorded with numpy 2.4.6.  A change that alters
-trajectories on purpose updates these digests and says so in CHANGES.md.
+no control) where ramp vehicles force their way in, and compares the
+SHA-256 of each trajectory CSV with the digests below, recorded with
+numpy 2.4.6.  A change that alters trajectories on purpose updates these
+digests and says so in CHANGES.md.
+
+The re-plan window was 120 s until mainline partners were chosen by the
+same travel-time estimate as ramp members.  Since then no string in the
+120 s windows of seeds 2 to 5 re-plans, and seed 2's 180 s window
+re-plans three times.
 """
 import hashlib
 from dataclasses import replace
@@ -20,7 +26,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMOKE = CONFIGS / "smoke.yaml"
 
 EXPORT_SHA256 = {
-    "optimal": "14c80d7c16f5c5db910bc8f1e36f718e9e8cbfb1cca799bccecbda7294b5ebff",
+    "optimal": "fe60e3dde00f4a6313d92cc2e442295937569631b5a1f74521984c04586f7d98",
     "metering": "7dcc4bdea76326be879b733c77561db41cda675e5e52cb4321bd7dde5d657065",
     "none": "8241c9ab89446c4c579c9ef12ba3b8cf98d35f9a7d25aaa68402a0afa2a2ec1f",
 }
@@ -33,12 +39,12 @@ def test_smoke_export_is_unchanged(tmp_path, mode):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[mode]
 
 
-REPLAN_SHA256 = "16e8ffaac52ce91a1481a996c725d87d86ca1b0658139c6eae18354a7dcfeea7"
+REPLAN_SHA256 = "30acde9d8ee6868d91323035fdbb2aab842f3510adad03b87ecee522d11aca4c"
 
 
 def test_replanning_export_is_unchanged(tmp_path):
     config = load_config(CONFIGS / "scenario2.yaml", mode="optimal", seed=2)
-    scale = 120.0 / config.total_duration
+    scale = 180.0 / config.total_duration
     config.phases = [replace(p, duration=p.duration * scale) for p in config.phases]
     result = run_scenario(config)
     # the case pins the lookahead's repair path only while a string re-plans
