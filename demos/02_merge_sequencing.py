@@ -12,28 +12,25 @@ from rampmerge.sequencing import (
     optimal_sequence,
     score_sequence,
 )
-from rampmerge.vehicles import Lane, VehicleState
+from rampmerge.vehicles import Lane, gap_floors
 
 ctx = ScoringContext(horizon=150, control_weight=2.0, desired_speed=30.0)
 
-states = {
-    1: VehicleState(id=1, lane=Lane.MAINLINE, position=-30.0, speed=31.0,
-                    entry_speed=31.0),
-    2: VehicleState(id=2, lane=Lane.MAINLINE, position=-95.0, speed=30.5,
-                    entry_speed=30.5),
-    7: VehicleState(id=7, lane=Lane.RAMP, position=-60.0, speed=16.0,
-                    entry_speed=16.0),
-    8: VehicleState(id=8, lane=Lane.RAMP, position=-130.0, speed=15.0,
-                    entry_speed=15.0),
-}
 mainline = [1, 2]
 ramp = [7, 8]
+# one row per member, mainline ids then ramp ids: the decision cycle's
+# start state (positions, then speeds) and each member's gap floor from
+# the speed recorded at buffer entry
+positions = np.array([-30.0, -95.0, -60.0, -130.0])
+speeds = np.array([31.0, 30.5, 16.0, 15.0])
+x0 = np.concatenate((positions, speeds))
+floors = gap_floors(speeds, speeds, ctx.limits)
 
 total = count_sequences(len(mainline), len(ramp))
 print(f"{total} admissible interleavings of {len(mainline)} mainline "
       f"and {len(ramp)} ramp vehicles\n")
 
-scores = [score_sequence(s, states, ctx)
+scores = [score_sequence(s, x0, floors, ctx)
           for s in enumerate_sequences(mainline, ramp)]
 for s in sorted(scores, key=lambda s: s.total_fuel):
     order = " ".join(
@@ -42,6 +39,6 @@ for s in sorted(scores, key=lambda s: s.total_fuel):
     flag = "" if s.feasible else "  (degraded)"
     print(f"  {order:20s} {s.total_fuel:8.3f} mL{flag}")
 
-best = optimal_sequence(mainline, ramp, states, ctx)
+best = optimal_sequence(mainline, ramp, x0, floors, ctx)
 print(f"\noptimal_sequence picks {best.sequence.ids} "
       f"at {best.total_fuel:.3f} mL")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +49,7 @@ from .tracking import (
     rollout,
     steady_state_feedforward,
 )
-from .vehicles import Lane, MergeGeometry, VehicleState
+from .vehicles import Lane, MergeGeometry, gap_floors
 
 #: Hard deceleration available to safety interventions (m/s^2).  Comfort
 #: limits bound planned commands; holds and last-resort braking may use this.
@@ -104,15 +105,10 @@ class WorldSnapshot:
         """Indices of the lane's vehicles, downstream first."""
         return self.orders[lane]
 
-    def state_of(self, idx: int) -> VehicleState:
-        entry = self.entry_speeds[idx]
-        return VehicleState(
-            id=int(self.ids[idx]),
-            lane=Lane.from_code(int(self.lanes[idx])),
-            position=float(self.positions[idx]),
-            speed=float(self.speeds[idx]),
-            entry_speed=None if math.isnan(entry) else float(entry),
-        )
+    def state(self, ids: Sequence[int]) -> np.ndarray:
+        """String state of these vehicles: positions, then speeds."""
+        idx = [self._index[vid] for vid in ids]
+        return np.concatenate((self.positions[idx], self.speeds[idx]))
 
 
 def mainline_buffer_length(
@@ -330,6 +326,10 @@ class MergeCoordinator:
             return {}
         leader = int(snap.ids[idx])
         v = float(snap.speeds[idx])
+        eta = travel_time_estimate(distance, v, self.ramp_idm.a, self.ramp_idm.v0)
+        regulating = eta < remaining
+        if not regulating and distance > GATE_WINDOW:
+            return {}
 
         # IDM toward the actual ramp predecessor
         gap, dv = math.inf, 0.0
@@ -338,8 +338,6 @@ class MergeCoordinator:
             gap = float(snap.positions[pred_idx] - pos) - self.scoring.vehicle_length
             dv = v - float(snap.speeds[pred_idx])
         command = idm_accel(v, max(gap, 0.1), dv, self.ramp_idm)
-        eta = travel_time_estimate(distance, v, self.ramp_idm.a, self.ramp_idm.v0)
-        regulating = eta < remaining
         if regulating:
             limits = self.scoring.limits
             paced = K_P * (distance / remaining - v)
@@ -458,9 +456,12 @@ class MergeCoordinator:
                 f"dropped {lane.value} vehicle {dropped}"
             )
 
-        states = {vid: snap.state_of(snap.index_of(vid)) for vid in ramp_ids + main_ids}
-
-        best = optimal_sequence(main_ids, ramp_ids, states, self.scoring)
+        members = main_ids + ramp_ids
+        idx = [snap.index_of(vid) for vid in members]
+        floors = gap_floors(snap.speeds[idx], snap.entry_speeds[idx], self.scoring.limits)
+        best = optimal_sequence(
+            main_ids, ramp_ids, snap.state(members), floors, self.scoring
+        )
         seq = best.sequence
         model, law = self._law_for(best.problem)
         self.sets.append(ControlSet(
@@ -515,7 +516,7 @@ class MergeCoordinator:
                 problem = cset.problem
                 cset.problem = self.scoring.problem(
                     problem.lanes[gone:], problem.floors[gone:],
-                    self._assemble_state(cset, snap),
+                    snap.state(cset.ids),
                 )
                 cset.model, cset.law = self._law_for(cset.problem)
                 cset.repair = None
@@ -525,10 +526,6 @@ class MergeCoordinator:
 
     # -- per-step commands ---------------------------------------------
 
-    def _assemble_state(self, cset: ControlSet, snap: WorldSnapshot) -> np.ndarray:
-        idx = [snap.index_of(vid) for vid in cset.ids]
-        return np.concatenate((snap.positions[idx], snap.speeds[idx]))
-
     def _set_commands(self, snap: WorldSnapshot) -> dict[int, float]:
         commands: dict[int, float] = {}
         limits = self.scoring.limits
@@ -536,7 +533,7 @@ class MergeCoordinator:
         if run_lookahead:
             self._last_lookahead = snap.t
         for cset in self.sets:
-            x = self._assemble_state(cset, snap)
+            x = snap.state(cset.ids)
             if cset.repair is not None and cset.repair_k >= cset.repair.horizon:
                 cset.repair = None
             if cset.repair is None and run_lookahead and len(cset.ids) > 1:

@@ -7,12 +7,16 @@ ramp vehicles there are C(M+N, N) candidates.  Each candidate is scored
 by rolling out the string tracker and integrating predicted fuel over
 the horizon; the minimum-fuel feasible candidate wins.  A decision
 cycle's candidates are solved and rolled out as one batch.
+
+A cycle's inputs are plain arrays over its members, ordered mainline
+ids then ramp ids: ``x0``, their string state (positions, then speeds),
+and ``floors``, each member's minimum net gap as a follower.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .tracking import (
     solve_with_repair_batch,
     weights_for,
 )
-from .vehicles import ControlLimits, Lane, VehicleState, gap_min_for
+from .vehicles import ControlLimits, Lane
 
 
 class SequenceCapError(ValueError):
@@ -35,10 +39,13 @@ class SequenceCapError(ValueError):
 
 @dataclass(frozen=True)
 class MergeSequence:
-    """One candidate merge order, downstream-most vehicle first."""
+    """One candidate merge order, downstream-most vehicle first.
+
+    ``rows`` are the vehicles' rows in the cycle's member arrays."""
 
     ids: tuple[int, ...]
     lanes: tuple[Lane, ...]
+    rows: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -58,17 +65,14 @@ def count_sequences(n_mainline: int, n_ramp: int) -> int:
 
 def _interleavings(
     main: tuple[int, ...], ramp: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], tuple[Lane, ...]]]:
-    if not main:
-        yield ramp, (Lane.RAMP,) * len(ramp)
+) -> Iterator[tuple[int, ...]]:
+    if not main or not ramp:
+        yield main + ramp
         return
-    if not ramp:
-        yield main, (Lane.MAINLINE,) * len(main)
-        return
-    for rest_ids, rest_lanes in _interleavings(main[1:], ramp):
-        yield (main[0],) + rest_ids, (Lane.MAINLINE,) + rest_lanes
-    for rest_ids, rest_lanes in _interleavings(main, ramp[1:]):
-        yield (ramp[0],) + rest_ids, (Lane.RAMP,) + rest_lanes
+    for rest in _interleavings(main[1:], ramp):
+        yield (main[0],) + rest
+    for rest in _interleavings(main, ramp[1:]):
+        yield (ramp[0],) + rest
 
 
 def enumerate_sequences(
@@ -76,7 +80,8 @@ def enumerate_sequences(
     ramp_ids: list[int],
     cap: int = 252,
 ) -> list[MergeSequence]:
-    """All order-preserving interleavings, in a deterministic order.
+    """All order-preserving interleavings, in a deterministic order;
+    rows index ``mainline_ids + ramp_ids``.
 
     Raises ``SequenceCapError`` before enumerating if C(M+N, N) exceeds
     ``cap``; the caller is expected to shrink its membership and retry.
@@ -88,9 +93,15 @@ def enumerate_sequences(
         raise SequenceCapError(
             f"{total} candidate sequences exceed the cap of {cap}"
         )
+    ids = list(mainline_ids) + list(ramp_ids)
+    m = len(mainline_ids)
     return [
-        MergeSequence(ids=ids, lanes=lanes)
-        for ids, lanes in _interleavings(tuple(mainline_ids), tuple(ramp_ids))
+        MergeSequence(
+            ids=tuple(ids[r] for r in rows),
+            lanes=tuple(Lane.MAINLINE if r < m else Lane.RAMP for r in rows),
+            rows=rows,
+        )
+        for rows in _interleavings(tuple(range(m)), tuple(range(m, len(ids))))
     ]
 
 
@@ -165,45 +176,23 @@ class SequenceScore:
     problem: StringProblem
 
 
-def pair_gap_floors(
-    sequence: MergeSequence,
-    states: Mapping[int, VehicleState],
-    limits: ControlLimits,
-) -> np.ndarray:
-    """Per-pair minimum net gaps, taken from each pair's follower.
-
-    Falls back to the follower's current speed when no buffer-entry speed
-    has been recorded yet.
-    """
-    floors = np.empty(len(sequence) - 1)
-    for i, vid in enumerate(sequence.ids[1:]):
-        follower = states[vid]
-        if follower.entry_speed is None:
-            follower = replace(follower, entry_speed=follower.speed)
-        floors[i] = gap_min_for(follower, limits)
-    return floors
-
-
 def score_sequences(
     sequences: list[MergeSequence],
-    states: Mapping[int, VehicleState],
+    x0: np.ndarray,
+    floors: np.ndarray,
     ctx: ScoringContext,
 ) -> list[SequenceScore]:
     """Roll out candidate orders of one string length as one batch and
     integrate each one's predicted fuel."""
     n = len(sequences[0])
+    m = len(floors)
     model = build_model(n, ctx.dt)
-    problems = [
-        ctx.problem(
-            sequence.lanes,
-            pair_gap_floors(sequence, states, ctx.limits),
-            np.concatenate([
-                [states[v].position for v in sequence.ids],
-                [states[v].speed for v in sequence.ids],
-            ]),
-        )
-        for sequence in sequences
-    ]
+    problems = []
+    for sequence in sequences:
+        rows = np.array(sequence.rows)
+        problems.append(ctx.problem(
+            sequence.lanes, floors[rows[1:]], x0[np.concatenate((rows, rows + m))]
+        ))
     scores = []
     results = ctx.solve_batch(model, problems)
     for sequence, problem, result in zip(sequences, problems, results):
@@ -225,11 +214,12 @@ def score_sequences(
 
 def score_sequence(
     sequence: MergeSequence,
-    states: Mapping[int, VehicleState],
+    x0: np.ndarray,
+    floors: np.ndarray,
     ctx: ScoringContext,
 ) -> SequenceScore:
     """Roll out one candidate order and integrate its predicted fuel."""
-    return score_sequences([sequence], states, ctx)[0]
+    return score_sequences([sequence], x0, floors, ctx)[0]
 
 
 def _selection_key(score: SequenceScore) -> tuple:
@@ -239,7 +229,8 @@ def _selection_key(score: SequenceScore) -> tuple:
 def optimal_sequence(
     mainline_ids: list[int],
     ramp_ids: list[int],
-    states: Mapping[int, VehicleState],
+    x0: np.ndarray,
+    floors: np.ndarray,
     ctx: ScoringContext,
 ) -> SequenceScore:
     """Score every admissible interleaving and return the cheapest.
@@ -249,6 +240,6 @@ def optimal_sequence(
     vehicle ids, so the choice is reproducible.
     """
     candidates = enumerate_sequences(mainline_ids, ramp_ids, cap=ctx.cap)
-    scores = score_sequences(candidates, states, ctx)
+    scores = score_sequences(candidates, x0, floors, ctx)
     feasible = [s for s in scores if s.feasible]
     return min(feasible if feasible else scores, key=_selection_key)

@@ -25,10 +25,6 @@ class Lane(enum.Enum):
     def code(self) -> int:
         return 0 if self is Lane.MAINLINE else 1
 
-    @classmethod
-    def from_code(cls, code: int) -> "Lane":
-        return Lane.MAINLINE if code == 0 else Lane.RAMP
-
 
 _LANE_CODES = tuple((lane, lane.code) for lane in Lane)  # once, not per step
 
@@ -44,22 +40,14 @@ def lane_orders(lanes: np.ndarray, positions: np.ndarray) -> dict[Lane, np.ndarr
 
 
 class ControlStatus(enum.Enum):
-    UNCONTROLLED = "uncontrolled"
-    RAMP_LEADER_REGULATED = "ramp_leader_regulated"
-    OPTIMAL_CONTROLLED = "optimal_controlled"
-    MERGED = "merged"
+    UNCONTROLLED = 0
+    RAMP_LEADER_REGULATED = 1
+    OPTIMAL_CONTROLLED = 2
+    MERGED = 3
 
     @property
     def code(self) -> int:
-        return _STATUS_CODES[self]
-
-
-_STATUS_CODES = {
-    ControlStatus.UNCONTROLLED: 0,
-    ControlStatus.RAMP_LEADER_REGULATED: 1,
-    ControlStatus.OPTIMAL_CONTROLLED: 2,
-    ControlStatus.MERGED: 3,
-}
+        return self.value
 
 
 @dataclass
@@ -123,30 +111,14 @@ class MergeGeometry(Checked):
         return self.merge_zone_len
 
 
-@dataclass
-class VehicleState:
-    """Snapshot of a single vehicle on the merge axis.
+def gap_floors(
+    speeds: np.ndarray, entry_speeds: np.ndarray, limits: ControlLimits
+) -> np.ndarray:
+    """Each vehicle's minimum admissible net gap as a follower.
 
-    ``entry_speed`` is the speed recorded when the vehicle entered its
-    buffer zone (it parameterizes the vehicle's minimum-gap requirement);
-    it stays ``None`` until recorded.
+    Scales with the speed recorded at buffer entry, or with the current
+    speed where none is recorded yet (NaN), and never drops below the
+    standstill floor.
     """
-
-    id: int
-    lane: Lane
-    position: float
-    speed: float
-    entry_speed: float | None = None
-
-
-def gap_min_for(vehicle: VehicleState, limits: ControlLimits) -> float:
-    """Minimum admissible net gap ahead of ``vehicle``.
-
-    Scales with the speed recorded at buffer entry and never drops below
-    the standstill floor.
-    """
-    v0 = vehicle.entry_speed
-    if v0 is None:
-        raise ValueError(f"vehicle {vehicle.id} has no recorded entry speed")
-    return max(limits.gap_min_headway * v0, limits.gap_floor)
-
+    v = np.where(np.isnan(entry_speeds), speeds, entry_speeds)
+    return np.maximum(limits.gap_min_headway * v, limits.gap_floor)

@@ -139,25 +139,22 @@ def settled_by_loop(positions, floors, lanes, vehicle_length, dt,
     return True
 
 
-def score_by_loop(sequence, states, ctx):
+def score_by_loop(sequence, x0, floors, ctx):
     """One candidate scored alone, as the scorer ran before batching.
 
-    Per horizon: the from-scratch recursion above, then the clipped
+    The candidate's start state and gap floors are gathered from the
+    cycle's member arrays row by row.  Per horizon: the from-scratch recursion above, then the clipped
     closed loop stepped one input at a time; the horizon grows until the
     rollout is clean or capped, and the fuel of every vehicle is summed.
     Returns ``(total_fuel, feasible, horizon, x, u)``.
     """
     from rampmerge.fuel import trajectory_fuel
-    from rampmerge.sequencing import pair_gap_floors
     from rampmerge.statespace import build_model
 
-    n = len(sequence)
+    n, m = len(sequence), len(floors)
     model = build_model(n, ctx.dt)
-    x0 = np.concatenate([
-        [states[v].position for v in sequence.ids],
-        [states[v].speed for v in sequence.ids],
-    ])
-    floors = pair_gap_floors(sequence, states, ctx.limits)
+    x0 = np.array([x0[r] for r in sequence.rows] + [x0[m + r] for r in sequence.rows])
+    floors = np.array([floors[r] for r in sequence.rows[1:]], dtype=float)
     problem = ctx.problem(sequence.lanes, floors, x0)
     weights, r_vec = problem.weights, problem.r_vec
     limits, dt = ctx.limits, ctx.dt

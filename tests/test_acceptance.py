@@ -37,7 +37,7 @@ from rampmerge.tracking import (
     converged_gains,
     solve_finite_horizon,
 )
-from rampmerge.vehicles import Lane, VehicleState
+from rampmerge.vehicles import Lane, gap_floors
 from rampmerge.cli import export_trajectories
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -176,17 +176,15 @@ def test_criterion_3_sequence_enumeration_and_optimum():
     # independent re-scan: score every candidate again and pick the
     # minimum by the published selection rule
     ctx = ScoringContext(horizon=120, control_weight=2.0, desired_speed=30.0)
-    states = {}
-    for i, pos in enumerate((-40.0, -140.0, -240.0)):
-        states[i] = VehicleState(id=i, lane=Lane.MAINLINE, position=pos,
-                                 speed=31.0, entry_speed=31.0)
-    for j, pos in enumerate((-80.0, -180.0, -280.0)):
-        states[10 + j] = VehicleState(id=10 + j, lane=Lane.RAMP, position=pos,
-                                      speed=16.0, entry_speed=16.0)
+    # members 0, 1, 2 on the mainline, then 10, 11, 12 on the ramp
+    positions = np.array([-40.0, -140.0, -240.0, -80.0, -180.0, -280.0])
+    speeds = np.array([31.0] * 3 + [16.0] * 3)
+    x0 = np.concatenate((positions, speeds))
+    floors = gap_floors(speeds, speeds, ctx.limits)
     mainline_ids = [0, 1, 2]
     ramp_ids = [10, 11, 12]
-    chosen = optimal_sequence(mainline_ids, ramp_ids, states, ctx)
-    rescan = [score_sequence(s, states, ctx)
+    chosen = optimal_sequence(mainline_ids, ramp_ids, x0, floors, ctx)
+    rescan = [score_sequence(s, x0, floors, ctx)
               for s in enumerate_sequences(mainline_ids, ramp_ids, cap=ctx.cap)]
     feasible = [s for s in rescan if s.feasible]
     pool = feasible if feasible else rescan

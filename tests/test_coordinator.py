@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import lookahead_by_loop
+from rampmerge import coordinator
 from rampmerge.coordinator import (
     HARD_BRAKE,
     LOOKAHEAD_STEPS,
@@ -19,7 +20,7 @@ from rampmerge.coordinator import (
 )
 from rampmerge.cli import load_config
 from rampmerge.idm import IdmParams, idm_accel
-from rampmerge.sequencing import ScoringContext
+from rampmerge.sequencing import ScoringContext, optimal_sequence
 from rampmerge.simulation import run_scenario
 from rampmerge.tracking import rollout
 from rampmerge.vehicles import (
@@ -310,6 +311,27 @@ class TestDecisionCycle:
         assert any("enumeration cap" in e for e in coord.events)
         assert 2 not in coord.ever_controlled
 
+    def test_cycle_inputs_are_the_snapshot_rows(self, monkeypatch):
+        seen = []
+
+        def spy(main_ids, ramp_ids, x0, floors, ctx):
+            seen.append((main_ids, ramp_ids, x0, floors))
+            return optimal_sequence(main_ids, ramp_ids, x0, floors, ctx)
+
+        monkeypatch.setattr(coordinator, "optimal_sequence", spy)
+        coord = make_coordinator()
+        coord.step(make_snapshot(0.0, [
+            (1, Lane.RAMP, -299.5, 15.0, 14.0),
+            (2, Lane.MAINLINE, -560.0, 32.99),
+            (3, Lane.MAINLINE, -630.0, 2.0),
+        ]))
+        [(main_ids, ramp_ids, x0, floors)] = seen
+        assert (main_ids, ramp_ids) == ([2, 3], [1])
+        assert np.array_equal(x0, [-560.0, -630.0, -299.5, 32.99, 2.0, 15.0])
+        # the ramp member's entry speed, else the current speed, times 2 s
+        # and floored at 5 m
+        assert np.array_equal(floors, [2.0 * 32.99, 5.0, 2.0 * 14.0])
+
     def test_m_zero_ramp_only_cycle(self):
         coord = make_coordinator()
         snap = make_snapshot(0.0, [(1, Lane.RAMP, -299.5, 15.0, 15.0)])
@@ -333,7 +355,7 @@ class TestDecisionCycle:
         assert cset.ids == ids[1:]
         assert cset.problem.lanes == problem.lanes[1:]
         assert np.array_equal(cset.problem.floors, problem.floors[1:])
-        assert np.array_equal(cset.problem.x0, coord._assemble_state(cset, snap))
+        assert np.array_equal(cset.problem.x0, snap.state(cset.ids))
         assert cset.model.n == 2 and cset.law.K.shape[1:] == (2, 4)
 
     def test_release_and_completion(self):
@@ -419,6 +441,21 @@ class TestLeaderRegulation:
         assert braking < LIMITS.acc_min
         assert coord.regulated_leader == 4
         assert cmds == {4: braking}
+
+    def test_idm_only_where_it_can_command(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return idm_accel(*args)
+
+        monkeypatch.setattr(coordinator, "idm_accel", counted)
+        # 100 m short of the line at 14 m/s takes about 7 s; due in 5 s
+        coord, cmds = self.paced([(4, Lane.RAMP, -400.0, 14.0, 14.0)], 5.0)
+        assert cmds == {} and calls == []
+        # due in 20 s: early, so paced below the IDM command
+        coord, cmds = self.paced([(4, Lane.RAMP, -400.0, 14.0, 14.0)], 20.0)
+        assert set(cmds) == {4} and len(calls) == 1
 
     def test_expired_schedule_releases(self):
         coord, cmds = self.paced([(4, Lane.RAMP, -350.0, 12.0, 12.0)], 0.0)
@@ -521,7 +558,7 @@ class TestPredictionRepair:
         # the re-plan solves the set's own problem from the current state
         [(model, [replanned])] = solved
         assert model is cset.model
-        assert np.array_equal(replanned.x0, coord._assemble_state(cset, tight))
+        assert np.array_equal(replanned.x0, tight.state(cset.ids))
         for name in ("weights", "r_vec", "floors", "lanes"):
             assert getattr(replanned, name) is getattr(cset.problem, name)
         for u in cmds.values():
@@ -541,7 +578,7 @@ class TestStringLaw:
         if clipped:
             # the string as the cycle found it: a 15 m/s ramp vehicle
             # among 33 m/s mainline traffic saturates the commands
-            x = coord._assemble_state(cset, snap)
+            x = snap.state(cset.ids)
         else:
             # formed on its reference, just off the desired speed
             gaps = cset.problem.r_vec[:n - 1]

@@ -1,16 +1,19 @@
-"""Every import and every module-level private name in the package is used.
+"""Every import and every module-level name in the package is used.
 
 Standard-library stand-ins for pyflakes' unused-import check: a name
 bound by an import counts as used when it is read anywhere in the
-module, and a module-level ``_private`` name when it is read in its
-module or imported by another module of the package.
+module, a module-level ``_private`` name when it is read in its module
+or imported by another module of the package, and a public one when it
+is read in the package, the tests or the demos.
 """
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rampmerge"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rampmerge"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,8 +46,9 @@ def test_checker_flags_unused_names_only():
     assert unused_imports(source) == ["line 2: os", "line 4: tau"]
 
 
-def unread_private_names(source: str, read_elsewhere: frozenset[str] = frozenset()) -> list[str]:
-    tree = ast.parse(source)
+def module_level_names(tree: ast.Module) -> dict[str, int]:
+    """Functions, classes and constants a module defines, with the line
+    of each first definition; dunder names are left out."""
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -56,15 +60,20 @@ def unread_private_names(source: str, read_elsewhere: frozenset[str] = frozenset
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 defined.setdefault(name, node.lineno)
+    return defined
+
+
+def unread_private_names(source: str, read_elsewhere: frozenset[str] = frozenset()) -> list[str]:
+    tree = ast.parse(source)
     read = {
         node.id for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     return [
-        f"line {line}: {name}" for name, line in defined.items()
-        if name not in read and name not in read_elsewhere
+        f"line {line}: {name}" for name, line in module_level_names(tree).items()
+        if name.startswith("_") and name not in read and name not in read_elsewhere
     ]
 
 
@@ -98,4 +107,60 @@ def test_private_name_checker_flags_orphans_only():
     )
     assert unread_private_names(source, frozenset({"_shared"})) == [
         "line 2: _BY_VALUE", "line 7: _Orphan",
+    ]
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads: loaded names, loaded attributes and the
+    names it imports from other modules."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_public_names(source: str, read: frozenset[str]) -> list[str]:
+    return [
+        f"line {line}: {name}"
+        for name, line in module_level_names(ast.parse(source)).items()
+        if not name.startswith("_") and name not in read
+    ]
+
+
+@functools.cache
+def _names_read_anywhere() -> frozenset[str]:
+    read = set()
+    for folder in (SRC, ROOT / "tests", ROOT / "demos"):
+        for path in folder.glob("*.py"):
+            read |= names_read(path.read_text())
+    return frozenset(read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_public_names(path):
+    assert unread_public_names(path.read_text(), _names_read_anywhere()) == []
+
+
+def test_public_name_checker_flags_unread_definitions_only():
+    source = (
+        "from dataclasses import dataclass\n"
+        "LIMIT = 3\n"
+        "STALE = 4\n"
+        "@dataclass\n"
+        "class VehicleState:\n"
+        "    speed: float = 0.0\n"
+        "def scale(x):\n"
+        "    return LIMIT * x\n"
+        "def export():\n"
+        "    return scale(2)\n"
+    )
+    reader = "import mod\nprint(mod.export())\n"
+    read = frozenset(names_read(source) | names_read(reader))
+    assert unread_public_names(source, read) == [
+        "line 3: STALE", "line 5: VehicleState",
     ]

@@ -12,13 +12,12 @@ from rampmerge.sequencing import (
     count_sequences,
     enumerate_sequences,
     optimal_sequence,
-    pair_gap_floors,
     score_sequence,
     score_sequences,
 )
 from rampmerge.statespace import build_model
 from rampmerge.tracking import solve_finite_horizon
-from rampmerge.vehicles import ControlLimits, Lane, VehicleState
+from rampmerge.vehicles import ControlLimits, Lane, gap_floors
 
 
 class TestEnumeration:
@@ -68,46 +67,46 @@ class TestEnumeration:
         assert only.ids == (4, 5, 6)
         assert only.first_ramp_index == 3
 
+    def test_rows_index_mainline_then_ramp(self):
+        main, ramp = [3, 1], [15, 9]
+        members = main + ramp
+        for s in enumerate_sequences(main, ramp):
+            assert tuple(members[r] for r in s.rows) == s.ids
+
 
 def test_first_ramp_index():
-    s = MergeSequence(ids=(1, 9, 2), lanes=(Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
+    s = MergeSequence(ids=(1, 9, 2), lanes=(Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE),
+                      rows=(0, 2, 1))
     assert s.first_ramp_index == 1
 
 
-def _state(vid, lane, position, speed, entry=None):
-    return VehicleState(vid, lane, position, speed,
-                        entry_speed=speed if entry is None else entry)
+def _inputs(*members):
+    """``x0`` and ``floors`` of members given in row order as (position,
+    speed[, entry speed]); the entry speed defaults to the speed."""
+    position, speed, entry = np.array([(*m, m[1])[:3] for m in members]).T
+    return np.concatenate((position, speed)), gap_floors(speed, entry, ControlLimits())
 
 
 class TestGapFloors:
     def test_taken_from_follower_entry_speed(self):
-        seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.RAMP))
-        states = {
-            1: _state(1, Lane.MAINLINE, 0.0, 30.0, entry=30.0),
-            2: _state(2, Lane.RAMP, -50.0, 12.0, entry=14.9758),
-        }
-        floors = pair_gap_floors(seq, states, ControlLimits())
-        assert floors[0] == pytest.approx(2.0 * 14.9758)
+        (seq,) = enumerate_sequences([2], [1])[1:]  # ramp 1 ahead of mainline 2
+        x0, floors = _inputs((-50.0, 12.0, 14.9758), (0.0, 30.0))
+        assert seq.ids == (1, 2) and seq.rows == (1, 0)
+        problem = score_sequence(seq, x0, floors, ScoringContext()).problem
+        assert np.array_equal(problem.x0, [0.0, -50.0, 30.0, 12.0])
+        assert np.array_equal(problem.floors, [2.0 * 14.9758])
 
     def test_falls_back_to_current_speed(self):
-        seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.MAINLINE))
-        states = {
-            1: _state(1, Lane.MAINLINE, 0.0, 30.0),
-            2: VehicleState(2, Lane.MAINLINE, -40.0, 20.0),
-        }
-        floors = pair_gap_floors(seq, states, ControlLimits())
-        assert floors[0] == pytest.approx(40.0)
+        _, floors = _inputs((0.0, 30.0), (-40.0, 20.0, np.nan))
+        assert np.array_equal(floors, [60.0, 40.0])
 
 
 class TestScoring:
     def test_fuel_matches_reintegration(self):
         ctx = ScoringContext(desired_speed=20.0)
-        seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.RAMP))
-        states = {
-            1: _state(1, Lane.MAINLINE, 0.0, 18.0),
-            2: _state(2, Lane.RAMP, -55.0, 15.0),
-        }
-        score = score_sequence(seq, states, ctx)
+        seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.RAMP), rows=(0, 1))
+        x0, floors = _inputs((0.0, 18.0), (-55.0, 15.0))
+        score = score_sequence(seq, x0, floors, ctx)
         traj = score.result.trajectory
         speeds = np.maximum(traj.x[:-1, 2:], 0.0)
         expect = sum(
@@ -118,12 +117,10 @@ class TestScoring:
 
     def test_reports_grown_horizon(self):
         ctx = ScoringContext(horizon=30, desired_speed=15.0)
-        seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.MAINLINE))
-        states = {
-            1: _state(1, Lane.MAINLINE, 0.0, 15.0),
-            2: _state(2, Lane.MAINLINE, -12.0, 15.0),  # 7 m net gap, floor 30
-        }
-        score = score_sequence(seq, states, ctx)
+        seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.MAINLINE), rows=(0, 1))
+        # 7 m net gap, floor 30
+        x0, floors = _inputs((0.0, 15.0), (-12.0, 15.0))
+        score = score_sequence(seq, x0, floors, ctx)
         assert score.horizon > 30
         assert score.feasible
 
@@ -133,11 +130,8 @@ class TestSelection:
         # the mainline car is 60 m downstream; putting the ramp car first
         # would demand a full swap of the string
         ctx = ScoringContext(desired_speed=25.0)
-        states = {
-            1: _state(1, Lane.MAINLINE, 0.0, 25.0),
-            2: _state(2, Lane.RAMP, -60.0, 15.0),
-        }
-        best = optimal_sequence([1], [2], states, ctx)
+        x0, floors = _inputs((0.0, 25.0), (-60.0, 15.0))
+        best = optimal_sequence([1], [2], x0, floors, ctx)
         assert best.sequence.ids == (1, 2)
         assert best.feasible
 
@@ -149,11 +143,8 @@ class TestSelection:
             speed_weight_mainline=1.0, speed_weight_ramp=1.0,
             desired_speed=25.0,
         )
-        states = {
-            1: _state(1, Lane.MAINLINE, -100.0, 15.0),
-            2: _state(2, Lane.RAMP, -100.0, 15.0),
-        }
-        best = optimal_sequence([1], [2], states, ctx)
+        x0, floors = _inputs((-100.0, 15.0), (-100.0, 15.0))
+        best = optimal_sequence([1], [2], x0, floors, ctx)
         assert best.sequence.ids == (2, 1)
         assert best.sequence.first_ramp_index == 0
 
@@ -164,18 +155,15 @@ class TestBatchedScoring:
     CTX = ScoringContext(control_weight=100.0, desired_speed=30.0,
                          horizon=60, max_horizon=150)
     MAIN, RAMP = [1, 2, 3], [11, 12, 13]
-    STATES = {
-        1: _state(1, Lane.MAINLINE, -28.0, 30.0),
-        2: _state(2, Lane.MAINLINE, -66.5, 27.5),
-        3: _state(3, Lane.MAINLINE, -85.0, 28.5),
-        11: _state(11, Lane.RAMP, -29.0, 12.0),
-        12: _state(12, Lane.RAMP, -45.0, 16.5),
-        13: _state(13, Lane.RAMP, -63.5, 15.0),
-    }
+    X0, FLOORS = _inputs(
+        (-28.0, 30.0), (-66.5, 27.5), (-85.0, 28.5),  # mainline 1, 2, 3
+        (-29.0, 12.0), (-45.0, 16.5), (-63.5, 15.0),  # ramp 11, 12, 13
+    )
 
     @pytest.fixture(scope="class")
     def expected(self):
-        return [score_by_loop(seq, self.STATES, self.CTX) for seq in self.candidates()]
+        return [score_by_loop(seq, self.X0, self.FLOORS, self.CTX)
+                for seq in self.candidates()]
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
@@ -186,7 +174,7 @@ class TestBatchedScoring:
 
     def assert_exact(self, expected):
         seqs = self.candidates()
-        scores = score_sequences(seqs, self.STATES, self.CTX)
+        scores = score_sequences(seqs, self.X0, self.FLOORS, self.CTX)
         assert len(scores) == len(expected) == 20
         for seq, score, (fuel, feasible, horizon, x, u) in zip(seqs, scores, expected):
             assert score.sequence == seq
@@ -201,7 +189,7 @@ class TestBatchedScoring:
         assert {(h, ok) for _, ok, h, _, _ in expected} == {
             (135, True), (150, True), (150, False)}
         self.assert_exact(expected)
-        best = optimal_sequence(self.MAIN, self.RAMP, self.STATES, self.CTX)
+        best = optimal_sequence(self.MAIN, self.RAMP, self.X0, self.FLOORS, self.CTX)
         lone = min(
             (e for e in zip(expected, self.candidates()) if e[0][1]),
             key=lambda e: (e[0][0], e[1].first_ramp_index, e[1].ids),

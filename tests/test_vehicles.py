@@ -1,40 +1,27 @@
+import numpy as np
 import pytest
 
-from rampmerge.vehicles import (
-    ControlLimits,
-    Lane,
-    MergeGeometry,
-    VehicleState,
-    gap_min_for,
-)
+from rampmerge.vehicles import ControlLimits, MergeGeometry, gap_floors
 
 
 class TestGapMin:
     def test_scales_with_entry_speed(self):
-        v = VehicleState(1, Lane.RAMP, -200.0, 15.0, entry_speed=15.0)
-        assert gap_min_for(v, ControlLimits()) == pytest.approx(30.0)
+        floors = gap_floors(np.array([12.0]), np.array([15.0]), ControlLimits())
+        assert floors[0] == pytest.approx(30.0)
 
     def test_standstill_floor(self):
-        v = VehicleState(2, Lane.RAMP, -200.0, 0.0, entry_speed=0.0)
-        assert gap_min_for(v, ControlLimits()) == pytest.approx(5.0)
+        floors = gap_floors(np.array([0.0]), np.array([0.0]), ControlLimits())
+        assert floors[0] == pytest.approx(5.0)
 
     def test_ramp_entry_speed_value(self):
         # 33.5 mph recorded at buffer entry
-        v = VehicleState(3, Lane.RAMP, -200.0, 14.9758, entry_speed=14.9758)
-        assert gap_min_for(v, ControlLimits()) == pytest.approx(29.95, abs=0.01)
+        floors = gap_floors(np.array([14.9758]), np.array([14.9758]), ControlLimits())
+        assert floors[0] == pytest.approx(29.95, abs=0.01)
 
     def test_monotone_in_entry_speed(self):
-        limits = ControlLimits()
-        gaps = [
-            gap_min_for(VehicleState(4, Lane.MAINLINE, 0.0, s, entry_speed=s), limits)
-            for s in (0.0, 1.0, 2.6, 10.0, 20.0, 33.0)
-        ]
-        assert gaps == sorted(gaps)
-
-    def test_unrecorded_entry_speed_raises(self):
-        v = VehicleState(5, Lane.RAMP, -200.0, 10.0)
-        with pytest.raises(ValueError):
-            gap_min_for(v, ControlLimits())
+        speeds = np.array([0.0, 1.0, 2.6, 10.0, 20.0, 33.0])
+        gaps = gap_floors(np.full(6, 20.0), speeds, ControlLimits())
+        assert np.all(np.diff(gaps) >= 0.0)
 
 
 class TestValidation:
