@@ -31,7 +31,7 @@ print(f"{total} admissible interleavings of {len(mainline)} mainline "
       f"and {len(ramp)} ramp vehicles\n")
 
 scores = [score_sequence(s, x0, floors, ctx)
-          for s in enumerate_sequences(mainline, ramp)]
+          for s in enumerate_sequences(mainline, ramp, ctx.cap)]
 for s in sorted(scores, key=lambda s: s.total_fuel):
     order = " ".join(
         f"{'M' if lane is Lane.MAINLINE else 'R'}{vid}"

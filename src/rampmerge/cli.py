@@ -280,18 +280,114 @@ _EXPORT_FMT = ",".join("%d" if dtype is np.int64 else "%.6f"
                        for dtype in TrajectoryLog.FIELDS.values())
 _HEADER = ",".join(TrajectoryLog.FIELDS)
 
+#: rows formatted and written at a time, so memory stays flat in run length
+_BLOCK_ROWS = 1 << 15
+#: below this |x| * 1e6 < 2**40, where the float product errs by at most
+#: 2**-14, so its ``rint`` is the exact rounding unless the product lies
+#: within 1e-3 of a half
+_EXACT_BELOW = 1_099_511.0
+
+
+def _words(*columns) -> np.ndarray:
+    """uint32 words from four columns of ASCII codes; 0 is padding."""
+    codes = np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8)
+    return codes.view(np.uint32)[..., 0]
+
+
+_K = np.arange(1000)
+_D100, _D10, _D1 = _K // 100 + 48, _K // 10 % 10 + 48, _K % 10 + 48
+#: three-digit groups of a number: row ``k`` spells ``k`` with leading
+#: zeros; row 1000 + k without, for the group holding the first digit;
+#: row 2000 + k likewise, but blank for 0, for groups left of the last
+_GROUPS = np.concatenate([
+    _words(0, _D100, _D10, _D1),
+    _words(0, _D100 * (_K >= 100), _D10 * (_K >= 10), _D1),
+    _words(0, _D100 * (_K >= 100), _D10 * (_K >= 10), _D1 * (_K >= 1)),
+])
+_MINUS = _words(ord("-"), 0, 0, 0)
+#: a fraction's six digits, as ".ddd" and "ddd" plus the field separator
+_POINT = _words(ord("."), _D100, _D10, _D1)
+_TAIL = {sep: _words(_D100, _D10, _D1, ord(sep)) for sep in ",\n"}
+_SEPARATOR = {sep: _words(0, 0, 0, ord(sep)) for sep in ",\n"}
+
+
+def _spell_int(u: np.ndarray, negative: np.ndarray) -> list[np.ndarray]:
+    """Words spelling the non-negative ints ``u``, signed where ``negative``."""
+    words = []
+    rest, blank = u, 1000
+    while not words or rest.any():
+        high = rest // 1000
+        words.append(np.take(_GROUPS, rest - high * 1000 + blank * (high == 0)))
+        rest, blank = high, 2000
+    words[-1] = words[-1] | _MINUS * negative
+    return words[::-1]
+
+
+def _spell_fixed6(x: np.ndarray, sep: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """Words spelling ``x`` as ``%.6f``, and the rows where they are exact."""
+    size = np.abs(x)
+    exact = size < _EXACT_BELOW
+    scaled = np.where(exact, size, 0.0) * 1e6
+    units = np.rint(scaled)
+    exact &= np.abs(scaled - units) < 0.5 - 1e-3
+    units = units.astype(np.int64)
+    whole = units // 1_000_000
+    frac = units - whole * 1_000_000
+    high = frac // 1000
+    words = _spell_int(whole, np.signbit(x))
+    words += [np.take(_POINT, high), np.take(_TAIL[sep], frac - high * 1000)]
+    return words, exact
+
+
+def _write_rows(handle, columns: list[np.ndarray]) -> None:
+    """Write one block of rows exactly as ``_EXPORT_FMT % row`` spells them."""
+    n = len(columns[0])
+    exact = np.ones(n, dtype=bool)
+    words: list = []
+    for j, (col, dtype) in enumerate(zip(columns, TrajectoryLog.FIELDS.values())):
+        sep = "\n" if j == len(columns) - 1 else ","
+        if dtype is np.int64:
+            words += _spell_int(np.abs(col), col < 0) + [_SEPARATOR[sep]]
+        else:
+            spelled, ok = _spell_fixed6(col, sep)
+            words += spelled
+            exact &= ok
+    table = np.empty((n, len(words)), dtype=np.uint32)
+    for k, word in enumerate(words):
+        table[:, k] = word
+    text = table.view(np.uint8)
+    keep = text != 0
+    data = memoryview(text[keep])
+    done = 0
+    if not exact.all():
+        ends = np.cumsum(np.count_nonzero(keep, axis=1))
+        for i in np.flatnonzero(~exact):
+            handle.write(data[done:ends[i - 1] if i else 0])
+            row = tuple(col[i].item() for col in columns)
+            handle.write((_EXPORT_FMT % row + "\n").encode())
+            done = ends[i]
+    handle.write(data[done:])
+
 
 def export_trajectories(log: dict[str, np.ndarray], path: str | Path) -> Path:
-    """Write a trajectory log as CSV, rows sorted by (t, id)."""
+    """Write a trajectory log as CSV, rows sorted by (t, id).
+
+    Each row reads ``_EXPORT_FMT % row``: ints in ``%d`` and floats in
+    ``%.6f``, rounded half to even from their exact binary values as
+    Python's ``%`` does.  Blocks of rows are spelled column by column
+    from the exactly rounded integer ``rint(|x| * 1e6)``; a row holding
+    a value this cannot spell exactly (non-finite, too large, or within
+    1e-3 of a tie at the sixth decimal) is formatted by ``%`` itself.
+    """
     path = Path(path)
     order = np.lexsort((log["id"], log["t"]))
-    table = np.column_stack([log[name][order].astype(float)
-                             for name in TrajectoryLog.FIELDS])
     try:
-        with path.open("w") as handle:
-            handle.write(_HEADER + "\n")
-            if table.size:
-                np.savetxt(handle, table, fmt=_EXPORT_FMT)
+        with path.open("wb") as handle:
+            handle.write(_HEADER.encode() + b"\n")
+            for start in range(0, len(order), _BLOCK_ROWS):
+                rows = order[start:start + _BLOCK_ROWS]
+                _write_rows(handle, [log[name][rows].astype(dtype, copy=False)
+                                     for name, dtype in TrajectoryLog.FIELDS.items()])
     except OSError as exc:
         raise RuntimeError(f"cannot write trajectories to {path}: {exc}") from exc
     return path

@@ -36,19 +36,24 @@ def idm_accel(speed, gap, closing_speed, params: IdmParams):
     ``gap`` is the net (bumper-to-bumper) distance to the leader, with
     ``math.inf`` meaning free flow.  ``closing_speed`` is own speed minus
     leader speed.  The desired gap is floored at ``s0`` so a leader
-    pulling away never produces a negative spacing target.
+    pulling away never produces a negative spacing target.  Scalars are
+    computed with Python floats, in the same operations and order as
+    NumPy's scalar arithmetic, which they equal bit for bit.
     """
+    root_ab = 2.0 * math.sqrt(params.a * params.b)
+    if np.isscalar(speed) and np.isscalar(gap) and np.isscalar(closing_speed):
+        v, s, dv = float(speed), float(gap), float(closing_speed)
+        if s <= 0.0:
+            raise ValueError("IDM needs a positive gap; overlap means a collision")
+        s_star = params.s0 + max(v * params.T + v * dv / root_ab, 0.0)
+        return params.a * (1.0 - (v / params.v0) ** params.delta - (s_star / s) ** 2)
     v = np.asarray(speed, dtype=float)
     s = np.asarray(gap, dtype=float)
     dv = np.asarray(closing_speed, dtype=float)
     if np.any(s <= 0.0):
         raise ValueError("IDM needs a positive gap; overlap means a collision")
-    dynamic = v * params.T + v * dv / (2.0 * math.sqrt(params.a * params.b))
-    s_star = params.s0 + np.maximum(dynamic, 0.0)
-    accel = params.a * (1.0 - (v / params.v0) ** params.delta - (s_star / s) ** 2)
-    if np.isscalar(speed) and np.isscalar(gap) and np.isscalar(closing_speed):
-        return float(accel)
-    return accel
+    s_star = params.s0 + np.maximum(v * params.T + v * dv / root_ab, 0.0)
+    return params.a * (1.0 - (v / params.v0) ** params.delta - (s_star / s) ** 2)
 
 
 def equilibrium_gap(speed: float, params: IdmParams) -> float:

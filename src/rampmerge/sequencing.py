@@ -78,7 +78,7 @@ def _interleavings(
 def enumerate_sequences(
     mainline_ids: list[int],
     ramp_ids: list[int],
-    cap: int = 252,
+    cap: int,
 ) -> list[MergeSequence]:
     """All order-preserving interleavings, in a deterministic order;
     rows index ``mainline_ids + ramp_ids``.

@@ -6,12 +6,19 @@ one dense least-squares problem, the Riccati reference is the plain
 per-horizon backward recursion, the interleaving counter is a direct
 recursion, the quadrature helpers are plain Python loops, the candidate
 scorer scores one candidate at a time, one step at a time, the settle
-check walks one pair at a time, and the coordinator's forecast is its own
-clipped step loop under constant gains.
+check walks one pair at a time, the coordinator's forecast is its own
+clipped step loop under constant gains, the trajectory writer is the
+one-``%``-call-per-row ``np.savetxt`` writer, and the scalar IDM is the
+NumPy-scalar evaluation of the law.
 """
 from __future__ import annotations
 
+import math
+from pathlib import Path
+
 import numpy as np
+
+from rampmerge.simulation import TrajectoryLog
 
 
 def qp_control_sequence(model, weights, r, x0) -> np.ndarray:
@@ -184,3 +191,37 @@ def score_by_loop(sequence, x0, floors, ctx):
         trajectory_fuel(speeds[:, i], u[:, i], dt, ctx.fuel) for i in range(n)
     )
     return float(total), ok, N, x, u
+
+
+_EXPORT_FMT = ",".join("%d" if dtype is np.int64 else "%.6f"
+                       for dtype in TrajectoryLog.FIELDS.values())
+_HEADER = ",".join(TrajectoryLog.FIELDS)
+
+
+def export_trajectories_savetxt(log: dict[str, np.ndarray], path: str | Path) -> Path:
+    """Write a trajectory log as CSV, rows sorted by (t, id)."""
+    path = Path(path)
+    order = np.lexsort((log["id"], log["t"]))
+    table = np.column_stack([log[name][order].astype(float)
+                             for name in TrajectoryLog.FIELDS])
+    try:
+        with path.open("w") as handle:
+            handle.write(_HEADER + "\n")
+            if table.size:
+                np.savetxt(handle, table, fmt=_EXPORT_FMT)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write trajectories to {path}: {exc}") from exc
+    return path
+
+
+def idm_accel_numpy_scalar(speed, gap, closing_speed, params) -> float:
+    """IDM acceleration of one vehicle, in NumPy scalar arithmetic."""
+    v = np.asarray(speed, dtype=float)
+    s = np.asarray(gap, dtype=float)
+    dv = np.asarray(closing_speed, dtype=float)
+    if np.any(s <= 0.0):
+        raise ValueError("IDM needs a positive gap; overlap means a collision")
+    dynamic = v * params.T + v * dv / (2.0 * math.sqrt(params.a * params.b))
+    s_star = params.s0 + np.maximum(dynamic, 0.0)
+    accel = params.a * (1.0 - (v / params.v0) ** params.delta - (s_star / s) ** 2)
+    return float(accel)

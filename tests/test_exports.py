@@ -12,15 +12,24 @@ The re-plan window was 120 s until mainline partners were chosen by the
 same travel-time estimate as ramp members.  Since then no string in the
 120 s windows of seeds 2 to 5 re-plans, and seed 2's 180 s window
 re-plans three times.
+
+The column-wise writer is also compared byte for byte with the
+``np.savetxt`` writer it replaced (``oracles.export_trajectories_savetxt``)
+on the smoke runs, on ``tiny_log()`` and on hand-made columns that hold
+the values whose spelling is easy to get wrong.
 """
 import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import export_trajectories_savetxt
+from rampmerge import cli
 from rampmerge.cli import export_trajectories, load_config
-from rampmerge.simulation import run_scenario
+from rampmerge.simulation import TrajectoryLog, run_scenario
+from test_cli import tiny_log
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMOKE = CONFIGS / "smoke.yaml"
@@ -32,11 +41,66 @@ EXPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("mode", list(EXPORT_SHA256))
-def test_smoke_export_is_unchanged(tmp_path, mode):
-    result = run_scenario(load_config(SMOKE, mode=mode))
-    path = export_trajectories(result.log, tmp_path / "trajectories.csv")
+@pytest.fixture(scope="module", params=list(EXPORT_SHA256))
+def smoke(request):
+    return request.param, run_scenario(load_config(SMOKE, mode=request.param)).log
+
+
+def test_smoke_export_is_unchanged(tmp_path, smoke):
+    mode, log = smoke
+    path = export_trajectories(log, tmp_path / "trajectories.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[mode]
+
+
+def assert_same_bytes_as_savetxt(log, tmp_path):
+    new = export_trajectories(log, tmp_path / "columns.csv").read_bytes()
+    old = export_trajectories_savetxt(log, tmp_path / "savetxt.csv").read_bytes()
+    for k, (a, b) in enumerate(zip(new.split(b"\n"), old.split(b"\n"))):
+        assert a == b, f"line {k}"
+    assert new == old
+
+
+def test_smoke_export_matches_savetxt(tmp_path, smoke):
+    assert_same_bytes_as_savetxt(smoke[1], tmp_path)
+
+
+def test_tiny_log_matches_savetxt(tmp_path):
+    assert_same_bytes_as_savetxt(tiny_log(), tmp_path)
+
+
+def awkward_floats(rng, n):
+    """Logged-like values, and in about one row in ten a value at or near
+    the ties, signs and limits of ``%.6f``."""
+    special = [0.9999995, -0.9999995, 0.0, -0.0, 1e-9, -1e-9, 5e-7, -5e-7,
+               1e12, -1e12, 123456789.1234565, 1099511.627776, -1099511.627775,
+               5e-324, -5e-324, 1e300, np.nan, np.inf, -np.inf]
+    exact_ties = np.arange(-1025, 1025, 2) / 128.0  # k/128, k odd: 7th decimal is 5
+    units = rng.integers(-10**12, 10**12, 4000) // 10 ** rng.integers(0, 12, 4000)
+    halves = (units + 0.5) / 1e6  # nearest doubles to ties at the 6th decimal
+    spread = rng.normal(0.0, 1.0, 4000) * 10.0 ** rng.integers(-8, 13, 4000)
+    awkward = np.concatenate([special, exact_ties, rng.choice(np.concatenate([
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf), spread,
+    ]), n // 10)])
+    logged = np.round(rng.normal(0.0, 300.0, n - len(awkward)), 6)
+    return rng.permutation(np.concatenate([awkward, logged]))
+
+
+def test_awkward_values_match_savetxt(tmp_path, monkeypatch):
+    # small blocks, so rows spelled by % are spliced in at block edges too
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 997)
+    rng = np.random.default_rng(20)
+    n = 30_000
+    log = {}
+    for name, dtype in TrajectoryLog.FIELDS.items():
+        if dtype is np.int64:
+            log[name] = rng.integers(-10**6, 10**6, n) * 10 ** rng.integers(0, 9, n)
+        else:
+            log[name] = awkward_floats(rng, n)
+    assert_same_bytes_as_savetxt(log, tmp_path)
+    text = (tmp_path / "columns.csv").read_text()
+    for spelled in (",-0.000000,", ",0.007812,", ",1.000000,", ",-1.000000,",
+                    ",nan,", ",inf,", ",-inf,", ",-1000000000000.000000,"):
+        assert spelled in text
 
 
 REPLAN_SHA256 = "30acde9d8ee6868d91323035fdbb2aab842f3510adad03b87ecee522d11aca4c"

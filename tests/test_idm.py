@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import idm_accel_numpy_scalar
 from rampmerge.idm import IdmParams, equilibrium_gap, idm_accel
 
 PARAMS = IdmParams(v0=33.0)
@@ -41,6 +42,25 @@ class TestAccel:
     def test_nonpositive_gap_rejected(self):
         with pytest.raises(ValueError):
             idm_accel(10.0, 0.0, 0.0, PARAMS)
+
+    def test_scalar_path_is_numpy_scalar_arithmetic(self):
+        # the Python-float path equals the NumPy-scalar evaluation bit for bit
+        rng = np.random.default_rng(15)
+        n = 200_000
+        params = [PARAMS, IdmParams(v0=22.0, T=1.2, a=1.0, b=1.5, s0=1.5),
+                  IdmParams(v0=31.3, T=1.7, a=0.73, b=2.9, s0=2.4, delta=3.7)]
+        v = rng.uniform(0.0, 40.0, n)
+        v[::50] = 0.0
+        s = rng.exponential(40.0, n) + 1e-3
+        s[::40] = math.inf
+        dv = rng.normal(0.0, 5.0, n)
+        which = rng.integers(0, len(params), n)
+        for i in range(n):
+            p = params[which[i]]
+            a, b, c = float(v[i]), float(s[i]), float(dv[i])
+            got = idm_accel(a, b, c, p)
+            assert type(got) is float
+            assert got == idm_accel_numpy_scalar(a, b, c, p), (a, b, c, p)
 
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(3)

@@ -19,6 +19,8 @@ from rampmerge.statespace import build_model
 from rampmerge.tracking import solve_finite_horizon
 from rampmerge.vehicles import ControlLimits, Lane, gap_floors
 
+CAP = ScoringContext().cap
+
 
 class TestEnumeration:
     def test_counts_match_recursion_oracle(self):
@@ -33,44 +35,44 @@ class TestEnumeration:
                 assert len(got) == interleaving_count(m, n)
 
     def test_two_mainline_one_ramp_explicit(self):
-        seqs = enumerate_sequences([1, 2], [9])
+        seqs = enumerate_sequences([1, 2], [9], CAP)
         orders = {s.ids for s in seqs}
         assert orders == {(1, 2, 9), (1, 9, 2), (9, 1, 2)}
         assert len(seqs) == 3
 
     def test_all_candidates_preserve_lane_order(self):
         main, ramp = [3, 1, 4], [15, 9, 2, 6]
-        for s in enumerate_sequences(main, ramp):
+        for s in enumerate_sequences(main, ramp, CAP):
             by_lane = {lane: [v for v, on in zip(s.ids, s.lanes) if on is lane]
                        for lane in Lane}
             assert by_lane == {Lane.MAINLINE: main, Lane.RAMP: ramp}
 
     def test_no_duplicates(self):
-        seqs = enumerate_sequences([1, 2, 3], [7, 8, 9])
+        seqs = enumerate_sequences([1, 2, 3], [7, 8, 9], CAP)
         assert len({s.ids for s in seqs}) == len(seqs) == 20
 
     def test_cap_enforced_before_enumeration(self):
         with pytest.raises(SequenceCapError):
-            enumerate_sequences(list(range(6)), list(range(10, 15)))  # C(11,5)=462
+            enumerate_sequences(list(range(6)), list(range(10, 15)), CAP)  # C(11,5)=462
 
     def test_largest_allowed_group(self):
         # C(10,5) = 252 sits exactly at the cap
-        seqs = enumerate_sequences(list(range(5)), list(range(10, 15)))
+        seqs = enumerate_sequences(list(range(5)), list(range(10, 15)), CAP)
         assert len(seqs) == 252
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_sequences([], [])
+            enumerate_sequences([], [], CAP)
 
     def test_single_lane_passthrough(self):
-        (only,) = enumerate_sequences([4, 5, 6], [])
+        (only,) = enumerate_sequences([4, 5, 6], [], CAP)
         assert only.ids == (4, 5, 6)
         assert only.first_ramp_index == 3
 
     def test_rows_index_mainline_then_ramp(self):
         main, ramp = [3, 1], [15, 9]
         members = main + ramp
-        for s in enumerate_sequences(main, ramp):
+        for s in enumerate_sequences(main, ramp, CAP):
             assert tuple(members[r] for r in s.rows) == s.ids
 
 
@@ -89,7 +91,7 @@ def _inputs(*members):
 
 class TestGapFloors:
     def test_taken_from_follower_entry_speed(self):
-        (seq,) = enumerate_sequences([2], [1])[1:]  # ramp 1 ahead of mainline 2
+        (seq,) = enumerate_sequences([2], [1], CAP)[1:]  # ramp 1 ahead of mainline 2
         x0, floors = _inputs((-50.0, 12.0, 14.9758), (0.0, 30.0))
         assert seq.ids == (1, 2) and seq.rows == (1, 0)
         problem = score_sequence(seq, x0, floors, ScoringContext()).problem
@@ -170,7 +172,7 @@ class TestBatchedScoring:
         monkeypatch.setattr(tracking, "_riccati_tables", OrderedDict())
 
     def candidates(self):
-        return enumerate_sequences(self.MAIN, self.RAMP)
+        return enumerate_sequences(self.MAIN, self.RAMP, CAP)
 
     def assert_exact(self, expected):
         seqs = self.candidates()
