@@ -20,12 +20,13 @@ its ability to stop behind its same-lane predecessor, so from a state
 inside the bound no plan or car-following model can steer two vehicles
 into contact.
 
-The trajectory log quantizes every float to six decimals at append time
-so that an exported CSV reproduces the log, and therefore the metrics,
-exactly.
+The trajectory log quantizes every float to six decimals when it is
+read back, so that an exported CSV reproduces the log, and therefore the
+metrics, exactly.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -198,7 +199,8 @@ class CollisionError(RuntimeError):
 
 
 class TrajectoryLog:
-    """Per-step, per-vehicle rows with six-decimal float quantization."""
+    """Per-step, per-vehicle rows, read back with every float quantized
+    to six decimals."""
 
     #: each column's name and dtype, in export order
     FIELDS = {
@@ -210,25 +212,21 @@ class TrajectoryLog:
         self._chunks: list[tuple[np.ndarray, ...]] = []
 
     def append_step(self, t, ids, lanes, pos, speed, accel, status, fuel) -> None:
-        n = len(ids)
-        self._chunks.append((
-            np.round(np.full(n, t), 6),
-            np.asarray(ids, dtype=np.int64).copy(),
-            np.asarray(lanes, dtype=np.int64).copy(),
-            np.round(pos, 6),
-            np.round(speed, 6),
-            np.round(accel, 6),
-            np.asarray(status, dtype=np.int64).copy(),
-            np.round(fuel, 6),
+        # copies: the caller may write to its arrays in place later
+        columns = (np.full(len(ids), t), ids, lanes, pos, speed, accel, status, fuel)
+        self._chunks.append(tuple(
+            np.array(col, dtype=dtype) for col, dtype in zip(columns, self.FIELDS.values())
         ))
 
     def arrays(self) -> dict[str, np.ndarray]:
         if not self._chunks:
             return {name: np.empty(0, dtype=dtype) for name, dtype in self.FIELDS.items()}
-        return {
-            name: np.concatenate(col)
-            for name, col in zip(self.FIELDS, zip(*self._chunks))
-        }
+        out = {name: np.concatenate(col) for name, col in zip(self.FIELDS, zip(*self._chunks))}
+        # rounding is element by element: once per run equals once per step
+        for name, dtype in self.FIELDS.items():
+            if dtype is float:
+                np.round(out[name], 6, out=out[name])
+        return out
 
 
 @dataclass
@@ -387,19 +385,16 @@ def _safe_entry_speed(v_pred: float, net_gap: float, params: IdmParams) -> float
     usable = max(net_gap - params.s0, 0.0)
     return math.sqrt(max(v_pred, 0.0) ** 2 + 2.0 * params.b * usable)
 
-def _insertion_neighbors(world: _World, pos: float):
-    """Nearest mainline vehicles around an axis position."""
-    main = np.nonzero(world.lane == Lane.MAINLINE.code)[0]
-    lead = lag = -1
-    lead_pos = math.inf
-    lag_pos = -math.inf
-    for j in main:
-        p = world.pos[j]
-        if p >= pos and p < lead_pos:
-            lead, lead_pos = int(j), p
-        elif p < pos and p > lag_pos:
-            lag, lag_pos = int(j), p
-    return lead, lag
+
+def _chain_neighbors(chain: list[int], key: list[float], x: float):
+    """A lane chain's nearest vehicles at or ahead of ``x`` and behind it
+    (-1 for none, the lowest index among equal positions), and the rank
+    at which a vehicle at ``x`` joins the chain; ``key`` holds the chain's
+    negated positions."""
+    k = bisect.bisect_right(key, -x)  # vehicles at or ahead of x
+    lead = min(chain[bisect.bisect_left(key, key[k - 1]):k]) if k else -1
+    lag = min(chain[k:bisect.bisect_right(key, key[k])]) if k < len(chain) else -1
+    return lead, lag, k
 
 
 def stopping_distance(v, dt: float, brake: float):
@@ -531,6 +526,7 @@ class _Run:
         # stacking up inside the corridor
         self.ramp_entry_release = -math.inf
         self.merge_bar = geo.merge_zone_end - MERGE_STOP_SETBACK
+        self.stall_room = stopping_distance(config.scoring.desired_speed, config.dt, -HARD_BRAKE)
 
     def step(self, t: float) -> None:
         self.t = t
@@ -686,15 +682,18 @@ class _Run:
         for rows, brake, margin in ((led & commanded, COMFORT_BRAKE, COMFORT_MARGIN),
                                     (led, -HARD_BRAKE, STOP_MARGIN)):
             rows = np.nonzero(rows)[0]
+            if len(rows) == 0:
+                continue
             self.acc[rows], hits = stopping_bound(
                 self.acc[rows], self.gap[rows], v[rows], v[self.pred_of[rows]],
                 self.config.dt, brake, margin,
             )
             self.counters.envelope_interventions += hits
-        clear = stopping_distance(self.config.scoring.desired_speed, self.config.dt, -HARD_BRAKE)
-        stalled = (self.status == ControlStatus.OPTIMAL_CONTROLLED.code) & (self.gap >= clear)
-        self.counters.stalls += int(np.count_nonzero(
-            stalled & (self.world.lane == Lane.MAINLINE.code) & (v < 0.1)))
+        if self.coordinator is not None:
+            stalled = ((self.status == ControlStatus.OPTIMAL_CONTROLLED.code)
+                       & (self.gap >= self.stall_room))
+            self.counters.stalls += int(np.count_nonzero(
+                stalled & (self.world.lane == Lane.MAINLINE.code) & (v < 0.1)))
 
     def _integrate_and_log(self) -> None:
         world, dt, limits = self.world, self.config.dt, self.config.limits
@@ -721,9 +720,15 @@ class _Run:
         world.stand[waiting] += dt
         world.stand[~waiting] = 0.0
 
-        ramp_idx = np.nonzero(self.on_ramp & (world.pos >= 0.0))[0]
-        for j in sorted(ramp_idx, key=lambda i: -world.pos[i]):
-            lead, lag = _insertion_neighbors(world, world.pos[j])
+        # a swap since car-following is a collision the audit reports
+        ramp = self.chains[Lane.RAMP]
+        movers = ramp[world.pos[ramp] >= 0.0]
+        if len(movers) == 0:
+            return
+        chain = self.chains[Lane.MAINLINE].tolist()
+        key = (-world.pos[chain]).tolist()
+        for j in movers:
+            lead, lag, rank = _chain_neighbors(chain, key, world.pos[j])
             front = world.pos[lead] - world.pos[j] - L if lead >= 0 else math.inf
             rear = world.pos[j] - world.pos[lag] - L if lag >= 0 else math.inf
             v_j = world.v[j]
@@ -738,47 +743,41 @@ class _Run:
                 # one where the merger or its new follower starts outside
                 # the stopping bound; an unsafe slot defers the lane change
                 # along the acceleration lane
-                if (
+                merge = (
                     survivable
                     and (lead < 0 or _can_stop(front, v_j, world.v[lead], dt))
                     and (lag < 0 or _can_stop(rear, world.v[lag], v_j, dt))
-                ):
-                    world.lane[j] = Lane.MAINLINE.code
-                continue
-            front_ok = front > 0.5 and (
-                lead < 0
-                or front
-                >= v_j * ACCEPT_TAU + max(closing_front, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
-            )
-            rear_ok = rear > 0.5 and (
-                lag < 0
-                or rear
-                >= world.v[lag] * ACCEPT_TAU
-                + max(closing_rear, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
-            )
-            if front_ok and rear_ok:
+                )
+            else:
+                merge = front > 0.5 and rear > 0.5 and (
+                    lead < 0 or front >= v_j * ACCEPT_TAU
+                    + max(closing_front, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
+                ) and (
+                    lag < 0 or rear >= world.v[lag] * ACCEPT_TAU
+                    + max(closing_rear, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
+                )
+                if not merge and world.stand[j] >= FORCE_TIMEOUT and survivable:
+                    merge, world.stand[j] = True, 0.0
+                    self.counters.forced_merges += 1
+            if merge:  # in place, so later movers of this step see it
                 world.lane[j] = Lane.MAINLINE.code
-                continue
-            if world.stand[j] >= FORCE_TIMEOUT and survivable:
-                world.lane[j] = Lane.MAINLINE.code
-                world.stand[j] = 0.0
-                self.counters.forced_merges += 1
+                chain.insert(rank, int(j))
+                key.insert(rank, -world.pos[j])
+        # new arrays: the coordinator's snapshot holds the old ones
+        self.chains = {Lane.MAINLINE: np.array(chain, dtype=np.int64),
+                       Lane.RAMP: ramp[world.lane[ramp] == Lane.RAMP.code]}
 
     def _collision_audit(self) -> None:
         world, L = self.world, self.config.vehicle_length
-        for order in lane_orders(world.lane, world.pos).values():
-            if len(order) > 1:
-                gaps = world.pos[order[:-1]] - world.pos[order[1:]] - L
-                bad = np.nonzero(gaps <= 0.0)[0]
-                if len(bad):
-                    b = bad[0]
-                    raise CollisionError(
-                        self.t,
-                        int(world.ids[order[b]]),
-                        int(world.ids[order[b + 1]]),
-                        float(gaps[b]),
-                        log=self.log.arrays(),
-                    )
+        # consecutive gaps along the step's chains: any same-lane swap
+        # this step shows as a non-positive gap
+        for order in self.chains.values():
+            gaps = world.pos[order[:-1]] - world.pos[order[1:]] - L
+            bad = np.nonzero(gaps <= 0.0)[0]
+            if len(bad):
+                b = bad[0]
+                raise CollisionError(self.t, int(world.ids[order[b]]), int(world.ids[order[b + 1]]),
+                                     float(gaps[b]), log=self.log.arrays())
 
     def _exits(self) -> None:
         gone = self.world.pos > self.config.geometry.downstream_extent

@@ -8,8 +8,9 @@ recursion, the quadrature helpers are plain Python loops, the candidate
 scorer scores one candidate at a time, one step at a time, the settle
 check walks one pair at a time, the coordinator's forecast is its own
 clipped step loop under constant gains, the trajectory writer is the
-one-``%``-call-per-row ``np.savetxt`` writer, and the scalar IDM is the
-NumPy-scalar evaluation of the law.
+one-``%``-call-per-row ``np.savetxt`` writer, the scalar IDM is the
+NumPy-scalar evaluation of the law, and a merger's mainline neighbors
+come from a scan over every vehicle.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from rampmerge.simulation import TrajectoryLog
+from rampmerge.vehicles import Lane
 
 
 def qp_control_sequence(model, weights, r, x0) -> np.ndarray:
@@ -225,3 +227,19 @@ def idm_accel_numpy_scalar(speed, gap, closing_speed, params) -> float:
     s_star = params.s0 + np.maximum(dynamic, 0.0)
     accel = params.a * (1.0 - (v / params.v0) ** params.delta - (s_star / s) ** 2)
     return float(accel)
+
+
+def insertion_neighbors_by_scan(world, pos: float) -> tuple[int, int]:
+    """Nearest mainline vehicles at or ahead of, and behind, an axis
+    position (-1 for none), by one pass over the world in index order."""
+    main = np.nonzero(world.lane == Lane.MAINLINE.code)[0]
+    lead = lag = -1
+    lead_pos = math.inf
+    lag_pos = -math.inf
+    for j in main:
+        p = world.pos[j]
+        if p >= pos and p < lead_pos:
+            lead, lead_pos = int(j), p
+        elif p < pos and p > lag_pos:
+            lag, lag_pos = int(j), p
+    return lead, lag

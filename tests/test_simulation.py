@@ -2,11 +2,13 @@
 import concurrent.futures
 import math
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import insertion_neighbors_by_scan
 from rampmerge.cli import load_config
 from rampmerge.coordinator import HARD_BRAKE
 from rampmerge.fuel import METERS_PER_MILE, ML_PER_GALLON, fuel_rate
@@ -21,7 +23,9 @@ from rampmerge.simulation import (
     ScenarioConfig,
     TrajectoryLog,
     _Run,
+    _World,
     _can_stop,
+    _chain_neighbors,
     _forced_gap,
     compute_metrics,
     generate_arrivals,
@@ -33,12 +37,13 @@ from rampmerge.simulation import (
     stopping_bound,
     stopping_distance,
 )
-from rampmerge.vehicles import ControlLimits, ControlStatus, Lane
+from rampmerge.vehicles import ControlLimits, ControlStatus, Lane, lane_orders
 
 #: the stopping bound's (braking rate, margin) pairs: every vehicle's,
 #: and the one commanded vehicles pass first
 BOUNDS = ((-HARD_BRAKE, STOP_MARGIN), (COMFORT_BRAKE, COMFORT_MARGIN))
-SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SMOKE = CONFIGS / "smoke.yaml"
 
 
 def small_config(duration=120.0, mainline=900.0, ramp=200.0, q_sug=600.0,
@@ -135,6 +140,18 @@ class TestLogAndMetrics:
         arr = log.arrays()
         assert arr["position"][0] == 1.234568
         assert arr["speed"][0] == 2.0
+
+    def test_append_copies_its_inputs(self):
+        columns = [np.array([3]), np.array([0]), np.array([1.5]), np.array([2.0]),
+                   np.array([-0.1]), np.array([2]), np.array([0.5])]
+        log = TrajectoryLog()
+        log.append_step(0.1, *columns)
+        before = log.arrays()
+        for column in columns:
+            column += 1  # the caller writes to its arrays in place
+        after = log.arrays()
+        for name, values in before.items():
+            assert np.array_equal(after[name], values), name
 
     def test_empty_log(self):
         metrics = compute_metrics(TrajectoryLog().arrays(), 0.1)
@@ -504,3 +521,79 @@ class TestSafetyLayer:
             (100.0, 0.0, Lane.MAINLINE, ControlStatus.OPTIMAL_CONTROLLED),
             (115.0, 0.0, Lane.MAINLINE, ControlStatus.UNCONTROLLED),  # 10 m ahead
         ]) == 0
+
+
+class TestLaneChains:
+    """Each step sorts lane order once: a merger's mainline neighbors come
+    from bisecting the step's chain, and the audit walks the chains."""
+
+    def test_bisection_picks_the_scanned_neighbors(self):
+        # positions on a coarse grid, so that many vehicles share one
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            world = _World()
+            for vid in range(int(rng.integers(0, 12))):
+                lane = Lane.MAINLINE if rng.random() < 0.6 else Lane.RAMP
+                world.add(vid, lane.code, 2.5 * float(rng.integers(-4, 5)), 10.0)
+            orders = lane_orders(world.lane, world.pos)
+            chain = orders[Lane.MAINLINE].tolist()
+            key = (-world.pos[chain]).tolist()
+            grid = np.arange(-12.5, 12.6, 1.25)
+            for x in grid:
+                assert _chain_neighbors(chain, key, x)[:2] == insertion_neighbors_by_scan(world, x)
+            # mergers join in place, and each later one sees them
+            for j in orders[Lane.RAMP]:
+                lead, lag, rank = _chain_neighbors(chain, key, world.pos[j])
+                assert (lead, lag) == insertion_neighbors_by_scan(world, world.pos[j])
+                world.lane[j] = Lane.MAINLINE.code
+                chain.insert(rank, int(j))
+                key.insert(rank, -world.pos[j])
+            assert sorted(chain) == np.nonzero(world.lane == Lane.MAINLINE.code)[0].tolist()
+            assert key == sorted(key)
+            # a merger that joined a group of equal positions last may hold
+            # its lowest index
+            for x in grid:
+                assert _chain_neighbors(chain, key, x)[:2] == insertion_neighbors_by_scan(world, x)
+
+    @pytest.mark.parametrize("case", ["optimal", "metering", "none", "forced-merge"])
+    def test_chains_are_the_lane_order_at_every_audit(self, case, monkeypatch):
+        """Over the smoke run of each mode and the forced-merge window of
+        test_exports.py, the chains the audit walks are a fresh sort of
+        the lanes, and the step sorts once."""
+        if case == "forced-merge":
+            config = load_config(CONFIGS / "scenario1.yaml", mode="none", seed=1)
+            config.phases = [replace(config.phases[0], duration=300.0)]
+        else:
+            config = load_config(SMOKE, mode=case)
+        sorts, audited = [], []
+        monkeypatch.setattr("rampmerge.simulation.lane_orders",
+                            lambda *args: sorts.append(1) or lane_orders(*args))
+        original = _Run._collision_audit
+
+        def checked(run):
+            fresh = lane_orders(run.world.lane, run.world.pos)
+            for lane in Lane:
+                assert np.array_equal(run.chains[lane], fresh[lane]), (run.t, lane)
+            audited.append(run.t)
+            original(run)
+
+        monkeypatch.setattr(_Run, "_collision_audit", checked)
+        result = run_scenario(config)
+        assert len(sorts) == len(audited) > 0
+        assert result.counters.forced_merges > 0 or case != "forced-merge"
+
+    def test_audit_catches_a_swap_wider_than_a_vehicle(self):
+        run = _Run(small_config())
+        run.t = 0.0
+        run.world.add(0, Lane.MAINLINE.code, 100.0, 10.0)
+        run.world.add(1, Lane.MAINLINE.code, 80.0, 10.0)
+        run.on_ramp = run.world.lane == Lane.RAMP.code
+        run._car_following()
+        L = run.config.vehicle_length
+        # the follower ends the step clear ahead of its leader: re-sorted,
+        # the pair shows a positive gap, but it passed through the leader
+        run.world.pos[1] = 100.0 + L + 1.0
+        with pytest.raises(CollisionError) as caught:
+            run._collision_audit()
+        assert (caught.value.lead_id, caught.value.rear_id) == (0, 1)
+        assert caught.value.gap == -(2.0 * L + 1.0)
