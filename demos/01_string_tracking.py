@@ -10,7 +10,7 @@ from rampmerge.statespace import build_model
 from rampmerge.tracking import (
     build_reference,
     converged_gains,
-    solve_finite_horizon,
+    solve_finite_horizon_batch,
     steady_state_feedforward,
     weights_for,
 )
@@ -30,7 +30,7 @@ r_vec = build_reference(
     vehicle_length=5.0,
 )
 
-solution = solve_finite_horizon(model, weights, np.tile(r_vec, (301, 1)))
+[solution] = solve_finite_horizon_batch(model, [weights], np.tile(r_vec, (1, 301, 1)))
 print(f"finite horizon N=300: feedback gain K_0 shape {solution.K[0].shape}")
 
 K, Ky = converged_gains(model, weights)

@@ -10,7 +10,7 @@ from rampmerge.sequencing import (
     count_sequences,
     enumerate_sequences,
     optimal_sequence,
-    score_sequence,
+    score_sequences,
 )
 from rampmerge.vehicles import Lane, gap_floors
 
@@ -30,8 +30,7 @@ total = count_sequences(len(mainline), len(ramp))
 print(f"{total} admissible interleavings of {len(mainline)} mainline "
       f"and {len(ramp)} ramp vehicles\n")
 
-scores = [score_sequence(s, x0, floors, ctx)
-          for s in enumerate_sequences(mainline, ramp, ctx.cap)]
+scores = score_sequences(enumerate_sequences(mainline, ramp, ctx.cap), x0, floors, ctx)
 for s in sorted(scores, key=lambda s: s.total_fuel):
     order = " ".join(
         f"{'M' if lane is Lane.MAINLINE else 'R'}{vid}"

@@ -46,7 +46,7 @@ from .tracking import (
     active_pairs,
     converged_gains,
     cross_lane,
-    rollout,
+    rollout_batch,
     steady_state_feedforward,
 )
 from .vehicles import Lane, MergeGeometry, gap_floors
@@ -71,6 +71,12 @@ DENSITY_WINDOW = 10.0
 #: mainline vehicles arriving up to this long (s) before the ramp leader
 #: still join its cycle
 PARTNER_MARGIN = 2.0
+#: shortest roadway (m) a cycle's mainline share may span
+BUFFER_MIN_LENGTH = 50.0
+#: rolling window (s) over which ramp inflow keeps the suggested rate, and
+#: the share of that window's count an admission burst may overshoot it by
+INFLOW_WINDOW = 300.0
+INFLOW_TOLERANCE = 0.05
 
 
 @dataclass
@@ -116,7 +122,6 @@ def mainline_buffer_length(
     q_suggested: float,
     n_ramp: int,
     density: float,
-    lower: float = 50.0,
     upper: float = 1000.0,
 ) -> float:
     """Roadway length holding the mainline's flow-proportional share.
@@ -124,14 +129,14 @@ def mainline_buffer_length(
     For every ramp vehicle admitted, the mainline contributes
     ``q_mainline / q_suggested`` partners; dividing that vehicle count by
     the measured density converts it to meters.  Clamped to
-    ``[lower, upper]``; a zero density (empty road) clamps high.
+    ``[BUFFER_MIN_LENGTH, upper]``; a zero density (empty road) clamps high.
     """
     if q_suggested <= 0.0:
         raise ValueError("q_suggested must be positive")
     if density <= 0.0:
         return upper
     length = (q_mainline / q_suggested) * n_ramp / density
-    return float(min(max(length, lower), upper))
+    return float(min(max(length, BUFFER_MIN_LENGTH), upper))
 
 
 def proper_arrival_time(n_ramp_prev: int, q_suggested: float) -> float:
@@ -148,21 +153,17 @@ def proper_arrival_time(n_ramp_prev: int, q_suggested: float) -> float:
     return n_ramp_prev / q_suggested
 
 
-def inflow_group_cap(
-    q_suggested: float,
-    window: float = 300.0,
-    tolerance: float = 0.05,
-) -> int:
+def inflow_group_cap(q_suggested: float) -> int:
     """Largest admission burst that keeps every rolling window compliant.
 
     Admitting ``n`` vehicles at once and then holding the next leader for
     ``n / q`` seconds realizes the suggested rate on average, but a
-    rolling window of length ``W`` can still catch one unpaid burst at
-    its edge: worst case it sees ``W * q + n`` vehicles.  Keeping the
-    overshoot within ``tolerance * W * q`` bounds the burst size; at
-    least one vehicle must always be admissible.
+    rolling window of length ``W`` (``INFLOW_WINDOW``) can still catch
+    one unpaid burst at its edge: worst case it sees ``W * q + n``
+    vehicles.  Keeping the overshoot within ``INFLOW_TOLERANCE * W * q``
+    bounds the burst size; at least one vehicle must always be admissible.
     """
-    return max(1, math.floor(tolerance * q_suggested * window))
+    return max(1, math.floor(INFLOW_TOLERANCE * q_suggested * INFLOW_WINDOW))
 
 
 def travel_time_estimate(
@@ -566,7 +567,7 @@ class MergeCoordinator:
         # quick screen: comfortably formed strings skip the rollout
         if not breaches(x, 1.5):
             return
-        forecast = rollout(cset.model, cset.law, x, self.scoring.limits).x[1:]
+        forecast = rollout_batch(cset.model, [cset.law], x[None], self.scoring.limits).x[0, 1:]
         if breaches(forecast, REPAIR_GAP_FRACTION):
             self._repair_set(cset, x, snap)
 

@@ -6,7 +6,9 @@ order within each lane (no overtaking on a lane), so for M mainline and N
 ramp vehicles there are C(M+N, N) candidates.  Each candidate is scored
 by rolling out the string tracker and integrating predicted fuel over
 the horizon; the minimum-fuel feasible candidate wins.  A decision
-cycle's candidates are solved and rolled out as one batch.
+cycle's candidates are solved and rolled out as one batch, and each
+candidate's score is bitwise what it gets alone: in a batch of one, and
+from the one-problem reference ``tests/oracles.score_by_loop``.
 
 A cycle's inputs are plain arrays over its members, ordered mainline
 ids then ramp ids: ``x0``, their string state (positions, then speeds),
@@ -210,16 +212,6 @@ def score_sequences(
             problem=problem,
         ))
     return scores
-
-
-def score_sequence(
-    sequence: MergeSequence,
-    x0: np.ndarray,
-    floors: np.ndarray,
-    ctx: ScoringContext,
-) -> SequenceScore:
-    """Roll out one candidate order and integrate its predicted fuel."""
-    return score_sequences([sequence], x0, floors, ctx)[0]
 
 
 def _selection_key(score: SequenceScore) -> tuple:

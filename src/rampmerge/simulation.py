@@ -48,6 +48,8 @@ from .vehicles import ControlLimits, ControlStatus, Lane, MergeGeometry, lane_or
 
 #: net gap (m) required at a lane entrance before a queued arrival spawns
 SPAWN_CLEARANCE = 8.0
+#: shortest headway (s) between two arrivals in one lane
+ARRIVAL_MIN_HEADWAY = 1.0
 #: stop position of an unmerged ramp vehicle, short of the merge zone end
 MERGE_STOP_SETBACK = 3.0
 #: stop bar position for ramp metering, upstream of the merge point
@@ -116,7 +118,6 @@ class ScenarioConfig(Checked):
     )
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     vehicle_length: float = param("length", 5.0, "> 0")
-    arrival_min_headway: float = 1.0
     name: str = ""
 
     def issues(self) -> list[tuple[str, str]]:
@@ -146,30 +147,30 @@ def generate_arrivals(
     rate: float,
     duration: float,
     rng: np.random.Generator,
-    min_headway: float = 1.0,
     t0: float = 0.0,
 ) -> np.ndarray:
     """Poisson arrival times with a minimum headway.
 
     Draws a Poisson count, spreads it uniformly, then pushes each
-    arrival just far enough forward to respect ``min_headway`` (arrivals
-    shifted past the end of the interval are dropped).  The expected
-    count stays essentially ``rate * duration`` at the rates studied.
+    arrival just far enough forward to respect ``ARRIVAL_MIN_HEADWAY``
+    (arrivals shifted past the end of the interval are dropped).  The
+    expected count stays essentially ``rate * duration`` at the rates
+    studied.
     """
     if rate < 0.0 or duration <= 0.0:
         raise ValueError("need rate >= 0 and duration > 0")
     count = int(rng.poisson(rate * duration))
     times = np.sort(rng.uniform(0.0, duration, size=count))
-    return t0 + _keep_headway(times, min_headway, duration)
+    return t0 + _keep_headway(times, duration)
 
 
-def _keep_headway(times: np.ndarray, min_headway: float, end: float) -> np.ndarray:
-    """Push each sorted arrival forward to ``min_headway`` behind the one
-    before it, dropping every arrival that lands at or after ``end``."""
+def _keep_headway(times: np.ndarray, end: float) -> np.ndarray:
+    """Push each sorted arrival forward to ``ARRIVAL_MIN_HEADWAY`` behind the
+    one before it, dropping every arrival that lands at or after ``end``."""
     kept = []
     prev = -math.inf
     for raw in times:
-        t = max(float(raw), prev + min_headway)
+        t = max(float(raw), prev + ARRIVAL_MIN_HEADWAY)
         if t >= end:
             break
         kept.append(t)
@@ -496,13 +497,10 @@ class _Run:
             pieces = []
             t0 = 0.0
             for phase in config.phases:
-                pieces.append(generate_arrivals(
-                    rate_of(phase), phase.duration, rng,
-                    min_headway=config.arrival_min_headway, t0=t0,
-                ))
+                pieces.append(generate_arrivals(rate_of(phase), phase.duration, rng, t0=t0))
                 t0 += phase.duration
             merged = np.concatenate(pieces) if pieces else np.empty(0)
-            return _keep_headway(merged, config.arrival_min_headway, config.total_duration)
+            return _keep_headway(merged, config.total_duration)
 
         # indexed by lane code
         self.entrances = (
@@ -734,17 +732,13 @@ class _Run:
             v_j = world.v[j]
             closing_front = v_j - world.v[lead] if lead >= 0 else 0.0
             closing_rear = world.v[lag] - v_j if lag >= 0 else 0.0
-            # a slot the neighbors could survive with hard braking
-            survivable = (
-                front >= _forced_gap(closing_front) and rear >= _forced_gap(closing_rear)
-            )
             if self.status[j] == ControlStatus.OPTIMAL_CONTROLLED.code:
                 # planned merge, but never into an unsurvivable slot, nor
                 # one where the merger or its new follower starts outside
                 # the stopping bound; an unsafe slot defers the lane change
                 # along the acceleration lane
                 merge = (
-                    survivable
+                    front >= _forced_gap(closing_front) and rear >= _forced_gap(closing_rear)
                     and (lead < 0 or _can_stop(front, v_j, world.v[lead], dt))
                     and (lag < 0 or _can_stop(rear, world.v[lag], v_j, dt))
                 )
@@ -756,7 +750,10 @@ class _Run:
                     lag < 0 or rear >= world.v[lag] * ACCEPT_TAU
                     + max(closing_rear, 0.0) ** 2 / (2.0 * ACCEPT_YIELD)
                 )
-                if not merge and world.stand[j] >= FORCE_TIMEOUT and survivable:
+                # a mover that stood FORCE_TIMEOUT takes any survivable slot
+                if (not merge and world.stand[j] >= FORCE_TIMEOUT
+                        and front >= _forced_gap(closing_front)
+                        and rear >= _forced_gap(closing_rear)):
                     merge, world.stand[j] = True, 0.0
                     self.counters.forced_merges += 1
             if merge:  # in place, so later movers of this step see it

@@ -25,7 +25,8 @@ time-to-go; each solve reads its gains from the table and recurses only
 V_k.  A batch's problems share one model (one string size and step) and
 are solved, rolled out and repaired as stacks; a stacked ``matmul`` or
 ``solve`` makes one BLAS/LAPACK call per problem, so each batched result
-is bitwise the one-problem result.
+is bitwise what the problem gets alone: in a batch of one, and in the
+one-problem reference ``tests/oracles.py``.
 
 Receding-horizon use flies the recursion's limit: the gains by
 fixed-point iteration (:func:`converged_gains`) and, for a constant
@@ -81,12 +82,15 @@ def weights_for(
     return TrackerWeights(Q=Q, R=control_weight * np.eye(n), Q_N=terminal_factor * Q)
 
 
+#: pad (m) between a pair's gap floor and its reference gap
+GAP_MARGIN = 0.5
+
+
 def build_reference(
     floors: np.ndarray,
     desired_speed: float,
     desired_time_headway: float,
     vehicle_length: float,
-    gap_margin: float = 0.5,
 ) -> np.ndarray:
     """Constant reference ``(2n-1,)``: safe desired gaps for the ``n-1``
     pairwise gap floors, then a uniform desired speed.
@@ -99,7 +103,7 @@ def build_reference(
     """
     floors = np.asarray(floors, dtype=float)
     gaps = vehicle_length + np.maximum(
-        floors + gap_margin, desired_time_headway * desired_speed
+        floors + GAP_MARGIN, desired_time_headway * desired_speed
     )
     return np.concatenate([gaps, np.full(len(floors) + 1, desired_speed)])
 
@@ -254,16 +258,18 @@ def solve_finite_horizon_batch(
 ) -> list[LqSolution]:
     """Finite-horizon solutions of one model's problems over one horizon.
 
-    ``r`` stacks each problem's reference rows, shape ``(G, N+1, 2n-1)``.
-    The gains and quadratic terms come from the shared time-to-go tables
-    (see :class:`RiccatiTable`), filled by one stacked recursion; the
-    linear term ``V`` is recursed for all problems at once, one stacked
-    step per time step.  The returned ``K``, ``Ky`` and ``S`` are
-    read-only views into the tables.
+    ``r`` stacks each problem's reference rows, shape ``(G, N+1, 2n-1)``
+    with ``N >= 1``.  The gains and quadratic terms come from the shared
+    time-to-go tables (see :class:`RiccatiTable`), filled by one stacked
+    recursion; the linear term ``V`` is recursed for all problems at once,
+    one stacked step per time step.  The returned ``K``, ``Ky`` and ``S``
+    are read-only views into the tables.
     """
     if r.shape[2:] != (model.output_dim,):
         raise ValueError(f"references {r.shape} do not fit model outputs ({model.output_dim},)")
     N = r.shape[1] - 1
+    if N < 1:
+        raise ValueError(f"horizon must be >= 1, got {N}")
     tables = _riccati_tables_for(model, weights, N)
     Q = np.stack([w.Q for w in weights])
     Q_N = np.stack([w.Q_N for w in weights])
@@ -285,20 +291,6 @@ def solve_finite_horizon_batch(
     return solutions
 
 
-def solve_finite_horizon(
-    model: LtiModel, weights: TrackerWeights, r: np.ndarray
-) -> LqSolution:
-    """Backward Riccati recursion over the horizon of the reference rows
-    ``r``, shape ``(N+1, 2n-1)``.
-
-    The one-problem case of :func:`solve_finite_horizon_batch`.
-    """
-    r = np.asarray(r, dtype=float)
-    if len(r) < 2:
-        raise ValueError(f"horizon must be >= 1, got {len(r) - 1}")
-    return solve_finite_horizon_batch(model, [weights], r[None])[0]
-
-
 @dataclass
 class Trajectory:
     """Closed-loop rollout record; batched rollouts stack loops in front."""
@@ -316,9 +308,15 @@ def rollout_batch(
     """Simulate the closed loops of equal-horizon solutions at once.
 
     ``x0`` stacks the start states, shape ``(G, 2n)``, and the returned
-    states and inputs stack the loops the same way.  Each step is one
-    stacked update of every loop, with the operations of :func:`rollout`,
-    so each trajectory is bitwise what it would be alone.
+    states and inputs stack the loops the same way.  Each input is
+    ``-K_k x_k + Ky_k V_{k+1}``.  When limits are given, it is clipped
+    before it is applied; speeds are additionally clamped to
+    ``[0, v_max]`` so the recorded states stay physical (vehicles neither
+    reverse nor run away while a large tracking error saturates the
+    actuator).  Positions integrate the trapezoid of successive speeds,
+    which coincides exactly with ``A @ x + B @ u`` whenever no clamp
+    binds.  Each step is one stacked update of every loop, so each
+    trajectory is bitwise what it would be alone.
     """
     N = solutions[0].horizon
     if any(s.horizon != N for s in solutions):
@@ -353,26 +351,6 @@ def rollout_batch(
     return Trajectory(x=x, u=u)
 
 
-def rollout(
-    model: LtiModel,
-    solution: LqSolution,
-    x0: np.ndarray,
-    limits: ControlLimits | None = None,
-) -> Trajectory:
-    """Simulate the closed loop from ``x0`` over the solution's horizon.
-
-    Each input is ``-K_k x_k + Ky_k V_{k+1}``.  When limits are given, it
-    is clipped before it is applied; speeds are additionally clamped to
-    ``[0, v_max]`` so the recorded states stay physical (vehicles neither
-    reverse nor run away while a large tracking error saturates the
-    actuator).  Positions integrate the trapezoid of successive speeds,
-    which coincides exactly with ``A @ x + B @ u`` whenever no clamp
-    binds.  The one-loop case of :func:`rollout_batch`.
-    """
-    traj = rollout_batch(model, [solution], np.asarray(x0, dtype=float)[None], limits)
-    return Trajectory(x=traj.x[0], u=traj.u[0])
-
-
 def cross_lane(lanes: tuple[Lane, ...]) -> np.ndarray:
     """Which consecutive pairs of a string start in different lanes."""
     return np.array([a is not b for a, b in zip(lanes, lanes[1:])], dtype=bool)
@@ -390,14 +368,18 @@ def active_pairs(
     return ~cross | (positions[..., 1:] >= activation_line)
 
 
+#: span (s) at the end of a pair's active steps over which it must hold
+#: its gap floor
+SETTLE_TIME = 1.0
+
+
 def check_constraints(
     positions: np.ndarray,
     floors: np.ndarray,
     cross: np.ndarray,
     vehicle_length: float,
     dt: float,
-    activation_line: float = -50.0,
-    settle_time: float = 1.0,
+    activation_line: float,
 ) -> np.ndarray:
     """Which rolled-out strings end short of a gap floor.
 
@@ -405,7 +387,7 @@ def check_constraints(
     ``floors`` and ``cross`` hold each pair's minimum net gap and
     cross-lane flag, shape ``(G, n-1)``.  Net gaps (position difference
     minus vehicle length) are held to their floors with settle semantics:
-    a pair must hold its floor over the last ``settle_time`` of the steps
+    a pair must hold its floor over the last ``SETTLE_TIME`` of the steps
     where it is active (see :func:`active_pairs`), wherever those steps
     fall.  Spacing while the string is still forming is not punishable
     (a pre-existing tight gap at step zero cannot be fixed by any plan,
@@ -427,7 +409,7 @@ def check_constraints(
             f"got {floors.shape} and {cross.shape}"
         )
     gap_tol = 1e-3
-    hold = max(1, int(round(settle_time / dt)))
+    hold = max(1, int(round(SETTLE_TIME / dt)))
     active = active_pairs(positions, cross[:, None], activation_line)
     # active steps from each step to the end: the last ``hold`` have 1..hold
     to_go = np.cumsum(active[:, ::-1], axis=1)[:, ::-1]
@@ -477,10 +459,10 @@ def solve_with_repair_batch(
     problems: list[StringProblem],
     limits: ControlLimits,
     vehicle_length: float,
-    horizon: int = 300,
-    activation_line: float = -50.0,
-    growth: float = 1.5,
-    max_horizon: int = 1200,
+    horizon: int,
+    activation_line: float,
+    growth: float,
+    max_horizon: int,
 ) -> list[RepairResult]:
     """Solve, roll out clipped, and re-solve over longer horizons until clean.
 
@@ -518,7 +500,7 @@ def solve_with_repair_batch(
             short = check_constraints(
                 traj.x[..., :model.n], np.stack([p.floors for p in batch]),
                 np.stack([cross_lane(p.lanes) for p in batch]), vehicle_length,
-                model.dt, activation_line=activation_line,
+                model.dt, activation_line,
             )
             for g, i in enumerate(chunk):
                 if short[g] and N < max_horizon:
@@ -533,55 +515,36 @@ def solve_with_repair_batch(
     return results
 
 
-def solve_with_repair(
-    model: LtiModel,
-    weights: TrackerWeights,
-    r_vec: np.ndarray,
-    x0: np.ndarray,
-    limits: ControlLimits,
-    floors: np.ndarray,
-    lanes: tuple[Lane, ...],
-    vehicle_length: float,
-    horizon: int = 300,
-    activation_line: float = -50.0,
-    growth: float = 1.5,
-    max_horizon: int = 1200,
-) -> RepairResult:
-    """The one-string case of :func:`solve_with_repair_batch`."""
-    problem = StringProblem(weights, r_vec, x0, floors, lanes)
-    return solve_with_repair_batch(
-        model, [problem], limits, vehicle_length, horizon=horizon,
-        activation_line=activation_line, growth=growth, max_horizon=max_horizon,
-    )[0]
+#: max-norm change of the feedback gain at which the gain iteration has
+#: converged, and the iteration budget
+GAIN_TOL = 1e-10
+GAIN_MAX_ITER = 10000
 
 
 def converged_gains(
-    model: LtiModel,
-    weights: TrackerWeights,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    model: LtiModel, weights: TrackerWeights
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receding-horizon gains: fixed point of the backward recursion.
 
     Iterates from the terminal condition until the feedback gain changes
-    by at most ``tol`` in the max norm.  Raises ``RuntimeError`` if the
-    iteration has not settled within ``max_iter`` steps.
+    by at most ``GAIN_TOL`` in the max norm.  Raises ``RuntimeError`` if
+    the iteration has not settled within ``GAIN_MAX_ITER`` steps.
     """
     A, B, C = model.A, model.B, model.C
     CtQC = C.T @ weights.Q @ C
     S = C.T @ weights.Q_N @ C
     K_prev: np.ndarray | None = None
-    for _ in range(max_iter):
+    for _ in range(GAIN_MAX_ITER):
         BtS = B.T @ S
         M = weights.R + BtS @ B
         K = np.linalg.solve(M, BtS @ A)
-        if K_prev is not None and np.max(np.abs(K - K_prev)) <= tol:
+        if K_prev is not None and np.max(np.abs(K - K_prev)) <= GAIN_TOL:
             Ky = np.linalg.solve(M, B.T)
             return K, Ky
         Sk = CtQC + A.T @ S @ (A - B @ K)
         S = 0.5 * (Sk + Sk.T)
         K_prev = K
-    raise RuntimeError(f"gain iteration did not converge within {max_iter} steps")
+    raise RuntimeError(f"gain iteration did not converge within {GAIN_MAX_ITER} steps")
 
 
 def steady_state_feedforward(

@@ -22,7 +22,7 @@ from rampmerge.sequencing import (
     count_sequences,
     enumerate_sequences,
     optimal_sequence,
-    score_sequence,
+    score_sequences,
 )
 from rampmerge.simulation import (
     ControlMode,
@@ -35,7 +35,7 @@ from rampmerge.statespace import build_model
 from rampmerge.tracking import (
     TrackerWeights,
     converged_gains,
-    solve_finite_horizon,
+    solve_finite_horizon_batch,
 )
 from rampmerge.vehicles import Lane, gap_floors
 from rampmerge.cli import export_trajectories
@@ -119,7 +119,7 @@ def test_criterion_1_tracker_matches_dense_qp():
         )
         ref = rng.normal(scale=5.0, size=(N + 1, ny))
         x0 = rng.normal(scale=3.0, size=nx)
-        solution = solve_finite_horizon(model, weights, ref)
+        [solution] = solve_finite_horizon_batch(model, [weights], ref[None])
         x = x0.copy()
         u_closed = np.empty((N, nu))
         for k in range(N):
@@ -147,7 +147,7 @@ def test_criterion_2_converged_gains_consistency():
         K_inf, _ = converged_gains(model, weights)
         ny = model.output_dim
         ref = np.tile(np.linspace(20.0, 40.0, ny), (2001, 1))
-        solution = solve_finite_horizon(model, weights, ref)
+        [solution] = solve_finite_horizon_batch(model, [weights], ref[None])
         worst_gain = max(worst_gain, float(np.max(np.abs(K_inf - solution.K[0]))))
         for S_i in solution.S:
             worst_asym = max(worst_asym, float(np.max(np.abs(S_i - S_i.T))))
@@ -184,7 +184,7 @@ def test_criterion_3_sequence_enumeration_and_optimum():
     mainline_ids = [0, 1, 2]
     ramp_ids = [10, 11, 12]
     chosen = optimal_sequence(mainline_ids, ramp_ids, x0, floors, ctx)
-    rescan = [score_sequence(s, x0, floors, ctx)
+    rescan = [score_sequences([s], x0, floors, ctx)[0]
               for s in enumerate_sequences(mainline_ids, ramp_ids, cap=ctx.cap)]
     feasible = [s for s in rescan if s.feasible]
     pool = feasible if feasible else rescan

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from rampmerge.simulation import (
     DemandPhase,
     GroupMetrics,
     RunMetrics,
+    ScenarioConfig,
     TrajectoryLog,
     compute_metrics,
     run_scenario,
@@ -235,6 +237,13 @@ class TestLoadConfig:
         assert resolved == ACCEPTED_KEYS
         # and a file setting every one of them loads
         load_config(write_config(tmp_path, dump_config(cfg), "all.yaml"))
+
+    def test_every_config_field_is_declared(self):
+        # an undeclared field is one no file can set and config_digest
+        # leaves out, so two configs drawing different runs share a digest
+        cfg = ScenarioConfig(phases=[])
+        declared = {*settable(cfg), *dict(parts(cfg)), "phases", "mode", "name"}
+        assert [f.name for f in fields(cfg) if f.name not in declared] == []
 
     def test_integral_float_counts_as_integer(self, tmp_path):
         path = write_config(tmp_path, "seed: 4.0\nscoring: {horizon: 250.0, cap: '1e2'}\n"

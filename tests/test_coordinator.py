@@ -22,7 +22,7 @@ from rampmerge.cli import load_config
 from rampmerge.idm import IdmParams, idm_accel
 from rampmerge.sequencing import ScoringContext, optimal_sequence
 from rampmerge.simulation import run_scenario
-from rampmerge.tracking import rollout
+from rampmerge.tracking import rollout_batch
 from rampmerge.vehicles import (
     ControlLimits,
     ControlStatus,
@@ -584,12 +584,12 @@ class TestStringLaw:
             gaps = cset.problem.r_vec[:n - 1]
             positions = -100.0 - np.concatenate([[0.0], np.cumsum(gaps)])
             x = np.concatenate([positions, cset.problem.r_vec[n - 1:] - 0.5])
-        forecast = rollout(cset.model, law, x, LIMITS)
+        forecast = rollout_batch(cset.model, [law], x[None], LIMITS)
         want = lookahead_by_loop(
             law.K[0], law.Ky[0], law.V[0], x, cset.model.dt, LIMITS, LOOKAHEAD_STEPS
         )
-        assert np.array_equal(forecast.x[1:], want)
-        inside = (forecast.u > LIMITS.acc_min) & (forecast.u < LIMITS.acc_max)
+        assert np.array_equal(forecast.x[0, 1:], want)
+        inside = (forecast.u[0] > LIMITS.acc_min) & (forecast.u[0] < LIMITS.acc_max)
         assert inside.all() != clipped
 
 

@@ -12,11 +12,10 @@ from rampmerge.sequencing import (
     count_sequences,
     enumerate_sequences,
     optimal_sequence,
-    score_sequence,
     score_sequences,
 )
 from rampmerge.statespace import build_model
-from rampmerge.tracking import solve_finite_horizon
+from rampmerge.tracking import solve_finite_horizon_batch
 from rampmerge.vehicles import ControlLimits, Lane, gap_floors
 
 CAP = ScoringContext().cap
@@ -94,7 +93,7 @@ class TestGapFloors:
         (seq,) = enumerate_sequences([2], [1], CAP)[1:]  # ramp 1 ahead of mainline 2
         x0, floors = _inputs((-50.0, 12.0, 14.9758), (0.0, 30.0))
         assert seq.ids == (1, 2) and seq.rows == (1, 0)
-        problem = score_sequence(seq, x0, floors, ScoringContext()).problem
+        problem = score_sequences([seq], x0, floors, ScoringContext())[0].problem
         assert np.array_equal(problem.x0, [0.0, -50.0, 30.0, 12.0])
         assert np.array_equal(problem.floors, [2.0 * 14.9758])
 
@@ -108,7 +107,7 @@ class TestScoring:
         ctx = ScoringContext(desired_speed=20.0)
         seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.RAMP), rows=(0, 1))
         x0, floors = _inputs((0.0, 18.0), (-55.0, 15.0))
-        score = score_sequence(seq, x0, floors, ctx)
+        [score] = score_sequences([seq], x0, floors, ctx)
         traj = score.result.trajectory
         speeds = np.maximum(traj.x[:-1, 2:], 0.0)
         expect = sum(
@@ -122,7 +121,7 @@ class TestScoring:
         seq = MergeSequence(ids=(1, 2), lanes=(Lane.MAINLINE, Lane.MAINLINE), rows=(0, 1))
         # 7 m net gap, floor 30
         x0, floors = _inputs((0.0, 15.0), (-12.0, 15.0))
-        score = score_sequence(seq, x0, floors, ctx)
+        [score] = score_sequences([seq], x0, floors, ctx)
         assert score.horizon > 30
         assert score.feasible
 
@@ -209,7 +208,7 @@ class TestBatchedScoring:
         r = np.full(11, 30.0)
         for seq, N in zip(seqs[:12], (40, 150, 90) * 4):
             weights = self.CTX.problem(seq.lanes, np.zeros(5), np.zeros(12)).weights
-            solve_finite_horizon(model, weights, np.tile(r, (N + 1, 1)))
+            solve_finite_horizon_batch(model, [weights], np.tile(r, (1, N + 1, 1)))
         sizes = {t.size for t in tracking._riccati_tables.values()}
         assert sizes == {40, 90, 150}
         self.assert_exact(expected)

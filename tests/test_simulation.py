@@ -13,6 +13,7 @@ from rampmerge.cli import load_config
 from rampmerge.coordinator import HARD_BRAKE
 from rampmerge.fuel import METERS_PER_MILE, ML_PER_GALLON, fuel_rate
 from rampmerge.simulation import (
+    ARRIVAL_MIN_HEADWAY,
     COMFORT_BRAKE,
     COMFORT_MARGIN,
     CollisionError,
@@ -66,8 +67,8 @@ class TestArrivals:
 
     def test_min_headway_enforced(self):
         rng = np.random.default_rng(1)
-        times = generate_arrivals(2.0, 300.0, rng, min_headway=1.0)
-        assert np.all(np.diff(times) >= 1.0 - 1e-12)
+        times = generate_arrivals(2.0, 300.0, rng)
+        assert np.all(np.diff(times) >= ARRIVAL_MIN_HEADWAY - 1e-12)
 
     def test_deterministic_per_seed(self):
         a = generate_arrivals(0.4, 600.0, np.random.default_rng(42))

@@ -11,6 +11,7 @@ from rampmerge.sequencing import ScoringContext
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
     LqSolution,
+    StringProblem,
     TrackerWeights,
     active_pairs,
     build_reference,
@@ -18,10 +19,8 @@ from rampmerge.tracking import (
     converged_gains,
     cross_lane,
     extend_tables,
-    rollout,
-    solve_finite_horizon,
+    rollout_batch,
     solve_finite_horizon_batch,
-    solve_with_repair,
     steady_state_feedforward,
     weights_for,
 )
@@ -40,9 +39,9 @@ class TestHandWorkedSingleStep:
     def setup_method(self):
         self.model = build_model(1, 1.0)
         self.weights = unit_weights(1, 1)
-        self.sol = solve_finite_horizon(
-            self.model, self.weights, np.tile(np.array([8.0]), (2, 1))
-        )
+        self.sol = solve_finite_horizon_batch(
+            self.model, [self.weights], np.full((1, 2, 1), 8.0)
+        )[0]
 
     def test_terminal_quadratic_term(self):
         assert np.allclose(self.sol.S[1], [[0.0, 0.0], [0.0, 1.0]])
@@ -78,20 +77,20 @@ class TestAgainstDenseQp:
                 )
                 ref = rng.normal(10.0, 5.0, (N + 1, ny))
                 x0 = rng.normal(0.0, 20.0, 2 * n)
-                sol = solve_finite_horizon(model, weights, ref)
-                traj = rollout(model, sol, x0)
+                [sol] = solve_finite_horizon_batch(model, [weights], ref[None])
+                u = rollout_batch(model, [sol], x0[None]).u[0]
                 u_qp = qp_control_sequence(model, weights, ref, x0)
-                assert np.max(np.abs(traj.u - u_qp)) < 1e-8
+                assert np.max(np.abs(u - u_qp)) < 1e-8
 
     def test_string_instance_tight_tolerance(self):
         model = build_model(3, 0.1)
         weights = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
         ref = np.tile(build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0), (13, 1))
         x0 = np.array([0.0, -42.0, -80.0, 29.0, 31.0, 30.0])
-        sol = solve_finite_horizon(model, weights, ref)
-        traj = rollout(model, sol, x0)
+        [sol] = solve_finite_horizon_batch(model, [weights], ref[None])
+        u = rollout_batch(model, [sol], x0[None]).u[0]
         u_qp = qp_control_sequence(model, weights, ref, x0)
-        assert np.max(np.abs(traj.u - u_qp)) < 1e-10
+        assert np.max(np.abs(u - u_qp)) < 1e-10
 
 
 class TestRecursionProperties:
@@ -101,7 +100,7 @@ class TestRecursionProperties:
             (Lane.MAINLINE, Lane.MAINLINE, Lane.RAMP, Lane.RAMP)
         )
         ref = np.tile(build_reference(np.full(3, 30.0), 32.99, 1.2, 5.0), (81, 1))
-        self.sol = solve_finite_horizon(self.model, self.weights, ref)
+        [self.sol] = solve_finite_horizon_batch(self.model, [self.weights], ref[None])
 
     def test_cost_to_go_symmetric(self):
         for k in range(0, 81, 8):
@@ -116,10 +115,10 @@ class TestRecursionProperties:
         weights = weights_for((Lane.MAINLINE, Lane.RAMP))
         r = np.array([40.0, 30.0, 30.0])
         x0 = np.array([0.0, -60.0, 25.0, 32.0])
-        sol1 = solve_finite_horizon(model, weights, np.tile(r, (51, 1)))
-        sol2 = solve_finite_horizon(model, weights, np.tile(2 * r, (51, 1)))
-        u1 = rollout(model, sol1, x0).u
-        u2 = rollout(model, sol2, 2 * x0).u
+        sol1 = solve_finite_horizon_batch(model, [weights], np.tile(r, (1, 51, 1)))
+        sol2 = solve_finite_horizon_batch(model, [weights], np.tile(2 * r, (1, 51, 1)))
+        u1 = rollout_batch(model, sol1, x0[None]).u[0]
+        u2 = rollout_batch(model, sol2, 2 * x0[None]).u[0]
         assert np.allclose(u2, 2 * u1, atol=1e-9)
 
     def test_expensive_control_goes_quiet(self):
@@ -128,15 +127,18 @@ class TestRecursionProperties:
         x0 = np.array([0.0, -70.0, 26.0, 33.0])
         cheap = weights_for((Lane.MAINLINE, Lane.RAMP), control_weight=1.0)
         dear = weights_for((Lane.MAINLINE, Lane.RAMP), control_weight=1e6)
-        ref = np.tile(r, (101, 1))
-        u_cheap = rollout(model, solve_finite_horizon(model, cheap, ref), x0).u
-        u_dear = rollout(model, solve_finite_horizon(model, dear, ref), x0).u
+        ref = np.tile(r, (1, 101, 1))
+        u_cheap = rollout_batch(
+            model, solve_finite_horizon_batch(model, [cheap], ref), x0[None]).u[0]
+        u_dear = rollout_batch(
+            model, solve_finite_horizon_batch(model, [dear], ref), x0[None]).u[0]
         assert np.max(np.abs(u_dear)) < 1e-3 * np.max(np.abs(u_cheap))
 
     def test_horizon_validation(self):
-        # one row is the terminal step alone: horizon 0
-        with pytest.raises(ValueError, match="horizon"):
-            solve_finite_horizon(self.model, self.weights, np.ones((1, 7)))
+        # one row is the terminal step alone: horizon 0, refused before the
+        # table lookup could read it as a full-table slice
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            solve_finite_horizon_batch(self.model, [self.weights], np.ones((1, 1, 7)))
 
     def test_reference_width_must_match_the_model(self):
         r = np.tile(build_reference(np.array([30.0]), 30.0, 1.2, 5.0), (11, 1))
@@ -149,12 +151,12 @@ def test_closed_loop_reaches_constant_reference():
     weights = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
     r_vec = build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0)
     x0 = np.array([0.0, -30.0, -75.0, 26.0, 33.0, 28.0])
-    sol = solve_finite_horizon(model, weights, np.tile(r_vec, (601, 1)))
-    traj = rollout(model, sol, x0)
-    err = model.observe(traj.x[-1]) - r_vec
+    sol = solve_finite_horizon_batch(model, [weights], np.tile(r_vec, (1, 601, 1)))
+    traj = rollout_batch(model, sol, x0[None])
+    err = model.observe(traj.x[0, -1]) - r_vec
     assert np.max(np.abs(err)) < 1e-3
     # and the inputs die out once the string is formed
-    assert np.max(np.abs(traj.u[-50:])) < 1e-3
+    assert np.max(np.abs(traj.u[0, -50:])) < 1e-3
 
 
 class TestSharedRiccatiTable:
@@ -181,7 +183,7 @@ class TestSharedRiccatiTable:
     def assert_bitwise(self, lanes, horizons):
         for N in horizons:
             model, weights, ref = self.problem(lanes, N)
-            sol = solve_finite_horizon(model, weights, ref)
+            [sol] = solve_finite_horizon_batch(model, [weights], ref[None])
             for got, want in zip((sol.K, sol.Ky, sol.S, sol.V),
                                  riccati_recursion(model, weights, ref)):
                 assert got.shape == want.shape
@@ -234,8 +236,8 @@ class TestSharedRiccatiTable:
     def test_solution_is_read_only(self):
         model = build_model(2, 0.1)
         weights = weights_for(self.PATTERNS[1])
-        sol = solve_finite_horizon(
-            model, weights, np.tile(np.array([40.0, 30.0, 30.0]), (21, 1))
+        [sol] = solve_finite_horizon_batch(
+            model, [weights], np.tile(np.array([40.0, 30.0, 30.0]), (1, 21, 1))
         )
         with pytest.raises(ValueError):
             sol.K[0, 0, 0] = 1.0
@@ -273,13 +275,15 @@ class TestConvergedGains:
     def test_matches_long_horizon_initial_gain(self):
         K, Ky = converged_gains(self.model, self.weights)
         r_vec = build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0)
-        sol = solve_finite_horizon(self.model, self.weights, np.tile(r_vec, (2001, 1)))
+        [sol] = solve_finite_horizon_batch(
+            self.model, [self.weights], np.tile(r_vec, (1, 2001, 1)))
         assert np.max(np.abs(sol.K[0] - K)) < 1e-8
         assert np.max(np.abs(sol.Ky[0] - Ky)) < 1e-8
 
-    def test_iteration_budget_enforced(self):
-        with pytest.raises(RuntimeError):
-            converged_gains(self.model, self.weights, max_iter=3)
+    def test_iteration_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(tracking, "GAIN_MAX_ITER", 3)
+        with pytest.raises(RuntimeError, match="within 3 steps"):
+            converged_gains(self.model, self.weights)
 
     @pytest.mark.parametrize("control_weight", [1.0, 100.0])
     @pytest.mark.parametrize("lanes", [
@@ -320,27 +324,27 @@ class TestRollout:
         # enormous initial gap error forces commands past the actuator range
         r_vec = build_reference(np.array([30.0]), 30.0, 1.2, 5.0)
         x0 = np.array([0.0, -400.0, 30.0, 30.0])
-        sol = solve_finite_horizon(model, weights, np.tile(r_vec, (121, 1)))
-        traj = rollout(model, sol, x0, LIMITS)
-        assert np.max(traj.u) == LIMITS.acc_max  # saturated, not exceeded
-        assert np.min(traj.u) >= LIMITS.acc_min
+        sol = solve_finite_horizon_batch(model, [weights], np.tile(r_vec, (1, 121, 1)))
+        u = rollout_batch(model, sol, x0[None], LIMITS).u
+        assert np.max(u) == LIMITS.acc_max  # saturated, not exceeded
+        assert np.min(u) >= LIMITS.acc_min
 
     def test_unclipped_when_no_limits(self):
         model = build_model(1, 0.1)
-        sol = solve_finite_horizon(
-            model, unit_weights(1, 1), np.tile(np.array([5.0]), (21, 1))
+        [sol] = solve_finite_horizon_batch(
+            model, [unit_weights(1, 1)], np.full((1, 21, 1), 5.0)
         )
-        traj = rollout(model, sol, np.array([0.0, 30.0]))
+        traj = rollout_batch(model, [sol], np.array([[0.0, 30.0]]))
         for k in range(sol.horizon):
-            assert np.array_equal(traj.u[k], sol.control(k, traj.x[k]))
+            assert np.array_equal(traj.u[0, k], sol.control(k, traj.x[0, k]))
 
     def test_bad_state_shape(self):
         model = build_model(2, 0.1)
-        sol = solve_finite_horizon(
-            model, unit_weights(3, 2), np.zeros((6, 3))
+        sol = solve_finite_horizon_batch(
+            model, [unit_weights(3, 2)], np.zeros((1, 6, 3))
         )
-        with pytest.raises(ValueError):
-            rollout(model, sol, np.zeros(3))
+        with pytest.raises(ValueError, match=r"x0 must have shape \(1, 4\)"):
+            rollout_batch(model, sol, np.zeros((1, 3)))
 
 
 def _gap_trajectory(gaps, floor, cross_lane=False, follower_positions=None,
@@ -411,9 +415,11 @@ class TestConstraintChecks:
     def test_spec_count_validated(self):
         positions = np.zeros((1, 2, 3))
         with pytest.raises(ValueError):
-            check_constraints(positions, np.array([[10.0]]), np.array([[False]]), 5.0, 0.1)
+            check_constraints(
+                positions, np.array([[10.0]]), np.array([[False]]), 5.0, 0.1, -50.0)
         with pytest.raises(ValueError):
-            check_constraints(positions, np.full((1, 2), 10.0), np.array([[False]]), 5.0, 0.1)
+            check_constraints(
+                positions, np.full((1, 2), 10.0), np.array([[False]]), 5.0, 0.1, -50.0)
 
     def test_stacked_check_matches_the_per_pair_loop(self):
         """Random strings against the per-pair loop, checked as stacks.
@@ -469,10 +475,10 @@ class TestRepair:
         weights = weights_for((Lane.MAINLINE, Lane.MAINLINE))
         r_vec = build_reference(np.array([floor]), 15.0, 1.2, 5.0)
         x0 = np.array([0.0, follower_pos, 15.0, 15.0])
-        return solve_with_repair(
-            model, weights, r_vec, x0, LIMITS,
-            np.array([floor]), (Lane.MAINLINE, Lane.MAINLINE), 5.0, **kwargs
-        )
+        problem = StringProblem(
+            weights, r_vec, x0, np.array([floor]), (Lane.MAINLINE, Lane.MAINLINE))
+        ctx = ScoringContext(limits=LIMITS, vehicle_length=5.0, **kwargs)
+        return ctx.solve_batch(model, [problem])[0]
 
     def test_benign_instance_keeps_requested_horizon(self):
         # follower starts a half meter off the settle point
@@ -490,7 +496,7 @@ class TestRepair:
     @pytest.mark.parametrize("growth", [1.0, 0.5])
     def test_growth_must_lengthen_the_horizon(self, growth):
         with pytest.raises(ValueError, match="growth"):
-            self._setup(follower_pos=-10.0, floor=40.0, horizon=30, growth=growth)
+            self._setup(follower_pos=-10.0, floor=40.0, horizon=30, horizon_growth=growth)
 
     def test_scoring_context_rejects_stalled_growth(self):
         ScoringContext().validate()
