@@ -6,13 +6,13 @@ with converged gains and watch gaps and speeds settle.
 """
 import numpy as np
 
+from rampmerge.sequencing import ScoringContext
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
     build_reference,
     converged_gains,
     solve_finite_horizon_batch,
     steady_state_feedforward,
-    weights_for,
 )
 from rampmerge.vehicles import Lane
 
@@ -20,7 +20,7 @@ n = 3
 dt = 0.1
 model = build_model(n, dt)
 lanes = (Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE)
-weights = weights_for(lanes, control_weight=2.0)
+weights = ScoringContext(control_weight=2.0).weights(lanes)
 
 # desired: 36 m net gaps at 30 m/s, i.e. position differences of 41 m
 r_vec = build_reference(

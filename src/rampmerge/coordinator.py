@@ -38,11 +38,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .idm import IdmParams, idm_accel
-from .sequencing import ScoringContext, count_sequences, optimal_sequence
+from .sequencing import ScoringContext, StringProblem, count_sequences, optimal_sequence
 from .statespace import LtiModel, build_model
 from .tracking import (
     LqSolution,
-    StringProblem,
     active_pairs,
     converged_gains,
     cross_lane,
@@ -122,7 +121,7 @@ def mainline_buffer_length(
     q_suggested: float,
     n_ramp: int,
     density: float,
-    upper: float = 1000.0,
+    upper: float,
 ) -> float:
     """Roadway length holding the mainline's flow-proportional share.
 

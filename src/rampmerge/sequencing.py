@@ -1,5 +1,6 @@
-"""Merge-order selection: enumerate interleavings, score each, keep the
-cheapest.
+"""The planning policy that applies ``tracking``'s LQ mathematics
+(:class:`ScoringContext`), and merge-order selection: enumerate
+interleavings, score each, keep the cheapest.
 
 A merge sequence is an interleaving of the two lane queues that keeps the
 order within each lane (no overtaking on a lane), so for M mainline and N
@@ -26,11 +27,15 @@ from .fuel import DEFAULT_COEFFICIENTS, FuelCoefficients, trajectory_fuel
 from .params import Checked, param
 from .statespace import LtiModel, build_model
 from .tracking import (
-    RepairResult,
-    StringProblem,
+    LqSolution,
+    TrackerWeights,
+    Trajectory,
     build_reference,
-    solve_with_repair_batch,
-    weights_for,
+    check_constraints,
+    chunks,
+    cross_lane,
+    rollout_batch,
+    solve_finite_horizon_batch,
 )
 from .vehicles import ControlLimits, Lane
 
@@ -107,16 +112,36 @@ def enumerate_sequences(
     ]
 
 
+@dataclass(frozen=True)
+class StringProblem:
+    """One string to plan under its batch's model: weights, constant
+    reference, start state, per-pair gap floors and the members' lanes."""
+
+    weights: TrackerWeights
+    r_vec: np.ndarray      # (2n-1,)
+    x0: np.ndarray         # (2n,)
+    floors: np.ndarray     # (n-1,)
+    lanes: tuple[Lane, ...]
+
+
+@dataclass
+class RepairResult:
+    solution: LqSolution
+    trajectory: Trajectory
+    horizon: int
+    degraded: bool
+
+
 @dataclass
 class ScoringContext(Checked):
-    """Everything a string plan needs, bundled once per decision.
+    """The planning policy, bundled once per decision.
 
-    :meth:`problem` is the one place that turns these fields into a
-    string's tracker weights and reference, and :meth:`solve_batch` the
-    one place that plans strings with horizon repair, for candidate
-    scoring and for the coordinator's releases and re-plans alike.  The
-    merge point is the origin of the axis: a cross-lane pair's gap floor
-    applies from ``activation_margin`` upstream of it.
+    :meth:`weights` and :meth:`problem` turn these fields into a string's
+    tracker weights and reference, and :meth:`solve_batch` plans strings
+    with horizon repair, for candidate scoring and for the coordinator's
+    releases and re-plans alike.  The merge point is the origin of the
+    axis: a cross-lane pair's gap floor applies from ``activation_margin``
+    upstream of it.
     """
 
     dt: float = 0.1
@@ -126,46 +151,95 @@ class ScoringContext(Checked):
     max_horizon: int = param("plain", 1200, ">= 1")
     limits: ControlLimits = field(default_factory=ControlLimits)
     vehicle_length: float = 5.0
-    gap_weight_mainline: float = param("plain", 1.0)
-    gap_weight_ramp: float = param("plain", 2.0)
-    speed_weight_mainline: float = param("plain", 0.5)
-    speed_weight_ramp: float = param("plain", 1.0)
+    gap_weight_mainline: float = param("plain", 1.0, ">= 0")
+    gap_weight_ramp: float = param("plain", 2.0, ">= 0")
+    speed_weight_mainline: float = param("plain", 0.5, ">= 0")
+    speed_weight_ramp: float = param("plain", 1.0, ">= 0")
     control_weight: float = param("plain", 1.0, "> 0")
-    terminal_factor: float = param("plain", 10.0)
+    terminal_factor: float = param("plain", 10.0, ">= 0")
     desired_speed: float = param("speed", 32.99, "> 0")
-    desired_time_headway: float = param("time", 1.2)
+    desired_time_headway: float = param("time", 1.2, ">= 0")
     activation_margin: float = param("length", 50.0)
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     cap: int = param("plain", 252, ">= 1")
+
+    def weights(self, lanes: tuple[Lane, ...]) -> TrackerWeights:
+        """Diagonal weights of the string with these lanes.
+
+        Each gap row is weighted by the lane of its follower (the vehicle
+        that has to close the gap); each speed row by the vehicle's own lane.
+        """
+        if not lanes:
+            raise ValueError("need at least one vehicle")
+        ramp = np.array([lane is Lane.RAMP for lane in lanes])
+        Q = np.diag(np.concatenate([
+            np.where(ramp[1:], self.gap_weight_ramp, self.gap_weight_mainline),
+            np.where(ramp, self.speed_weight_ramp, self.speed_weight_mainline),
+        ]).astype(float))
+        return TrackerWeights(Q=Q, R=self.control_weight * np.eye(len(lanes)),
+                              Q_N=self.terminal_factor * Q)
 
     def problem(
         self, lanes: tuple[Lane, ...], floors: np.ndarray, x0: np.ndarray
     ) -> StringProblem:
         """The string with these lanes, gap floors and start state."""
-        weights = weights_for(
-            lanes,
-            gap_weight_mainline=self.gap_weight_mainline,
-            gap_weight_ramp=self.gap_weight_ramp,
-            speed_weight_mainline=self.speed_weight_mainline,
-            speed_weight_ramp=self.speed_weight_ramp,
-            control_weight=self.control_weight,
-            terminal_factor=self.terminal_factor,
-        )
         r_vec = build_reference(
             floors, self.desired_speed, self.desired_time_headway, self.vehicle_length
         )
-        return StringProblem(weights, r_vec, x0, floors, lanes)
+        return StringProblem(self.weights(lanes), r_vec, x0, floors, lanes)
 
     def solve_batch(
         self, model: LtiModel, problems: list[StringProblem]
     ) -> list[RepairResult]:
-        """Plan strings of one model with horizon repair; each result is
-        what that string gets alone."""
-        return solve_with_repair_batch(
-            model, problems, self.limits, self.vehicle_length,
-            horizon=self.horizon, activation_line=-self.activation_margin,
-            growth=self.horizon_growth, max_horizon=self.max_horizon,
-        )
+        """Plan strings of one model: solve, roll out clipped, and re-solve
+        over longer horizons until clean.
+
+        The applied inputs respect the actuation range by construction, so
+        what can go wrong is the physical trajectory: under clipping a
+        short horizon may not leave enough time to form the required gaps.
+        The horizon grows geometrically until the clipped rollout is clean;
+        if ``max_horizon`` is reached with a pair still short, the
+        longest-horizon solution is returned flagged as degraded (still
+        executable, since its inputs are clipped).
+
+        Repair runs in rounds: every problem starts at ``horizon``, each
+        round solves, rolls out and checks its problems in stacked chunks,
+        and the problems whose rollout is still short of a gap floor go on
+        to the next horizon together.  Each result is bitwise what the
+        problem gets alone.  The context's declared ranges are checked
+        once, before the first round.
+        """
+        self.validate()
+        results: list[RepairResult | None] = [None] * len(problems)
+        pending = list(range(len(problems)))
+        N = min(self.horizon, self.max_horizon)
+        while pending:
+            retry = []
+            for chunk in chunks(pending, model.n, N):
+                batch = [problems[i] for i in chunk]
+                r_vecs = np.stack([np.asarray(p.r_vec, dtype=float) for p in batch])
+                solutions = solve_finite_horizon_batch(
+                    model, [p.weights for p in batch],
+                    np.broadcast_to(r_vecs[:, None], (len(batch), N + 1, r_vecs.shape[1])),
+                )
+                traj = rollout_batch(
+                    model, solutions, np.stack([p.x0 for p in batch]), self.limits)
+                short = check_constraints(
+                    traj.x[..., :model.n], np.stack([p.floors for p in batch]),
+                    np.stack([cross_lane(p.lanes) for p in batch]), self.vehicle_length,
+                    model.dt, -self.activation_margin,
+                )
+                for g, i in enumerate(chunk):
+                    if short[g] and N < self.max_horizon:
+                        retry.append(i)
+                    else:
+                        results[i] = RepairResult(
+                            solutions[g], Trajectory(x=traj.x[g], u=traj.u[g]), N,
+                            degraded=bool(short[g]),
+                        )
+            pending = retry
+            N = min(int(np.ceil(N * self.horizon_growth)), self.max_horizon)
+        return results
 
 
 @dataclass

@@ -23,15 +23,20 @@ K_k, Ky_k and S_k depend only on the model, the weights and the steps
 left, so they are kept once per (model, weights) in a table indexed by
 time-to-go; each solve reads its gains from the table and recurses only
 V_k.  A batch's problems share one model (one string size and step) and
-are solved, rolled out and repaired as stacks; a stacked ``matmul`` or
-``solve`` makes one BLAS/LAPACK call per problem, so each batched result
-is bitwise what the problem gets alone: in a batch of one, and in the
-one-problem reference ``tests/oracles.py``.
+are solved, rolled out and checked as stacks, in chunks sized by
+:func:`chunks`; a stacked ``matmul`` or ``solve`` makes one BLAS/LAPACK
+call per problem, so each batched result is bitwise what the problem
+gets alone: in a batch of one, and in the one-problem reference
+``tests/oracles.py``.
 
 Receding-horizon use flies the recursion's limit: the gains by
 fixed-point iteration (:func:`converged_gains`) and, for a constant
 reference, the costate as one linear solve on the tracked outputs
 (:func:`steady_state_feedforward`).
+
+This module holds the mathematics only.  The policy that applies it,
+which weights and reference each string gets and how far its horizon
+grows, is ``sequencing.ScoringContext``.
 """
 from __future__ import annotations
 
@@ -51,35 +56,6 @@ class TrackerWeights:
     Q: np.ndarray    # (2n-1, 2n-1)
     R: np.ndarray    # (n, n)
     Q_N: np.ndarray  # (2n-1, 2n-1)
-
-
-def weights_for(
-    lanes: tuple[Lane, ...],
-    gap_weight_mainline: float = 1.0,
-    gap_weight_ramp: float = 2.0,
-    speed_weight_mainline: float = 0.5,
-    speed_weight_ramp: float = 1.0,
-    control_weight: float = 1.0,
-    terminal_factor: float = 10.0,
-) -> TrackerWeights:
-    """Expand per-lane scalar weights into the diagonal weight matrices.
-
-    Each gap row is weighted by the lane of its follower (the vehicle
-    that has to close the gap); each speed row by the vehicle's own lane.
-    """
-    n = len(lanes)
-    if n < 1:
-        raise ValueError("need at least one vehicle")
-    gap_w = [
-        gap_weight_ramp if lanes[i + 1] is Lane.RAMP else gap_weight_mainline
-        for i in range(n - 1)
-    ]
-    speed_w = [
-        speed_weight_ramp if lane is Lane.RAMP else speed_weight_mainline
-        for lane in lanes
-    ]
-    Q = np.diag(np.array(gap_w + speed_w, dtype=float))
-    return TrackerWeights(Q=Q, R=control_weight * np.eye(n), Q_N=terminal_factor * Q)
 
 
 #: pad (m) between a pair's gap floor and its reference gap
@@ -418,31 +394,11 @@ def check_constraints(
     return short.any(axis=(1, 2))
 
 
-@dataclass
-class RepairResult:
-    solution: LqSolution
-    trajectory: Trajectory
-    horizon: int
-    degraded: bool
-
-
-@dataclass(frozen=True)
-class StringProblem:
-    """One string to plan under its batch's model: weights, constant
-    reference, start state, per-pair gap floors and the members' lanes."""
-
-    weights: TrackerWeights
-    r_vec: np.ndarray      # (2n-1,)
-    x0: np.ndarray         # (2n,)
-    floors: np.ndarray     # (n-1,)
-    lanes: tuple[Lane, ...]
-
-
 #: one chunk's stacked arrays stay within this share of RICCATI_CACHE_BYTES
 _CHUNK_SHARE = 8
 
 
-def _chunks(pending: list[int], n: int, N: int) -> list[list[int]]:
+def chunks(pending: list[int], n: int, N: int) -> list[list[int]]:
     """Split ``pending`` into runs whose stacked arrays for ``n``-vehicle
     strings at horizon ``N`` fit the chunk budget.
 
@@ -452,67 +408,6 @@ def _chunks(pending: list[int], n: int, N: int) -> list[list[int]]:
     per_problem = 8 * N * 2 * (2 * n) * (2 * n + n)
     size = max(1, RICCATI_CACHE_BYTES // _CHUNK_SHARE // per_problem)
     return [pending[c:c + size] for c in range(0, len(pending), size)]
-
-
-def solve_with_repair_batch(
-    model: LtiModel,
-    problems: list[StringProblem],
-    limits: ControlLimits,
-    vehicle_length: float,
-    horizon: int,
-    activation_line: float,
-    growth: float,
-    max_horizon: int,
-) -> list[RepairResult]:
-    """Solve, roll out clipped, and re-solve over longer horizons until clean.
-
-    The applied inputs respect the actuation range by construction, so
-    what can go wrong is the physical trajectory: under clipping a short
-    horizon may not leave enough time to form the required gaps.  The
-    horizon grows geometrically until the clipped rollout is clean; if
-    the cap is reached with a pair still short, the longest-horizon
-    solution is returned flagged as degraded (still executable, since
-    its inputs are clipped).
-
-    Repair runs in rounds: every problem, all under ``model``, starts at
-    ``horizon``, each round solves, rolls out and checks its problems in
-    stacked chunks, and the problems whose rollout is still short of a
-    gap floor go on to the next horizon together.  Each result is
-    bitwise what the problem gets alone.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if growth <= 1.0:
-        raise ValueError(f"horizon growth must exceed 1, got {growth}")
-    results: list[RepairResult | None] = [None] * len(problems)
-    pending = list(range(len(problems)))
-    N = min(horizon, max_horizon)
-    while pending:
-        retry = []
-        for chunk in _chunks(pending, model.n, N):
-            batch = [problems[i] for i in chunk]
-            r_vecs = np.stack([np.asarray(p.r_vec, dtype=float) for p in batch])
-            solutions = solve_finite_horizon_batch(
-                model, [p.weights for p in batch],
-                np.broadcast_to(r_vecs[:, None], (len(batch), N + 1, r_vecs.shape[1])),
-            )
-            traj = rollout_batch(model, solutions, np.stack([p.x0 for p in batch]), limits)
-            short = check_constraints(
-                traj.x[..., :model.n], np.stack([p.floors for p in batch]),
-                np.stack([cross_lane(p.lanes) for p in batch]), vehicle_length,
-                model.dt, activation_line,
-            )
-            for g, i in enumerate(chunk):
-                if short[g] and N < max_horizon:
-                    retry.append(i)
-                else:
-                    results[i] = RepairResult(
-                        solutions[g], Trajectory(x=traj.x[g], u=traj.u[g]), N,
-                        degraded=bool(short[g]),
-                    )
-        pending = retry
-        N = min(int(np.ceil(N * growth)), max_horizon)
-    return results
 
 
 #: max-norm change of the feedback gain at which the gain iteration has

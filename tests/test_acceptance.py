@@ -142,8 +142,7 @@ def test_criterion_2_converged_gains_consistency():
                      (2, (Lane.MAINLINE, Lane.RAMP)),
                      (3, (Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))):
         model = build_model(n, dt=0.1)
-        from rampmerge.tracking import weights_for
-        weights = weights_for(lanes, control_weight=2.0)
+        weights = ScoringContext(control_weight=2.0).weights(lanes)
         K_inf, _ = converged_gains(model, weights)
         ny = model.output_dim
         ref = np.tile(np.linspace(20.0, 40.0, ny), (2001, 1))

@@ -166,10 +166,14 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("horizon_growth", 1.0), ("horizon", 0), ("max_horizon", 0), ("cap", 0),
+        ("speed_weight_mainline", -0.5), ("gap_weight_ramp", -1),
+        ("terminal_factor", -10), ("desired_time_headway", -1.2),
     ])
     def test_scoring_range_is_named(self, tmp_path, field, value):
         # growth 1 never lengthens the repair horizon; zero horizons and
-        # a zero cap used to fail mid-run with a traceback
+        # a zero cap used to fail mid-run with a traceback; a negative
+        # weight (an indefinite cost) or headway (a meaningless reference)
+        # used to pass, then stop the gain iteration or run on regardless
         path = write_config(tmp_path, f"scoring: {{{field}: {value}}}\n" + MINIMAL)
         with pytest.raises(ConfigError) as err:
             load_config(path)

@@ -67,23 +67,24 @@ def make_coordinator(q_cap=252):
 
 class TestBufferLength:
     def test_heavy_mainline_two_ramp(self):
-        assert mainline_buffer_length(1600 / 3600, 400 / 3600, 2, 0.02) == 400.0
+        assert mainline_buffer_length(1600 / 3600, 400 / 3600, 2, 0.02, 1000.0) == 400.0
 
     def test_zero_ramp_clamps_low(self):
-        assert mainline_buffer_length(1600 / 3600, 400 / 3600, 0, 0.02) == 50.0
+        assert mainline_buffer_length(1600 / 3600, 400 / 3600, 0, 0.02, 1000.0) == 50.0
 
     def test_equal_flows(self):
-        assert mainline_buffer_length(400 / 3600, 400 / 3600, 3, 0.03) == pytest.approx(100.0)
+        length = mainline_buffer_length(400 / 3600, 400 / 3600, 3, 0.03, 1000.0)
+        assert length == pytest.approx(100.0)
 
     def test_empty_road_clamps_high(self):
-        assert mainline_buffer_length(1600 / 3600, 400 / 3600, 2, 0.0) == 1000.0
+        assert mainline_buffer_length(1600 / 3600, 400 / 3600, 2, 0.0, 1000.0) == 1000.0
 
     def test_custom_upper(self):
         assert mainline_buffer_length(1.0, 0.1, 5, 1e-9, upper=800.0) == 800.0
 
     def test_bad_suggestion_rate(self):
         with pytest.raises(ValueError):
-            mainline_buffer_length(1.0, 0.0, 2, 0.02)
+            mainline_buffer_length(1.0, 0.0, 2, 0.02, 1000.0)
 
 
 class TestProperArrival:

@@ -4,7 +4,8 @@ Standard-library stand-ins for pyflakes' unused-import check: a name
 bound by an import counts as used when it is read anywhere in the
 module, a module-level ``_private`` name when it is read in its module
 or imported by another module of the package, and a public one when it
-is read in the package, the tests or the demos.
+is read in the package, the tests or the demos.  The package's modules
+also form layers (``LAYERS``), and each imports only from those below it.
 """
 import ast
 import functools
@@ -164,3 +165,67 @@ def test_public_name_checker_flags_unread_definitions_only():
     assert unread_public_names(source, read) == [
         "line 3: STALE", "line 5: VehicleState",
     ]
+
+
+#: the package's modules, lowest layer first: each may import only the
+#: modules before it
+LAYERS = (
+    "params", "vehicles", "statespace", "fuel", "idm",
+    "tracking", "sequencing", "coordinator", "simulation", "cli",
+)
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that a module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "rampmerge":
+                    continue
+                module = module.removeprefix("rampmerge").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import name, from rampmerge import name
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("rampmerge."))
+    return found
+
+
+def layer_violations(module: str, source: str) -> list[str]:
+    """The package modules ``module`` imports that are not below its layer."""
+    below = LAYERS[:LAYERS.index(module)]
+    return sorted(name for name in package_imports(source) if name not in below)
+
+
+def test_every_module_has_a_layer():
+    assert sorted(path.stem for path in SRC.glob("*.py")) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_follow_the_layers(path):
+    assert layer_violations(path.stem, path.read_text()) == []
+
+
+def test_layer_checker_flags_upward_and_sideways_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .statespace import LtiModel\n"
+        "from .sequencing import ScoringContext\n"
+        "from . import tracking, params\n"
+        "from rampmerge.cli import main\n"
+        "from rampmerge import fuel, simulation\n"
+        "import rampmerge.coordinator\n"
+        "import rampmerger\n"
+        "def late():\n"
+        "    from .simulation import run_scenario\n"
+    )
+    assert layer_violations("tracking", source) == [
+        "cli", "coordinator", "sequencing", "simulation", "tracking",
+    ]
+    assert layer_violations("cli", source) == ["cli"]
+    assert layer_violations("params", "import numpy\nfrom dataclasses import field\n") == []

@@ -7,11 +7,10 @@ import scipy.linalg
 
 from oracles import qp_control_sequence, riccati_recursion, settled_by_loop
 from rampmerge import tracking
-from rampmerge.sequencing import ScoringContext
+from rampmerge.sequencing import ScoringContext, StringProblem
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
     LqSolution,
-    StringProblem,
     TrackerWeights,
     active_pairs,
     build_reference,
@@ -22,7 +21,6 @@ from rampmerge.tracking import (
     rollout_batch,
     solve_finite_horizon_batch,
     steady_state_feedforward,
-    weights_for,
 )
 from rampmerge.vehicles import ControlLimits, Lane
 
@@ -84,7 +82,7 @@ class TestAgainstDenseQp:
 
     def test_string_instance_tight_tolerance(self):
         model = build_model(3, 0.1)
-        weights = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
+        weights = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
         ref = np.tile(build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0), (13, 1))
         x0 = np.array([0.0, -42.0, -80.0, 29.0, 31.0, 30.0])
         [sol] = solve_finite_horizon_batch(model, [weights], ref[None])
@@ -96,7 +94,7 @@ class TestAgainstDenseQp:
 class TestRecursionProperties:
     def setup_method(self):
         self.model = build_model(4, 0.1)
-        self.weights = weights_for(
+        self.weights = ScoringContext().weights(
             (Lane.MAINLINE, Lane.MAINLINE, Lane.RAMP, Lane.RAMP)
         )
         ref = np.tile(build_reference(np.full(3, 30.0), 32.99, 1.2, 5.0), (81, 1))
@@ -112,7 +110,7 @@ class TestRecursionProperties:
 
     def test_control_linear_in_state_and_reference(self):
         model = build_model(2, 0.1)
-        weights = weights_for((Lane.MAINLINE, Lane.RAMP))
+        weights = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP))
         r = np.array([40.0, 30.0, 30.0])
         x0 = np.array([0.0, -60.0, 25.0, 32.0])
         sol1 = solve_finite_horizon_batch(model, [weights], np.tile(r, (1, 51, 1)))
@@ -125,8 +123,8 @@ class TestRecursionProperties:
         model = build_model(2, 0.1)
         r = np.array([40.0, 30.0, 30.0])
         x0 = np.array([0.0, -70.0, 26.0, 33.0])
-        cheap = weights_for((Lane.MAINLINE, Lane.RAMP), control_weight=1.0)
-        dear = weights_for((Lane.MAINLINE, Lane.RAMP), control_weight=1e6)
+        cheap = ScoringContext(control_weight=1.0).weights((Lane.MAINLINE, Lane.RAMP))
+        dear = ScoringContext(control_weight=1e6).weights((Lane.MAINLINE, Lane.RAMP))
         ref = np.tile(r, (1, 101, 1))
         u_cheap = rollout_batch(
             model, solve_finite_horizon_batch(model, [cheap], ref), x0[None]).u[0]
@@ -148,7 +146,7 @@ class TestRecursionProperties:
 
 def test_closed_loop_reaches_constant_reference():
     model = build_model(3, 0.1)
-    weights = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
+    weights = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
     r_vec = build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0)
     x0 = np.array([0.0, -30.0, -75.0, 26.0, 33.0, 28.0])
     sol = solve_finite_horizon_batch(model, [weights], np.tile(r_vec, (1, 601, 1)))
@@ -177,7 +175,7 @@ class TestSharedRiccatiTable:
     def problem(lanes, N):
         n = len(lanes)
         r_vec = build_reference(np.full(n - 1, 12.0), 30.0, 1.2, 5.0)
-        return (build_model(n, 0.1), weights_for(lanes, control_weight=100.0),
+        return (build_model(n, 0.1), ScoringContext(control_weight=100.0).weights(lanes),
                 np.tile(r_vec, (N + 1, 1)))
 
     def assert_bitwise(self, lanes, horizons):
@@ -235,7 +233,7 @@ class TestSharedRiccatiTable:
 
     def test_solution_is_read_only(self):
         model = build_model(2, 0.1)
-        weights = weights_for(self.PATTERNS[1])
+        weights = ScoringContext().weights(self.PATTERNS[1])
         [sol] = solve_finite_horizon_batch(
             model, [weights], np.tile(np.array([40.0, 30.0, 30.0]), (1, 21, 1))
         )
@@ -247,7 +245,7 @@ class TestSharedRiccatiTable:
 class TestConvergedGains:
     def setup_method(self):
         self.model = build_model(3, 0.1)
-        self.weights = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.RAMP))
+        self.weights = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP, Lane.RAMP))
 
     def test_matches_algebraic_riccati_solution(self):
         # The tracked outputs evolve linearly on their own (gaps and speeds
@@ -293,7 +291,7 @@ class TestConvergedGains:
     def test_steady_feedforward_fixed_point(self, lanes, control_weight):
         n = len(lanes)
         model = build_model(n, 0.1)
-        weights = weights_for(lanes, control_weight=control_weight)
+        weights = ScoringContext(control_weight=control_weight).weights(lanes)
         K, _ = converged_gains(model, weights)
         rng = np.random.default_rng(n)
         r_vec = build_reference(rng.uniform(2.0, 40.0, n - 1), rng.uniform(10.0, 33.0), 1.2, 5.0)
@@ -320,7 +318,7 @@ class TestConvergedGains:
 class TestRollout:
     def test_clipping_flagged_and_applied(self):
         model = build_model(2, 0.1)
-        weights = weights_for((Lane.MAINLINE, Lane.RAMP))
+        weights = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP))
         # enormous initial gap error forces commands past the actuator range
         r_vec = build_reference(np.array([30.0]), 30.0, 1.2, 5.0)
         x0 = np.array([0.0, -400.0, 30.0, 30.0])
@@ -472,12 +470,11 @@ class TestConstraintChecks:
 class TestRepair:
     def _setup(self, follower_pos, floor, **kwargs):
         model = build_model(2, 0.1)
-        weights = weights_for((Lane.MAINLINE, Lane.MAINLINE))
+        ctx = ScoringContext(limits=LIMITS, vehicle_length=5.0, **kwargs)
+        lanes = (Lane.MAINLINE, Lane.MAINLINE)
         r_vec = build_reference(np.array([floor]), 15.0, 1.2, 5.0)
         x0 = np.array([0.0, follower_pos, 15.0, 15.0])
-        problem = StringProblem(
-            weights, r_vec, x0, np.array([floor]), (Lane.MAINLINE, Lane.MAINLINE))
-        ctx = ScoringContext(limits=LIMITS, vehicle_length=5.0, **kwargs)
+        problem = StringProblem(ctx.weights(lanes), r_vec, x0, np.array([floor]), lanes)
         return ctx.solve_batch(model, [problem])[0]
 
     def test_benign_instance_keeps_requested_horizon(self):
@@ -529,7 +526,7 @@ class TestReferenceConstruction:
 
 class TestWeights:
     def test_lane_weighting_layout(self):
-        w = weights_for((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
+        w = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
         d = np.diag(w.Q)
         # gap rows weighted by follower lane, speed rows by own lane
         assert np.allclose(d[:2], [2.0, 1.0])
@@ -539,4 +536,4 @@ class TestWeights:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            weights_for(())
+            ScoringContext().weights(())
