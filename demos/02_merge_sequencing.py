@@ -35,7 +35,7 @@ for s in sorted(scores, key=lambda s: s.total_fuel):
     order = " ".join(
         f"{'M' if lane is Lane.MAINLINE else 'R'}{vid}"
         for vid, lane in zip(s.sequence.ids, s.sequence.lanes))
-    flag = "" if s.feasible else "  (degraded)"
+    flag = "  (degraded)" if s.result.degraded else ""
     print(f"  {order:20s} {s.total_fuel:8.3f} mL{flag}")
 
 best = optimal_sequence(mainline, ramp, x0, floors, ctx)

@@ -41,11 +41,11 @@ from .idm import IdmParams, idm_accel
 from .sequencing import ScoringContext, StringProblem, count_sequences, optimal_sequence
 from .statespace import LtiModel, build_model
 from .tracking import (
+    ConvergedLaw,
     LqSolution,
     active_pairs,
     converged_gains,
     cross_lane,
-    rollout_batch,
     steady_state_feedforward,
 )
 from .vehicles import Lane, MergeGeometry, gap_floors
@@ -63,6 +63,9 @@ LOOKAHEAD_STEPS = 30
 LOOKAHEAD_CADENCE = 1.0
 #: a forecast gap below this share of its floor triggers a re-plan
 REPAIR_GAP_FRACTION = 0.6
+#: a string is forecast only while a gap is below this share of its floor:
+#: a screen that spares formed strings the rollout, not a safety bound
+SCREEN_GAP_FRACTION = 1.5
 #: minimum interval (s) between re-plans of one string
 REPAIR_COOLDOWN = 5.0
 #: span (s) of the moving-average mainline density
@@ -190,8 +193,7 @@ class ControlSet:
     cycle_id: int
     ids: tuple[int, ...]
     problem: StringProblem  # the members' lanes, floors, weights, reference
-    model: LtiModel
-    law: LqSolution  # converged receding-horizon law, LOOKAHEAD_STEPS long
+    law: ConvergedLaw  # flown whenever no re-plan is
     repair: LqSolution | None = None
     repair_k: int = 0
     last_repair_t: float = -math.inf
@@ -357,20 +359,16 @@ class MergeCoordinator:
 
     # -- decision cycle ------------------------------------------------
 
-    def _law_for(self, problem: StringProblem) -> tuple[LtiModel, LqSolution]:
-        """Model and converged law of a string problem."""
+    def _law_for(self, problem: StringProblem) -> ConvergedLaw:
+        """Converged law of a string problem."""
         key = tuple(lane.code for lane in problem.lanes)
         hit = self._gains_cache.get(key)
         if hit is None:
             model = build_model(len(problem.lanes), self.scoring.dt)
             hit = self._gains_cache[key] = (model, *converged_gains(model, problem.weights))
         model, K, Ky = hit
-        V = steady_state_feedforward(model, problem.weights, K, problem.r_vec)
-        return model, LqSolution(
-            K=np.broadcast_to(K, (LOOKAHEAD_STEPS,) + K.shape),
-            Ky=np.broadcast_to(Ky, (LOOKAHEAD_STEPS,) + Ky.shape),
-            V=np.broadcast_to(V, (LOOKAHEAD_STEPS + 1,) + V.shape),
-        )
+        return ConvergedLaw(
+            model, K, Ky, steady_state_feedforward(model, problem.weights, K, problem.r_vec))
 
     def _collect_ramp_members(self, k: int, snap: WorldSnapshot) -> list[int]:
         """The leader at rank ``k`` of the ramp queue and the ranks right
@@ -462,11 +460,10 @@ class MergeCoordinator:
         best = optimal_sequence(
             main_ids, ramp_ids, snap.state(members), floors, self.scoring
         )
-        seq = best.sequence
-        model, law = self._law_for(best.problem)
+        seq, result = best.sequence, best.result
         self.sets.append(ControlSet(
             cycle_id=self._cycle_count, ids=seq.ids, problem=best.problem,
-            model=model, law=law,
+            law=self._law_for(best.problem),
         ))
         self.ever_controlled.update(seq.ids)
 
@@ -480,16 +477,16 @@ class MergeCoordinator:
                 mainline_ids=tuple(main_ids),
                 sequence_ids=seq.ids,
                 total_fuel=best.total_fuel,
-                feasible=best.feasible,
-                horizon=best.horizon,
+                feasible=not result.degraded,
+                horizon=result.solution.horizon,
                 n_candidates=count_sequences(len(main_ids), len(ramp_ids)),
                 release_time=snap.t + t_proper,
             )
         )
-        if not best.feasible:
+        if result.degraded:
             self.events.append(
                 f"t={snap.t:.1f} cycle {self._cycle_count}: degraded plan "
-                f"(horizon {best.horizon})"
+                f"(horizon {result.solution.horizon})"
             )
         self.release_time = snap.t + t_proper
         self._cycle_count += 1
@@ -518,7 +515,7 @@ class MergeCoordinator:
                     problem.lanes[gone:], problem.floors[gone:],
                     snap.state(cset.ids),
                 )
-                cset.model, cset.law = self._law_for(cset.problem)
+                cset.law = self._law_for(cset.problem)
                 cset.repair = None
                 cset.repair_k = 0
             live.append(cset)
@@ -542,7 +539,7 @@ class MergeCoordinator:
                 u = cset.repair.control(cset.repair_k, x)
                 cset.repair_k += 1
             else:
-                u = cset.law.control(0, x)
+                u = cset.law.control(x)
             u = np.clip(u, limits.acc_min, limits.acc_max)
             for i, vid in enumerate(cset.ids):
                 commands[vid] = float(u[i])
@@ -556,29 +553,27 @@ class MergeCoordinator:
             return
         n = len(cset.ids)
         cross = cross_lane(cset.problem.lanes)
-        floors = cset.problem.floors
 
-        def breaches(states: np.ndarray, share: float) -> bool:
-            gaps = (states[..., :n - 1] - states[..., 1:n]) - self.scoring.vehicle_length
-            active = active_pairs(states[..., :n], cross, -self.scoring.activation_margin)
-            return bool(np.any(active & (gaps < share * floors)))
+        def breaches(positions: np.ndarray, share: float) -> bool:
+            return active_pairs(positions, share * cset.problem.floors, cross,
+                                self.scoring.vehicle_length,
+                                -self.scoring.activation_margin)[1].any()
 
-        # quick screen: comfortably formed strings skip the rollout
-        if not breaches(x, 1.5):
+        if not breaches(x[:n], SCREEN_GAP_FRACTION):
             return
-        forecast = rollout_batch(cset.model, [cset.law], x[None], self.scoring.limits).x[0, 1:]
-        if breaches(forecast, REPAIR_GAP_FRACTION):
+        forecast = cset.law.forecast(x, LOOKAHEAD_STEPS, self.scoring.limits)
+        if breaches(forecast.x[1:, :n], REPAIR_GAP_FRACTION):
             self._repair_set(cset, x, snap)
 
     def _repair_set(
         self, cset: ControlSet, x: np.ndarray, snap: WorldSnapshot
     ) -> None:
-        [result] = self.scoring.solve_batch(cset.model, [replace(cset.problem, x0=x)])
+        [result] = self.scoring.solve_batch(cset.law.model, [replace(cset.problem, x0=x)])
         cset.repair = result.solution
         cset.repair_k = 0
         cset.last_repair_t = snap.t
         self.events.append(
             f"t={snap.t:.1f} cycle {cset.cycle_id}: predicted gap breach, "
-            f"re-planned over horizon {result.horizon}"
+            f"re-planned over horizon {result.solution.horizon}"
             + (" (degraded)" if result.degraded else "")
         )

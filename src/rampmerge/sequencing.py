@@ -128,8 +128,7 @@ class StringProblem:
 class RepairResult:
     solution: LqSolution
     trajectory: Trajectory
-    horizon: int
-    degraded: bool
+    degraded: bool  # still short of a gap floor at ``max_horizon``
 
 
 @dataclass
@@ -159,7 +158,7 @@ class ScoringContext(Checked):
     terminal_factor: float = param("plain", 10.0, ">= 0")
     desired_speed: float = param("speed", 32.99, "> 0")
     desired_time_headway: float = param("time", 1.2, ">= 0")
-    activation_margin: float = param("length", 50.0)
+    activation_margin: float = param("length", 50.0, ">= 0")
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     cap: int = param("plain", 252, ">= 1")
 
@@ -234,7 +233,7 @@ class ScoringContext(Checked):
                         retry.append(i)
                     else:
                         results[i] = RepairResult(
-                            solutions[g], Trajectory(x=traj.x[g], u=traj.u[g]), N,
+                            solutions[g], Trajectory(x=traj.x[g], u=traj.u[g]),
                             degraded=bool(short[g]),
                         )
             pending = retry
@@ -246,8 +245,6 @@ class ScoringContext(Checked):
 class SequenceScore:
     sequence: MergeSequence
     total_fuel: float
-    feasible: bool
-    horizon: int
     result: RepairResult
     problem: StringProblem
 
@@ -277,14 +274,7 @@ def score_sequences(
             trajectory_fuel(speeds[:, i], result.trajectory.u[:, i], ctx.dt, ctx.fuel)
             for i in range(n)
         )
-        scores.append(SequenceScore(
-            sequence=sequence,
-            total_fuel=float(total),
-            feasible=not result.degraded,
-            horizon=result.horizon,
-            result=result,
-            problem=problem,
-        ))
+        scores.append(SequenceScore(sequence, float(total), result, problem))
     return scores
 
 
@@ -307,5 +297,5 @@ def optimal_sequence(
     """
     candidates = enumerate_sequences(mainline_ids, ramp_ids, cap=ctx.cap)
     scores = score_sequences(candidates, x0, floors, ctx)
-    feasible = [s for s in scores if s.feasible]
+    feasible = [s for s in scores if not s.result.degraded]
     return min(feasible if feasible else scores, key=_selection_key)

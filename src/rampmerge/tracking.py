@@ -29,10 +29,10 @@ call per problem, so each batched result is bitwise what the problem
 gets alone: in a batch of one, and in the one-problem reference
 ``tests/oracles.py``.
 
-Receding-horizon use flies the recursion's limit: the gains by
-fixed-point iteration (:func:`converged_gains`) and, for a constant
-reference, the costate as one linear solve on the tracked outputs
-(:func:`steady_state_feedforward`).
+Receding-horizon use flies the recursion's limit (:class:`ConvergedLaw`):
+the gains by fixed-point iteration (:func:`converged_gains`) and, for a
+constant reference, the costate as one linear solve on the tracked
+outputs (:func:`steady_state_feedforward`).
 
 This module holds the mathematics only.  The policy that applies it,
 which weights and reference each string gets and how far its horizon
@@ -86,16 +86,12 @@ def build_reference(
 
 @dataclass
 class LqSolution:
-    """Backward-recursion products over one horizon.
-
-    A stationary (receding-horizon) law repeats its converged gains and
-    costate on every row and carries no ``S``.
-    """
+    """Backward-recursion products over one horizon."""
 
     K: np.ndarray    # (N, n, 2n)   feedback gains
     Ky: np.ndarray   # (N, n, 2n)   feedforward gains
     V: np.ndarray    # (N+1, 2n)    cost-to-go linear terms
-    S: np.ndarray | None = None  # (N+1, 2n, 2n) cost-to-go quadratic terms
+    S: np.ndarray    # (N+1, 2n, 2n) cost-to-go quadratic terms
 
     @property
     def horizon(self) -> int:
@@ -275,6 +271,26 @@ class Trajectory:
     u: np.ndarray  # (..., N, n)  applied (possibly clipped) inputs
 
 
+def _step(x: np.ndarray, u: np.ndarray, x_next: np.ndarray, dt: float,
+          limits: ControlLimits | None) -> np.ndarray:
+    """Step the states ``x`` (``(..., 2n)``) under the inputs ``u`` into
+    ``x_next``; returns the inputs applied.  Given limits, each input is
+    clipped and speeds are clamped to ``[0, v_max]``, so vehicles neither
+    reverse nor run away while a tracking error saturates the actuator.
+    Positions integrate the trapezoid of successive speeds, exactly
+    ``A @ x + B @ u`` whenever no clamp binds."""
+    if limits is not None:
+        u = np.clip(u, limits.acc_min, limits.acc_max)
+    n = u.shape[-1]
+    v = x[..., n:]
+    v_next = v + dt * u
+    if limits is not None:
+        v_next = np.clip(v_next, 0.0, limits.v_max)
+    x_next[..., :n] = x[..., :n] + 0.5 * dt * (v + v_next)
+    x_next[..., n:] = v_next
+    return u
+
+
 def rollout_batch(
     model: LtiModel,
     solutions: list[LqSolution],
@@ -285,14 +301,9 @@ def rollout_batch(
 
     ``x0`` stacks the start states, shape ``(G, 2n)``, and the returned
     states and inputs stack the loops the same way.  Each input is
-    ``-K_k x_k + Ky_k V_{k+1}``.  When limits are given, it is clipped
-    before it is applied; speeds are additionally clamped to
-    ``[0, v_max]`` so the recorded states stay physical (vehicles neither
-    reverse nor run away while a large tracking error saturates the
-    actuator).  Positions integrate the trapezoid of successive speeds,
-    which coincides exactly with ``A @ x + B @ u`` whenever no clamp
-    binds.  Each step is one stacked update of every loop, so each
-    trajectory is bitwise what it would be alone.
+    ``-K_k x_k + Ky_k V_{k+1}``, applied by :func:`_step`.  Each step is
+    one stacked update of every loop, so each trajectory is bitwise what
+    it would be alone.
     """
     N = solutions[0].horizon
     if any(s.horizon != N for s in solutions):
@@ -302,28 +313,18 @@ def rollout_batch(
         raise ValueError(
             f"x0 must have shape ({len(solutions)}, {model.state_dim}), got {x0.shape}"
         )
-    n = model.n
-    dt = model.dt
-    # np.array, unlike np.stack, lays broadcast views out C-contiguously,
-    # which keeps every product below on the BLAS path of a lone matvec
+    # np.array lays the solutions' table views out C-contiguously, which
+    # keeps every product below on the BLAS path of a lone matvec
     neg_K = np.array([s.K for s in solutions])
     np.negative(neg_K, out=neg_K)
     V_next = np.array([s.V[1:] for s in solutions])
     feedforward = (np.array([s.Ky for s in solutions]) @ V_next[..., None])[..., 0]
     x = np.empty((len(solutions), N + 1, model.state_dim))
-    u = np.empty((len(solutions), N, n))
+    u = np.empty((len(solutions), N, model.n))
     x[:, 0] = x0
     for k in range(N):
         uk = (neg_K[:, k] @ x[:, k, :, None])[..., 0] + feedforward[:, k]
-        if limits is not None:
-            uk = np.clip(uk, limits.acc_min, limits.acc_max)
-        u[:, k] = uk
-        v = x[:, k, n:]
-        v_next = v + dt * uk
-        if limits is not None:
-            v_next = np.clip(v_next, 0.0, limits.v_max)
-        x[:, k + 1, :n] = x[:, k, :n] + 0.5 * dt * (v + v_next)
-        x[:, k + 1, n:] = v_next
+        u[:, k] = _step(x[:, k], uk, x[:, k + 1], model.dt, limits)
     return Trajectory(x=x, u=u)
 
 
@@ -333,15 +334,18 @@ def cross_lane(lanes: tuple[Lane, ...]) -> np.ndarray:
 
 
 def active_pairs(
-    positions: np.ndarray, cross: np.ndarray, activation_line: float
-) -> np.ndarray:
-    """Which pairs' gap floors apply, for positions of shape ``(..., n)``.
-
-    Returns a ``(..., n-1)`` mask: a same-lane pair always applies, a
-    cross-lane pair (``cross``, see :func:`cross_lane`) once its follower
-    is at or past ``activation_line``.
-    """
-    return ~cross | (positions[..., 1:] >= activation_line)
+    positions: np.ndarray, floors: np.ndarray, cross: np.ndarray,
+    vehicle_length: float, activation_line: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which pairs' gap floors apply, and which applying pairs are short of
+    them: two ``(..., n-1)`` masks for positions of shape ``(..., n)``.  A
+    same-lane pair always applies, a cross-lane pair (``cross``, see
+    :func:`cross_lane`) once its follower is at or past ``activation_line``;
+    it is short when its net gap, the position difference minus
+    ``vehicle_length``, is below its floor."""
+    active = ~cross | (positions[..., 1:] >= activation_line)
+    gaps = positions[..., :-1] - positions[..., 1:] - vehicle_length
+    return active, active & (gaps < floors)
 
 
 #: span (s) at the end of a pair's active steps over which it must hold
@@ -361,14 +365,14 @@ def check_constraints(
 
     ``positions`` stacks each string's positions, shape ``(G, N+1, n)``;
     ``floors`` and ``cross`` hold each pair's minimum net gap and
-    cross-lane flag, shape ``(G, n-1)``.  Net gaps (position difference
-    minus vehicle length) are held to their floors with settle semantics:
-    a pair must hold its floor over the last ``SETTLE_TIME`` of the steps
-    where it is active (see :func:`active_pairs`), wherever those steps
-    fall.  Spacing while the string is still forming is not punishable
-    (a pre-existing tight gap at step zero cannot be fixed by any plan,
-    and a longer horizon can always buy more forming time).  Returns a
-    ``(G,)`` mask of the strings with a pair short in its settle window.
+    cross-lane flag, shape ``(G, n-1)``.  Net gaps are held to their
+    floors (see :func:`active_pairs`) with settle semantics: a pair must
+    hold its floor over the last ``SETTLE_TIME`` of the steps where it is
+    active, wherever those steps fall.  Spacing while the string is still
+    forming is not punishable (a pre-existing tight gap at step zero
+    cannot be fixed by any plan, and a longer horizon can always buy more
+    forming time).  Returns a ``(G,)`` mask of the strings with a pair
+    short in its settle window.
 
     Inputs need no check: the rollout clips every applied command to the
     actuation range, so a plan stands or falls on what its physical
@@ -386,12 +390,11 @@ def check_constraints(
         )
     gap_tol = 1e-3
     hold = max(1, int(round(SETTLE_TIME / dt)))
-    active = active_pairs(positions, cross[:, None], activation_line)
+    active, short = active_pairs(positions, floors[:, None] - gap_tol, cross[:, None],
+                                 vehicle_length, activation_line)
     # active steps from each step to the end: the last ``hold`` have 1..hold
     to_go = np.cumsum(active[:, ::-1], axis=1)[:, ::-1]
-    gaps = positions[..., :-1] - positions[..., 1:] - vehicle_length
-    short = active & (to_go <= hold) & (gaps < floors[:, None] - gap_tol)
-    return short.any(axis=(1, 2))
+    return (short & (to_go <= hold)).any(axis=(1, 2))
 
 
 #: one chunk's stacked arrays stay within this share of RICCATI_CACHE_BYTES
@@ -467,3 +470,26 @@ def steady_state_feedforward(
     lhs = Ct - (model.A - model.B @ K).T @ Ct
     forcing = Ct @ (weights.Q @ np.asarray(r_vec, dtype=float))
     return Ct @ np.linalg.lstsq(lhs, forcing, rcond=None)[0]
+
+
+@dataclass(frozen=True)
+class ConvergedLaw:
+    """A receding-horizon law: the gains and costate of every step."""
+
+    model: LtiModel
+    K: np.ndarray   # (n, 2n)  feedback gain
+    Ky: np.ndarray  # (n, 2n)  feedforward gain
+    V: np.ndarray   # (2n,)    costate
+
+    def control(self, x: np.ndarray) -> np.ndarray:
+        """The law's input from state ``x``."""
+        return -self.K @ x + self.Ky @ self.V
+
+    def forecast(self, x: np.ndarray, steps: int, limits: ControlLimits) -> Trajectory:
+        """The closed loop from ``x`` over ``steps`` steps of :func:`_step`."""
+        traj = Trajectory(x=np.empty((steps + 1, len(x))), u=np.empty((steps, self.model.n)))
+        traj.x[0] = x
+        for k in range(steps):
+            traj.u[k] = _step(traj.x[k], self.control(traj.x[k]), traj.x[k + 1],
+                              self.model.dt, limits)
+        return traj

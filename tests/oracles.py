@@ -90,8 +90,8 @@ def riccati_recursion(model, weights, r):
 def lookahead_by_loop(K, Ky, V_ss, x, dt, limits, steps) -> np.ndarray:
     """Forecast of a string under its converged law, one step at a time.
 
-    The coordinator's short-range forecast as it ran before it went
-    through the tracker's rollout: clipped commands ``-K x + Ky V_ss``,
+    The coordinator's short-range forecast (``ConvergedLaw.forecast``)
+    written out in plain NumPy: clipped commands ``-K x + Ky V_ss``,
     speeds clamped to ``[0, v_max]``, trapezoid positions.  Returns the
     ``steps`` states after ``x``.
     """

@@ -8,7 +8,6 @@ once and shared by the criteria that consume it.
 import hashlib
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +184,7 @@ def test_criterion_3_sequence_enumeration_and_optimum():
     chosen = optimal_sequence(mainline_ids, ramp_ids, x0, floors, ctx)
     rescan = [score_sequences([s], x0, floors, ctx)[0]
               for s in enumerate_sequences(mainline_ids, ramp_ids, cap=ctx.cap)]
-    feasible = [s for s in rescan if s.feasible]
+    feasible = [s for s in rescan if not s.result.degraded]
     pool = feasible if feasible else rescan
     best = min(pool, key=lambda s: (s.total_fuel, s.sequence.first_ramp_index,
                                     s.sequence.ids))

@@ -205,6 +205,9 @@ class TestLoadConfig:
         ({"scoring": {"control_weight": -1}}, "scoring.control_weight"),
         ({"geometry": {"ramp_length": 100}}, "geometry.ramp_length"),
         ({"demand": [{"duration": 0}]}, "demand[0].duration"),
+        # a negative margin moved the cross-lane floors' activation
+        # downstream of the merge, where no check ever applied them
+        ({"scoring": {"activation_margin": -100}}, "scoring.activation_margin"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_out_of_range_field_is_named(self, tmp_path, capsys, edit, path):
         # each used to validate and then fail mid-run, run on silently, or

@@ -11,6 +11,7 @@ from rampmerge import coordinator
 from rampmerge.coordinator import (
     HARD_BRAKE,
     LOOKAHEAD_STEPS,
+    REPAIR_GAP_FRACTION,
     MergeCoordinator,
     WorldSnapshot,
     inflow_group_cap,
@@ -22,7 +23,7 @@ from rampmerge.cli import load_config
 from rampmerge.idm import IdmParams, idm_accel
 from rampmerge.sequencing import ScoringContext, optimal_sequence
 from rampmerge.simulation import run_scenario
-from rampmerge.tracking import rollout_batch
+from rampmerge.tracking import ConvergedLaw, Trajectory
 from rampmerge.vehicles import (
     ControlLimits,
     ControlStatus,
@@ -357,7 +358,7 @@ class TestDecisionCycle:
         assert cset.problem.lanes == problem.lanes[1:]
         assert np.array_equal(cset.problem.floors, problem.floors[1:])
         assert np.array_equal(cset.problem.x0, snap.state(cset.ids))
-        assert cset.model.n == 2 and cset.law.K.shape[1:] == (2, 4)
+        assert cset.law.model.n == 2 and cset.law.K.shape == (2, 4)
 
     def test_release_and_completion(self):
         coord = make_coordinator()
@@ -558,12 +559,36 @@ class TestPredictionRepair:
         assert any("re-planned" in e for e in coord.events)
         # the re-plan solves the set's own problem from the current state
         [(model, [replanned])] = solved
-        assert model is cset.model
+        assert model is cset.law.model
         assert np.array_equal(replanned.x0, tight.state(cset.ids))
         for name in ("weights", "r_vec", "floors", "lanes"):
             assert getattr(replanned, name) is getattr(cset.problem, name)
         for u in cmds.values():
             assert LIMITS.acc_min - 1e-12 <= u <= LIMITS.acc_max + 1e-12
+
+    @pytest.mark.parametrize("offset,replans", [(-1e-6, True), (1e-6, False)])
+    def test_forecast_gap_at_the_repair_fraction(self, monkeypatch, offset, replans):
+        # a forecast net gap just below REPAIR_GAP_FRACTION of its floor
+        # re-plans, one just above it does not
+        coord = make_coordinator()
+        coord.step(make_snapshot(0.0, [
+            (1, Lane.RAMP, -299.5, 15.0, 15.0), (2, Lane.MAINLINE, -560.0, 32.99),
+        ]))
+        [cset] = coord.sets
+        gap = REPAIR_GAP_FRACTION * float(cset.problem.floors[0]) + offset
+        # leader at the merge, its follower inside the activation window
+        x = np.array([0.0, -(coord.scoring.vehicle_length + gap), 20.0, 20.0])
+        assert x[1] >= -coord.scoring.activation_margin
+        forecasts = []
+
+        def flat_forecast(law, x, steps, limits):
+            forecasts.append(steps)
+            return Trajectory(x=np.tile(x, (steps + 1, 1)), u=np.zeros((steps, 2)))
+
+        monkeypatch.setattr(ConvergedLaw, "forecast", flat_forecast)
+        coord._check_prediction(cset, x, make_snapshot(1.0, []))
+        assert forecasts == [LOOKAHEAD_STEPS]
+        assert (cset.repair is not None) == replans
 
 
 class TestStringLaw:
@@ -574,8 +599,8 @@ class TestStringLaw:
         coord.step(snap)
         cset = coord.sets[0]
         law = cset.law
-        assert law.S is None and not law.K.flags.writeable
         n = len(cset.ids)
+        assert law.K.shape == law.Ky.shape == (n, 2 * n) and law.V.shape == (2 * n,)
         if clipped:
             # the string as the cycle found it: a 15 m/s ramp vehicle
             # among 33 m/s mainline traffic saturates the commands
@@ -585,12 +610,14 @@ class TestStringLaw:
             gaps = cset.problem.r_vec[:n - 1]
             positions = -100.0 - np.concatenate([[0.0], np.cumsum(gaps)])
             x = np.concatenate([positions, cset.problem.r_vec[n - 1:] - 0.5])
-        forecast = rollout_batch(cset.model, [law], x[None], LIMITS)
-        want = lookahead_by_loop(
-            law.K[0], law.Ky[0], law.V[0], x, cset.model.dt, LIMITS, LOOKAHEAD_STEPS
-        )
-        assert np.array_equal(forecast.x[0, 1:], want)
-        inside = (forecast.u[0] > LIMITS.acc_min) & (forecast.u[0] < LIMITS.acc_max)
+        forecast = law.forecast(x, LOOKAHEAD_STEPS, LIMITS)
+        want = lookahead_by_loop(law.K, law.Ky, law.V, x, law.model.dt, LIMITS, LOOKAHEAD_STEPS)
+        assert np.array_equal(forecast.x[0], x)
+        assert np.array_equal(forecast.x[1:], want)
+        # the recorded inputs are the law's commands as applied
+        commands = np.array([law.control(state) for state in forecast.x[:-1]])
+        assert np.array_equal(forecast.u, np.clip(commands, LIMITS.acc_min, LIMITS.acc_max))
+        inside = (forecast.u > LIMITS.acc_min) & (forecast.u < LIMITS.acc_max)
         assert inside.all() != clipped
 
 

@@ -1,10 +1,11 @@
 """Every import and every module-level name in the package is used.
 
-Standard-library stand-ins for pyflakes' unused-import check: a name
-bound by an import counts as used when it is read anywhere in the
-module, a module-level ``_private`` name when it is read in its module
-or imported by another module of the package, and a public one when it
-is read in the package, the tests or the demos.  The package's modules
+Standard-library stand-ins for pyflakes' unused-import check, over the
+package, the tests and the demos: a name bound by an import counts as
+used when it is read anywhere in the module, a module-level ``_private``
+name when it is read in its module or imported by another module of the
+package, and a public one when it is read in the package, the tests or
+the demos.  The package's modules
 also form layers (``LAYERS``), and each imports only from those below it.
 """
 import ast
@@ -31,7 +32,12 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -122,8 +122,8 @@ class TestScoring:
         # 7 m net gap, floor 30
         x0, floors = _inputs((0.0, 15.0), (-12.0, 15.0))
         [score] = score_sequences([seq], x0, floors, ctx)
-        assert score.horizon > 30
-        assert score.feasible
+        assert score.result.solution.horizon > 30
+        assert not score.result.degraded
 
 
 class TestSelection:
@@ -134,7 +134,7 @@ class TestSelection:
         x0, floors = _inputs((0.0, 25.0), (-60.0, 15.0))
         best = optimal_sequence([1], [2], x0, floors, ctx)
         assert best.sequence.ids == (1, 2)
-        assert best.feasible
+        assert not best.result.degraded
 
     def test_exact_tie_breaks_toward_early_ramp_merge(self):
         # mirror-identical vehicles and lane-blind weights: both orders
@@ -180,7 +180,8 @@ class TestBatchedScoring:
         for seq, score, (fuel, feasible, horizon, x, u) in zip(seqs, scores, expected):
             assert score.sequence == seq
             assert score.problem.lanes == seq.lanes
-            assert (score.total_fuel, score.feasible, score.horizon) == (
+            result = score.result
+            assert (score.total_fuel, not result.degraded, result.solution.horizon) == (
                 fuel, feasible, horizon), seq.ids
             assert np.array_equal(score.result.trajectory.x, x), seq.ids
             assert np.array_equal(score.result.trajectory.u, u), seq.ids

@@ -19,7 +19,6 @@ from rampmerge.simulation import (
     CollisionError,
     ControlMode,
     DemandPhase,
-    RunMetrics,
     STOP_MARGIN,
     ScenarioConfig,
     TrajectoryLog,

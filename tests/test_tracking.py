@@ -10,7 +10,6 @@ from rampmerge import tracking
 from rampmerge.sequencing import ScoringContext, StringProblem
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
-    LqSolution,
     TrackerWeights,
     active_pairs,
     build_reference,
@@ -375,9 +374,26 @@ class TestActivePairs:
             [0.0, -900.0, edge],
             [0.0, -900.0, np.nextafter(edge, -np.inf)],
         ])
-        got = active_pairs(positions, cross, activation_line=edge)
+        floors = np.zeros(2)
+        got, _ = active_pairs(positions, floors, cross, 5.0, activation_line=edge)
         assert got.tolist() == [[True, False], [True, True], [True, False]]
-        assert active_pairs(positions[1], cross, edge).tolist() == [True, True]
+        assert active_pairs(positions[1], floors, cross, 5.0, edge)[0].tolist() == [True, True]
+
+    def test_net_gap_at_the_floor_is_not_short(self):
+        # net gaps (position difference less the 5 m vehicle) against a
+        # 10 m floor: exactly 10, half a meter under it, exactly 10 on a
+        # cross-lane pair whose follower sits on the activation line, and
+        # -4 on a cross-lane pair upstream of it, which does not apply
+        positions = np.array([
+            [0.0, -15.0],
+            [0.0, -14.5],
+            [-35.0, -50.0],
+            [-100.0, -101.0],
+        ])
+        cross = np.array([[False], [False], [True], [True]])
+        active, short = active_pairs(positions, np.full((4, 1), 10.0), cross, 5.0, -50.0)
+        assert active.tolist() == [[True], [True], [True], [False]]
+        assert short.tolist() == [[False], [True], [False], [False]]
 
 
 class TestConstraintChecks:
@@ -480,14 +496,14 @@ class TestRepair:
     def test_benign_instance_keeps_requested_horizon(self):
         # follower starts a half meter off the settle point
         result = self._setup(follower_pos=-36.0, floor=30.0, horizon=30)
-        assert result.horizon == 30
+        assert result.solution.horizon == 30
         assert not result.degraded
 
     def test_tight_gap_grows_horizon_until_clean(self):
         # opening 35 m of spacing takes ~7 s at the actuation limits,
         # far more than the 3 s first attempt
         result = self._setup(follower_pos=-10.0, floor=40.0, horizon=30)
-        assert result.horizon > 30
+        assert result.solution.horizon > 30
         assert not result.degraded
 
     @pytest.mark.parametrize("growth", [1.0, 0.5])
@@ -505,7 +521,7 @@ class TestRepair:
             follower_pos=-10.0, floor=5000.0, horizon=30, max_horizon=60
         )
         assert result.degraded
-        assert result.horizon == 60
+        assert result.solution.horizon == 60
         # the fallback stays executable: applied inputs are clipped
         assert np.max(result.trajectory.u) <= LIMITS.acc_max + 1e-12
         assert np.min(result.trajectory.u) >= LIMITS.acc_min - 1e-12
