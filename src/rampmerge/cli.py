@@ -125,11 +125,6 @@ def _to_si(value, dimension: str) -> float:
 # config schema: units, integer fields and accepted keys come from the
 # param() declarations on the config dataclasses
 
-#: demand-phase YAML keys and the DemandPhase fields they set
-_PHASE_KEYS = {"duration": "duration", "mainline": "mainline_rate",
-               "ramp": "ramp_rate", "suggested": "q_suggested"}
-_PHASE_FIELDS = {name: key for key, name in _PHASE_KEYS.items()}
-
 
 def _convert_field(declared: Field, value):
     """``convert_quantity`` in the field's unit; ``int`` fields must be integral."""
@@ -160,13 +155,6 @@ def _parse_fields(raw, declared: dict[str, Field], path: str, issues) -> dict:
         except ValueError as exc:
             issues.append((key_path, str(exc)))
     return out
-
-
-def _file_path(path: str) -> str:
-    """A config issue's path in the file's keys: demand rates are named
-    as in YAML (``demand[0].mainline_rate`` -> ``demand[0].mainline``)."""
-    head, _, name = path.rpartition(".")
-    return f"{head}.{_PHASE_FIELDS[name]}" if head.startswith("demand[") else path
 
 
 def load_config(path: str | Path, mode: str | None = None,
@@ -205,25 +193,26 @@ def load_config(path: str | Path, mode: str | None = None,
     for name, default in sections.items():
         kw[name] = replace(default, **_parse_fields(raw.get(name), settable(default), name, issues))
 
-    phase_fields = settable(DemandPhase)
-    declared = {key: phase_fields[name] for key, name in _PHASE_KEYS.items()}
+    declared = settable(DemandPhase)
     raw_demand = raw.get("demand")
     phases = []
-    # a missing or bad phase value is reported here; NaN holds its place
+    # a bad demand or phase value is reported here; NaN holds a phase value's place
     placeholders = set()
-    for i, entry in enumerate(raw_demand if isinstance(raw_demand, list) else []):
+    if not isinstance(raw_demand, (list, type(None))):
+        issues.append(("demand", "expected a list of phases"))
+        placeholders.add("demand")
+        raw_demand = None
+    for i, entry in enumerate(raw_demand or []):
         got = _parse_fields(entry, declared, f"demand[{i}]", issues)
-        missing = [key for key in _PHASE_KEYS if not isinstance(entry, dict) or key not in entry]
+        missing = [key for key in declared if not isinstance(entry, dict) or key not in entry]
         if missing:
             issues.append((f"demand[{i}]", f"missing fields: {', '.join(missing)}"))
-        placeholders.update(f"demand[{i}].{key}" for key in _PHASE_KEYS if key not in got)
-        phases.append(DemandPhase(**{name: got.get(key, math.nan)
-                                     for key, name in _PHASE_KEYS.items()}))
+        placeholders.update(f"demand[{i}].{key}" for key in declared if key not in got)
+        phases.append(DemandPhase(**{key: got.get(key, math.nan) for key in declared}))
 
     config = ScenarioConfig(phases=phases, mode=run_mode,
                             name=str(raw.get("name", path.stem)), **kw)
     for issue_path, problem in config.issues():
-        issue_path = _file_path(issue_path)
         if issue_path not in placeholders:
             issues.append((issue_path, problem))
     if issues:
@@ -242,10 +231,7 @@ def resolved_parameters(config: ScenarioConfig) -> dict:
         "mode": config.mode.value,
         **_values(config),
         **{name: _values(part) for name, part in parts(config)},
-        "demand": [
-            {key: getattr(phase, name) for key, name in _PHASE_KEYS.items()}
-            for phase in config.phases
-        ],
+        "demand": [_values(phase) for phase in config.phases],
     }
 
 
@@ -630,6 +616,8 @@ def _cmd_sweep(args) -> int:
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise RuntimeError(f"{flag} lists {repeated} more than once")
+    if args.workers < 1:
+        raise RuntimeError("--workers must be at least 1")
     # config errors should surface before any worker spins up
     load_config(args.config, mode=modes[0], seed=seeds[0])
     out_dir = _out_dir(args)
@@ -678,28 +666,11 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _flatten(params: dict, prefix: str = "") -> list[tuple[str, object]]:
-    rows = []
-    for key, value in params.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            rows += _flatten(value, label + ".")
-        elif isinstance(value, list):
-            for i, entry in enumerate(value):
-                rows += _flatten(entry, f"{label}[{i}].")
-        else:
-            rows.append((label, value))
-    return rows
-
-
 def _cmd_validate(args) -> int:
     config = load_config(args.config, mode=args.mode, seed=args.seed)
-    rows = _flatten(resolved_parameters(config))
-    width = max(len(label) for label, _ in rows)
-    print(f"configuration OK: {args.config}")
-    print(f"scenario digest: {config_digest(config)}")
-    for label, value in rows:
-        print(f"  {label:<{width}}  {value}")
+    print(f"# configuration OK: {args.config}")
+    print(f"# scenario digest: {config_digest(config)}")
+    print(dump_config(config), end="")
     return EXIT_OK
 
 
@@ -741,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="check a config, print resolved SI values")
+    p_val = sub.add_parser("validate", help="check a config, print it resolved to SI as YAML")
     add_common(p_val)
     p_val.set_defaults(func=_cmd_validate)
 

@@ -162,6 +162,12 @@ class ScoringContext(Checked):
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     cap: int = param("plain", 252, ">= 1")
 
+    def issues(self) -> list[tuple[str, str]]:
+        out = super().issues()
+        if self.horizon > self.max_horizon and "max_horizon" not in dict(out):
+            out.append(("horizon", "must be <= max_horizon"))
+        return out
+
     def weights(self, lanes: tuple[Lane, ...]) -> TrackerWeights:
         """Diagonal weights of the string with these lanes.
 
@@ -205,13 +211,13 @@ class ScoringContext(Checked):
         round solves, rolls out and checks its problems in stacked chunks,
         and the problems whose rollout is still short of a gap floor go on
         to the next horizon together.  Each result is bitwise what the
-        problem gets alone.  The context's declared ranges are checked
-        once, before the first round.
+        problem gets alone.  The context is validated once, before the
+        first round.
         """
         self.validate()
         results: list[RepairResult | None] = [None] * len(problems)
         pending = list(range(len(problems)))
-        N = min(self.horizon, self.max_horizon)
+        N = self.horizon
         while pending:
             retry = []
             for chunk in chunks(pending, model.n, N):

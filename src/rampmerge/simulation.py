@@ -81,9 +81,9 @@ class DemandPhase(Checked):
     """One stretch of constant demand.  Rates are veh/s."""
 
     duration: float = param("time", bounds="> 0")
-    mainline_rate: float = param("rate", bounds=">= 0")
-    ramp_rate: float = param("rate", bounds=">= 0")
-    q_suggested: float = param("rate", bounds="> 0")
+    mainline: float = param("rate", bounds=">= 0")
+    ramp: float = param("rate", bounds=">= 0")
+    suggested: float = param("rate", bounds="> 0")
 
 
 @dataclass
@@ -504,9 +504,9 @@ class _Run:
 
         # indexed by lane code
         self.entrances = (
-            _Entrance(lane_arrivals(lambda p: p.mainline_rate), -geo.upstream_extent,
+            _Entrance(lane_arrivals(lambda p: p.mainline), -geo.upstream_extent,
                       config.mainline_idm),
-            _Entrance(lane_arrivals(lambda p: p.ramp_rate), -geo.ramp_length, config.ramp_idm),
+            _Entrance(lane_arrivals(lambda p: p.ramp), -geo.ramp_length, config.ramp_idm),
         )
         self.world = _World()
         self.log = TrajectoryLog()
@@ -568,7 +568,7 @@ class _Run:
             self.counters.spawned += 1
             gate.next += 1
             if paced:
-                self.ramp_entry_release = t + 1.0 / self.phase.q_suggested
+                self.ramp_entry_release = t + 1.0 / self.phase.suggested
 
     def _entry_speeds(self) -> None:
         world = self.world
@@ -618,8 +618,8 @@ class _Run:
         if self.coordinator is not None:
             snap = WorldSnapshot(
                 t=t,
-                q_mainline=self.phase.mainline_rate,
-                q_suggested=self.phase.q_suggested,
+                q_mainline=self.phase.mainline,
+                q_suggested=self.phase.suggested,
                 ids=world.ids,
                 lanes=world.lane,
                 positions=world.pos,
@@ -646,7 +646,7 @@ class _Run:
                     if standing and t >= self.meter_next_green:
                         world.released[j] = True
                         self.counters.meter_releases += 1
-                        self.meter_next_green = t + 1.0 / self.phase.q_suggested
+                        self.meter_next_green = t + 1.0 / self.phase.suggested
                     else:
                         hold = _bar_hold(world.v[j], gap, self.config.ramp_idm)
                         self.acc[j] = min(self.acc[j], hold)
@@ -801,40 +801,3 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         coordinator=run.coordinator,
     )
 
-
-def _phases(rows: list[tuple[float, float, float, float]]) -> list[DemandPhase]:
-    return [
-        DemandPhase(
-            duration=d,
-            mainline_rate=qm / 3600.0,
-            ramp_rate=qr / 3600.0,
-            q_suggested=qs / 3600.0,
-        )
-        for d, qm, qr, qs in rows
-    ]
-
-
-def scenario_1(mode: ControlMode = ControlMode.OPTIMAL, seed: int = 0) -> ScenarioConfig:
-    """Heavy early ramp demand against a loaded mainline."""
-    return ScenarioConfig(
-        phases=_phases([
-            (600.0, 1600.0, 500.0, 200.0),
-            (600.0, 1200.0, 300.0, 600.0),
-        ]),
-        mode=mode,
-        seed=seed,
-        name="scenario-1",
-    )
-
-
-def scenario_2(mode: ControlMode = ControlMode.OPTIMAL, seed: int = 0) -> ScenarioConfig:
-    """Lighter early ramp demand, heavier late ramp demand."""
-    return ScenarioConfig(
-        phases=_phases([
-            (600.0, 1600.0, 300.0, 200.0),
-            (600.0, 1200.0, 500.0, 600.0),
-        ]),
-        mode=mode,
-        seed=seed,
-        name="scenario-2",
-    )

@@ -8,6 +8,7 @@ once and shared by the criteria that consume it.
 import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,6 @@ from rampmerge.simulation import (
     ControlMode,
     ramp_crossing_times,
     run_scenario,
-    scenario_1,
-    scenario_2,
 )
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
@@ -37,10 +36,11 @@ from rampmerge.tracking import (
     solve_finite_horizon_batch,
 )
 from rampmerge.vehicles import Lane, gap_floors
-from rampmerge.cli import export_trajectories
+from rampmerge.cli import export_trajectories, load_config
 
 SEEDS = (1, 2, 3, 4, 5)
-SCENARIOS = {"scenario-1": scenario_1, "scenario-2": scenario_2}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SCENARIOS = {"scenario-1": CONFIGS / "scenario1.yaml", "scenario-2": CONFIGS / "scenario2.yaml"}
 MODES = (ControlMode.OPTIMAL, ControlMode.METERING, ControlMode.NONE)
 VEHICLE_LENGTH = 5.0
 
@@ -72,10 +72,10 @@ def matrix(tmp_path_factory):
     """All scenario runs, reduced on the fly so logs never accumulate."""
     out = {}
     tmp = tmp_path_factory.mktemp("acceptance")
-    for scen_name, builder in SCENARIOS.items():
+    for scen_name, study in SCENARIOS.items():
         for mode in MODES:
             for seed in SEEDS:
-                config = builder(mode, seed=seed)
+                config = load_config(study, mode=mode.value, seed=seed)
                 tic = time.perf_counter()
                 result = run_scenario(config)
                 wall = time.perf_counter() - tic
@@ -256,9 +256,9 @@ def test_criterion_5_idm_equilibrium_and_platoon():
 def test_criterion_6_suggested_inflow_compliance(matrix):
     window = 300.0
     worst_ratio = 0.0
-    config = scenario_1(ControlMode.OPTIMAL, seed=SEEDS[0])
+    config = load_config(SCENARIOS["scenario-1"], mode="optimal", seed=SEEDS[0])
     durations = [p.duration for p in config.phases]
-    rates = [p.q_suggested for p in config.phases]
+    rates = [p.suggested for p in config.phases]
     bounds = np.cumsum([0.0] + durations)
     total = bounds[-1]
 
@@ -322,10 +322,10 @@ def test_criterion_8_no_gap_violations(matrix):
 
 
 def test_criterion_9_deterministic_exports(matrix, tmp_path):
-    for scen_name, builder in SCENARIOS.items():
+    for scen_name, study in SCENARIOS.items():
         reference_sha = matrix[(scen_name, ControlMode.OPTIMAL,
                                 SEEDS[0])].export_sha
-        result = run_scenario(builder(ControlMode.OPTIMAL, seed=SEEDS[0]))
+        result = run_scenario(load_config(study, mode="optimal", seed=SEEDS[0]))
         path = export_trajectories(result.log, tmp_path / f"{scen_name}.csv")
         again_sha = hashlib.sha256(path.read_bytes()).hexdigest()
         assert again_sha == reference_sha, scen_name

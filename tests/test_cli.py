@@ -34,8 +34,6 @@ from rampmerge.simulation import (
     TrajectoryLog,
     compute_metrics,
     run_scenario,
-    scenario_1,
-    scenario_2,
 )
 
 CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
@@ -132,13 +130,6 @@ class TestUnits:
 
 
 class TestLoadConfig:
-    def test_shipped_configs_match_builders(self):
-        for path, builder in (
-            (CONFIG_DIR + "/scenario1.yaml", scenario_1),
-            (CONFIG_DIR + "/scenario2.yaml", scenario_2),
-        ):
-            assert resolved_parameters(load_config(path)) == resolved_parameters(builder())
-
     def test_minimal_config_uses_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
         assert cfg.limits.v_max == 34.65
@@ -208,6 +199,8 @@ class TestLoadConfig:
         # a negative margin moved the cross-lane floors' activation
         # downstream of the merge, where no check ever applied them
         ({"scoring": {"activation_margin": -100}}, "scoring.activation_margin"),
+        # the repair used to start at max_horizon instead, silently
+        ({"scoring": {"horizon": 5000}}, "scoring.horizon"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_out_of_range_field_is_named(self, tmp_path, capsys, edit, path):
         # each used to validate and then fail mid-run, run on silently, or
@@ -234,9 +227,8 @@ class TestLoadConfig:
         sections = dict(parts(cfg))
         declared = {name: set(settable(part)) for name, part in sections.items()}
         declared["top"] = {"name", "mode", "demand", *sections, *settable(cfg)}
-        declared["demand"] = set(params["demand"][0])
+        declared["demand"] = set(settable(DemandPhase))
         assert declared == ACCEPTED_KEYS
-        assert len(settable(DemandPhase)) == len(ACCEPTED_KEYS["demand"])
         # every settable field is resolved, so config_digest covers it
         resolved = {name: set(params[name]) for name in sections}
         resolved["top"] = set(params)
@@ -278,6 +270,16 @@ class TestLoadConfig:
     def test_missing_demand_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="demand"):
             load_config(write_config(tmp_path, "seed: 1\n"))
+
+    @pytest.mark.parametrize("demand", [
+        "{duration: 60 s, mainline: 900 veh/h, ramp: 300 veh/h, suggested: 300 veh/h}",
+        "600 s",
+    ], ids=["mapping", "scalar"])
+    def test_demand_must_be_a_list(self, tmp_path, demand):
+        # used to be reported as "demand: needs at least one phase"
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, f"demand: {demand}\n"))
+        assert err.value.issues == [("demand", "expected a list of phases")]
 
     def test_missing_phase_field_rejected(self, tmp_path):
         text = "demand:\n  - {duration: 60 s, mainline: 900 veh/h}\n"
@@ -523,12 +525,17 @@ class TestCommands:
         assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
         assert "scoring.merge_entry: unknown field" in capsys.readouterr().err
 
-    def test_validate_prints_resolved_set(self, capsys):
-        code = main(["validate", "--config", CONFIG_DIR + "/smoke.yaml"])
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("name", ["smoke", "scenario1", "scenario2"])
+    def test_validate_prints_resolved_set(self, tmp_path, capsys, name):
+        # the output is itself a config file, its status lines comments
+        source = f"{CONFIG_DIR}/{name}.yaml"
+        assert main(["validate", "--config", source]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "limits.acc_max" in out and "2.49936" in out
-        assert "mainline_idm.v0" in out and "32.991552" in out
+        cfg = load_config(source)
+        assert out.startswith(f"# configuration OK: {source}\n"
+                              f"# scenario digest: {config_digest(cfg)}\n")
+        printed = load_config(write_config(tmp_path, out, f"{name}.yaml"))
+        assert resolved_parameters(printed) == resolved_parameters(cfg)
 
     def test_compare_writes_report(self, tmp_path):
         code = main(["compare", "--config", CONFIG_DIR + "/smoke.yaml",
@@ -561,6 +568,16 @@ class TestCommands:
             assert entry["seeds"] == [1, 2]
             assert entry["stats"]["q_mph"]["sd"] >= 0.0
             assert set(entry["runs"]) == {"1", "2"}
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_sweep_needs_a_worker(self, tmp_path, capsys, workers):
+        # the process pool used to refuse the count with a traceback
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml", "--seeds", "1",
+                     "--workers", workers, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, named", [
         (["--seeds", "1", "1", "2"], "--seeds lists 1 more than once"),

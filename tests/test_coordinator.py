@@ -230,7 +230,7 @@ def test_controlled_ramp_vehicles_stay_a_queue_prefix(monkeypatch, suggested):
     monkeypatch.setattr(MergeCoordinator, "step", checked_step)
     config = load_config(Path(__file__).parents[1] / "configs" / "smoke.yaml", mode="optimal")
     if suggested is not None:
-        config.phases = [replace(p, q_suggested=suggested) for p in config.phases]
+        config.phases = [replace(p, suggested=suggested) for p in config.phases]
     result = run_scenario(config)
     records = result.coordinator.records
     assert seen["cycles"] == len(records) >= 2

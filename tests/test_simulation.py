@@ -32,8 +32,6 @@ from rampmerge.simulation import (
     ramp_crossing_times,
     run_scenario,
     safe_next_speed,
-    scenario_1,
-    scenario_2,
     stopping_bound,
     stopping_distance,
 )
@@ -97,10 +95,10 @@ class TestConfig:
             DemandPhase(600.0, 0.3, 0.05, 0.2),
         ])
         assert cfg.total_duration == 1200.0
-        assert cfg.phase_at(0.0).mainline_rate == 0.4
-        assert cfg.phase_at(599.9).mainline_rate == 0.4
-        assert cfg.phase_at(600.0).mainline_rate == 0.3
-        assert cfg.phase_at(5000.0).mainline_rate == 0.3
+        assert cfg.phase_at(0.0).mainline == 0.4
+        assert cfg.phase_at(599.9).mainline == 0.4
+        assert cfg.phase_at(600.0).mainline == 0.3
+        assert cfg.phase_at(5000.0).mainline == 0.3
 
     def test_validate_rejects_bad_phases(self):
         with pytest.raises(ValueError):
@@ -292,21 +290,21 @@ class TestModes:
 
 class TestScenarioBuilders:
     def test_phase_tables(self):
-        s1 = scenario_1()
+        s1 = load_config(CONFIGS / "scenario1.yaml")
         assert len(s1.phases) == 2
-        assert s1.phases[0].mainline_rate == pytest.approx(1600.0 / 3600.0)
-        assert s1.phases[0].ramp_rate == pytest.approx(500.0 / 3600.0)
-        assert s1.phases[0].q_suggested == pytest.approx(200.0 / 3600.0)
-        assert s1.phases[1].q_suggested == pytest.approx(600.0 / 3600.0)
-        s2 = scenario_2(ControlMode.METERING, seed=3)
-        assert s2.phases[0].ramp_rate == pytest.approx(300.0 / 3600.0)
-        assert s2.phases[1].ramp_rate == pytest.approx(500.0 / 3600.0)
+        assert s1.phases[0].mainline == pytest.approx(1600.0 / 3600.0)
+        assert s1.phases[0].ramp == pytest.approx(500.0 / 3600.0)
+        assert s1.phases[0].suggested == pytest.approx(200.0 / 3600.0)
+        assert s1.phases[1].suggested == pytest.approx(600.0 / 3600.0)
+        s2 = load_config(CONFIGS / "scenario2.yaml", mode="metering", seed=3)
+        assert s2.phases[0].ramp == pytest.approx(300.0 / 3600.0)
+        assert s2.phases[1].ramp == pytest.approx(500.0 / 3600.0)
         assert s2.mode is ControlMode.METERING
         assert s2.seed == 3
 
     def test_total_duration(self):
-        assert scenario_1().total_duration == 1200.0
-        assert scenario_2().total_duration == 1200.0
+        for name in ("scenario1", "scenario2"):
+            assert load_config(CONFIGS / f"{name}.yaml").total_duration == 1200.0
 
 
 def _collide(t):
