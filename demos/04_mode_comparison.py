@@ -42,7 +42,7 @@ print(f"{'mode':>10} {'Q mph':>8} {'VMT mi':>8} {'VHT h':>7} {'mpg':>7}")
 
 rows = {}
 for mode in (ControlMode.OPTIMAL, ControlMode.METERING, ControlMode.NONE):
-    config = (load_config(STUDY, mode=mode.value, seed=11) if full
+    config = (load_config(STUDY, mode=mode, seed=11) if full
               else short_config(mode))
     metrics = run_scenario(config).metrics.overall
     rows[mode] = metrics

@@ -1,11 +1,12 @@
-"""Command-line front end: configs, runs, exports, comparison reports.
+"""Command-line front end: configs, runs, exports, seed sweeps.
 
 A single YAML file carries every parameter a run needs, so config + seed
 fully reproduce a simulation.  Numeric fields accept either plain SI
 numbers or strings with an explicit unit suffix ("73.8 mph", "8.2 ft/s2",
 "600 s"); everything is converted to SI on load.  Exports are plain CSV
-with fixed six-decimal formatting, and comparison reports come in both a
-machine-readable JSON form and an aligned text table.
+with fixed six-decimal formatting, and a sweep's report of modes over
+seeds comes in both a machine-readable JSON form and an aligned text
+table.
 
 Exit codes: 0 success, 2 configuration error, 3 collision abort.
 """
@@ -23,18 +24,17 @@ import time
 from dataclasses import Field, asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from statistics import mean, stdev
 
 import numpy as np
 import yaml
 
-from .fuel import ML_PER_GALLON
 from .params import parts, settable
 from .simulation import (
     CollisionError,
     ControlMode,
     DemandPhase,
     RunMetrics,
+    RunResult,
     ScenarioConfig,
     TrajectoryLog,
     run_scenario,
@@ -45,8 +45,6 @@ OUT_ENV_VAR = "RAMPMERGE_OUT"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COLLISION = 3
-
-KM_PER_MILE = 1.609344
 
 
 class ConfigError(ValueError):
@@ -157,12 +155,13 @@ def _parse_fields(raw, declared: dict[str, Field], path: str, issues) -> dict:
     return out
 
 
-def load_config(path: str | Path, mode: str | None = None,
+def load_config(path: str | Path, mode: ControlMode | str | None = None,
                 seed: int | None = None) -> ScenarioConfig:
     """Parse a YAML scenario file into a validated ScenarioConfig.
 
-    ``mode`` and ``seed`` override whatever the file carries.  Raises
-    ConfigError listing every offending field, not just the first.
+    ``mode`` (a ControlMode or its text) and ``seed`` override whatever the
+    file carries.  Raises ConfigError listing every offending field, not
+    just the first.
     """
     path = Path(path)
     try:
@@ -177,7 +176,8 @@ def load_config(path: str | Path, mode: str | None = None,
     issues: list[tuple[str, str]] = []
     mode_text = mode if mode is not None else raw.get("mode", "optimal")
     try:
-        run_mode = ControlMode(str(mode_text).lower())
+        run_mode = (mode_text if isinstance(mode_text, ControlMode)
+                    else ControlMode(str(mode_text).lower()))
     except ValueError:
         names = ", ".join(m.value for m in ControlMode)
         issues.append(("mode", f"unknown mode {mode_text!r} (expected one of {names})"))
@@ -204,7 +204,9 @@ def load_config(path: str | Path, mode: str | None = None,
         raw_demand = None
     for i, entry in enumerate(raw_demand or []):
         got = _parse_fields(entry, declared, f"demand[{i}]", issues)
-        missing = [key for key in declared if not isinstance(entry, dict) or key not in entry]
+        # _parse_fields reports an entry that is not a mapping as a whole
+        missing = [key for key in declared if entry is None
+                   or isinstance(entry, dict) and key not in entry]
         if missing:
             issues.append((f"demand[{i}]", f"missing fields: {', '.join(missing)}"))
         placeholders.update(f"demand[{i}].{key}" for key in declared if key not in got)
@@ -397,104 +399,6 @@ def load_trajectories(path: str | Path) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-_MODE_ORDER = ("optimal", "metering", "none")
-
-
-def _metric_rows(metrics: RunMetrics) -> list[tuple[str, str, float]]:
-    rows = []
-    for group_name in ("overall", "mainline", "ramp"):
-        g = getattr(metrics, group_name)
-        label = group_name.capitalize()
-        rows += [
-            (label, "vehicles", float(g.n_vehicles)),
-            (label, "VMT (mi)", g.vmt_miles),
-            (label, "VMT (km)", g.vmt_miles * KM_PER_MILE),
-            (label, "VHT (h)", g.vht_hours),
-            (label, "Q (mph)", g.q_mph),
-            (label, "Q (km/h)", g.q_mph * KM_PER_MILE),
-            (label, "fuel (gal)", g.fuel_ml / ML_PER_GALLON),
-            (label, "fuel (L)", g.fuel_ml / 1000.0),
-            (label, "economy (mpg)", g.economy_mpg),
-            (label, "economy (km/L)", g.economy_mpg * KM_PER_MILE / 3.785411784),
-        ]
-    return rows
-
-
-def _improvement(new: float, base: float) -> float:
-    if base == 0.0 or not math.isfinite(base) or not math.isfinite(new):
-        return math.nan
-    return (new / base - 1.0) * 100.0
-
-
-def report_metrics(per_mode: dict[str, RunMetrics], path: str | Path) -> str:
-    """Write a comparison report (JSON + aligned text) and return the text.
-
-    ``path`` names the JSON file; the text table lands next to it with a
-    .txt suffix.  Improvement percentages compare the coordinated mode
-    against each baseline present.
-    """
-    if not per_mode:
-        raise ValueError("report_metrics needs at least one mode")
-    path = Path(path)
-    modes = [m for m in _MODE_ORDER if m in per_mode]
-    modes += [m for m in per_mode if m not in modes]
-
-    improvements = {}
-    if "optimal" in per_mode:
-        opt = per_mode["optimal"].overall
-        for base_name in modes:
-            if base_name == "optimal":
-                continue
-            base = per_mode[base_name].overall
-            improvements[f"optimal_vs_{base_name}"] = {
-                "q_pct": _improvement(opt.q_mph, base.q_mph),
-                "economy_pct": _improvement(opt.economy_mpg, base.economy_mpg),
-                "vmt_pct": _improvement(opt.vmt_miles, base.vmt_miles),
-            }
-
-    payload = {
-        "modes": {name: asdict(per_mode[name]) for name in modes},
-        "improvements": improvements,
-    }
-
-    width = max(len(m) for m in modes) + 2
-    lines = []
-    header = f"{'group':<10}{'metric':<16}" + "".join(f"{m:>{max(width, 12)}}" for m in modes)
-    lines.append(header)
-    lines.append("-" * len(header))
-    row_keys = _metric_rows(per_mode[modes[0]])
-    tables = {name: dict(((g, k), v) for g, k, v in _metric_rows(per_mode[name]))
-              for name in modes}
-    seen_groups = set()
-    for group, key, _ in row_keys:
-        if group not in seen_groups and seen_groups:
-            lines.append("")
-        seen_groups.add(group)
-        cells = "".join(
-            f"{tables[name][(group, key)]:>{max(width, 12)}.2f}" for name in modes
-        )
-        lines.append(f"{group:<10}{key:<16}" + cells)
-    if improvements:
-        lines.append("")
-        for pair, vals in improvements.items():
-            vs = pair.split("_vs_")[1]
-            lines.append(
-                f"optimal vs {vs}: Q {vals['q_pct']:+.1f}%, "
-                f"economy {vals['economy_pct']:+.1f}%"
-            )
-    text = "\n".join(lines) + "\n"
-
-    try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        path.with_suffix(".txt").write_text(text)
-    except OSError as exc:
-        raise RuntimeError(f"cannot write report to {path}: {exc}") from exc
-    return text
-
-
-# ---------------------------------------------------------------------------
 # manifests
 
 @dataclass
@@ -534,18 +438,26 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _simulate(config: ScenarioConfig, out_dir: Path, stem: str) -> RunResult:
+    """``run_scenario``; a collision names the run's mode and seed on stderr
+    and leaves the log so far in ``<stem>_trajectories_partial.csv``."""
+    try:
+        return run_scenario(config)
+    except CollisionError as exc:
+        note = f"{config.mode.value} seed {config.seed} collided"
+        if exc.log is not None:
+            partial = export_trajectories(
+                exc.log, out_dir / f"{stem}_trajectories_partial.csv")
+            note += f"; partial trajectories: {partial}"
+        print(note, file=sys.stderr)
+        raise
+
+
 def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
              stem: str) -> tuple[RunManifest, RunMetrics]:
     started = _utc_now()
     tic = time.perf_counter()
-    try:
-        result = run_scenario(config)
-    except CollisionError as exc:
-        if exc.log is not None:
-            partial = export_trajectories(
-                exc.log, out_dir / f"{stem}_trajectories_partial.csv")
-            print(f"partial trajectories: {partial}", file=sys.stderr)
-        raise
+    result = _simulate(config, out_dir, stem)
     wall = time.perf_counter() - tic
     traj_path = export_trajectories(result.log, out_dir / f"{stem}_trajectories.csv")
     metrics_path = out_dir / f"{stem}_metrics.json"
@@ -569,44 +481,61 @@ def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
     return manifest, result.metrics
 
 
-def _summary_line(mode: str, metrics: RunMetrics) -> str:
-    g = metrics.overall
-    return (f"{mode:>9}: Q {g.q_mph:6.2f} mph, VMT {g.vmt_miles:7.2f} mi, "
-            f"VHT {g.vht_hours:6.2f} h, economy {g.economy_mpg:5.2f} mpg")
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config, mode=args.mode, seed=args.seed)
     out_dir = _out_dir(args)
     stem = f"run_{config.mode.value}_seed{config.seed}"
     manifest, metrics = _execute(config, args.config, out_dir, stem)
-    print(_summary_line(config.mode.value, metrics))
+    g = metrics.overall
+    print(f"{config.mode.value:>9}: Q {g.q_mph:6.2f} mph, VMT {g.vmt_miles:7.2f} mi, "
+          f"VHT {g.vht_hours:6.2f} h, economy {g.economy_mpg:5.2f} mpg")
     for kind, file_path in manifest.outputs.items():
         print(f"  {kind}: {file_path}")
     print(f"  manifest: {out_dir / (stem + '_manifest.json')}")
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    out_dir = _out_dir(args)
-    per_mode: dict[str, RunMetrics] = {}
-    for mode in _MODE_ORDER:
-        config = load_config(args.config, mode=mode, seed=args.seed)
-        stem = f"compare_{mode}_seed{config.seed}"
-        _, metrics = _execute(config, args.config, out_dir, stem)
-        per_mode[mode] = metrics
-        print(_summary_line(mode, metrics))
-    text = report_metrics(per_mode, out_dir / f"compare_seed{config.seed}_report.json")
-    print()
-    print(text, end="")
-    return EXIT_OK
-
-
-def _sweep_one(payload):
-    config_path, mode, seed = payload
+def _sweep_one(payload) -> dict:
+    """One sweep run's record: its overall metrics and the vehicles left."""
+    config_path, mode, seed, out_dir = payload
     config = load_config(config_path, mode=mode, seed=seed)
-    result = run_scenario(config)
-    return mode, seed, result.metrics
+    result = _simulate(config, out_dir, f"sweep_{mode}_seed{seed}")
+    return {**asdict(result.metrics.overall),
+            "vehicles_left": result.final_vehicle_count}
+
+
+def _mean_sd(values: list[float]) -> tuple[float, float | None]:
+    """Mean and sample standard deviation (None for a single value)."""
+    x = np.asarray(values, dtype=float)
+    return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else None
+
+
+#: the paired report's metrics: run record key, column heading, decimals
+_PAIRED = (("q_mph", "Q mph", 2), ("economy_mpg", "economy mpg", 2),
+           ("vehicles_left", "vehicles left", 1))
+
+
+def _paired(first: dict, other: dict) -> tuple[dict, list[str]]:
+    """Per-seed differences ``first - other`` of two modes' run records, keyed
+    by seed, with their mean and standard error, as JSON and as text lines."""
+    per_seed = {seed: {key: first[seed][key] - other[seed][key] for key, _, _ in _PAIRED}
+                for seed in first}
+    stats = {}
+    for key, _, _ in _PAIRED:
+        mean, sd = _mean_sd([diff[key] for diff in per_seed.values()])
+        stats[key] = {"mean": mean,
+                      "se": None if sd is None else sd / math.sqrt(len(per_seed))}
+
+    def row(label, values, sign="+"):
+        return f"{label:>5}" + "".join(
+            f"{'-' if value is None else format(value, f'{sign}.{digits}f'):>15}"
+            for value, (_, _, digits) in zip(values, _PAIRED))
+
+    lines = [f"{'seed':>5}" + "".join(f"{head:>15}" for _, head, _ in _PAIRED)]
+    lines += [row(seed, diff.values()) for seed, diff in per_seed.items()]
+    lines.append(row("mean", [stats[key]["mean"] for key, _, _ in _PAIRED]))
+    lines.append(row("se", [stats[key]["se"] for key, _, _ in _PAIRED], sign=""))
+    return {"per_seed": per_seed, "stats": stats}, lines
 
 
 def _cmd_sweep(args) -> int:
@@ -618,44 +547,41 @@ def _cmd_sweep(args) -> int:
             raise RuntimeError(f"{flag} lists {repeated} more than once")
     if args.workers < 1:
         raise RuntimeError("--workers must be at least 1")
+    seeds = sorted(seeds)
     # config errors should surface before any worker spins up
     load_config(args.config, mode=modes[0], seed=seeds[0])
     out_dir = _out_dir(args)
-    jobs = [(args.config, mode, seed) for mode in modes for seed in seeds]
-    results = []
+    jobs = [(args.config, mode, seed, out_dir) for mode in modes for seed in seeds]
+    runs: dict[str, dict[int, dict]] = {mode: {} for mode in modes}
     with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-        for item in pool.map(_sweep_one, jobs):
-            results.append(item)
-            print(f"  done: {item[0]} seed {item[1]}")
-
-    by_mode: dict[str, list[tuple[int, RunMetrics]]] = {m: [] for m in modes}
-    for mode, seed, metrics in results:
-        by_mode[mode].append((seed, metrics))
+        # one worker runs in this process: no pool start-up, no pickled results
+        records = (pool.map if args.workers > 1 else map)(_sweep_one, jobs)
+        try:
+            for (_, mode, seed, _), record in zip(jobs, records):
+                runs[mode][seed] = record
+                print(f"  done: {mode} seed {seed}")
+        finally:
+            # an abort does not wait for the runs queued behind it
+            pool.shutdown(cancel_futures=True)
 
     aggregate = {}
     lines = [f"{'mode':>9} {'seeds':>5} {'Q mph':>14} {'economy mpg':>16} {'VMT mi':>16}"]
     for mode in modes:
-        rows = sorted(by_mode[mode])
-        qs = [m.overall.q_mph for _, m in rows]
-        mpgs = [m.overall.economy_mpg for _, m in rows]
-        vmts = [m.overall.vmt_miles for _, m in rows]
+        rows = {str(seed): runs[mode][seed] for seed in seeds}
         stats = {}
-        for name, series in (("q_mph", qs), ("economy_mpg", mpgs), ("vmt_miles", vmts)):
-            stats[name] = {
-                "mean": mean(series),
-                "sd": stdev(series) if len(series) > 1 else 0.0,
-            }
-        aggregate[mode] = {
-            "seeds": [s for s, _ in rows],
-            "stats": stats,
-            "runs": {str(s): asdict(m.overall) for s, m in rows},
-        }
-        lines.append(
-            f"{mode:>9} {len(rows):>5} "
-            f"{stats['q_mph']['mean']:>8.2f}±{stats['q_mph']['sd']:<5.2f} "
-            f"{stats['economy_mpg']['mean']:>10.2f}±{stats['economy_mpg']['sd']:<5.2f} "
-            f"{stats['vmt_miles']['mean']:>10.2f}±{stats['vmt_miles']['sd']:<5.2f}"
-        )
+        for key in ("q_mph", "economy_mpg", "vmt_miles"):
+            mean, sd = _mean_sd([run[key] for run in rows.values()])
+            stats[key] = {"mean": mean, "sd": sd or 0.0}
+        aggregate[mode] = {"seeds": seeds, "stats": stats, "runs": rows}
+        lines.append(f"{mode:>9} {len(rows):>5} " + " ".join(
+            f"{stats[key]['mean']:>{width}.2f}±{stats[key]['sd']:<5.2f}"
+            for key, width in (("q_mph", 8), ("economy_mpg", 10), ("vmt_miles", 10))))
+    first = modes[0]
+    aggregate[first]["minus"] = {}
+    for mode in modes[1:]:
+        paired, table = _paired(aggregate[first]["runs"], aggregate[mode]["runs"])
+        aggregate[first]["minus"][mode] = paired
+        lines += ["", f"{first} minus {mode}, paired by seed (mean, standard error):", *table]
     text = "\n".join(lines) + "\n"
     sweep_json = out_dir / "sweep.json"
     sweep_json.write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
@@ -684,13 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_mode=True):
+    def add_common(p, one_run=True):
         p.add_argument("--config", required=True, help="scenario YAML file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's RNG seed")
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV_VAR} or ./runs)")
-        if with_mode:
+        if one_run:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config's RNG seed")
             p.add_argument("--mode", choices=[m.value for m in ControlMode],
                            default=None, help="override the config's control mode")
 
@@ -698,16 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run all three modes and report")
-    add_common(p_cmp, with_mode=False)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_sweep = sub.add_parser("sweep", help="run several seeds and aggregate")
-    add_common(p_sweep, with_mode=False)
+    p_sweep = sub.add_parser(
+        "sweep", help="run modes over seeds: per-mode statistics and paired differences")
+    add_common(p_sweep, one_run=False)
     p_sweep.add_argument("--seeds", type=int, nargs="+", required=True,
                          help="explicit seed list")
-    p_sweep.add_argument("--modes", nargs="+", default=list(_MODE_ORDER),
-                         choices=[m.value for m in ControlMode])
+    p_sweep.add_argument("--modes", nargs="+", default=[m.value for m in ControlMode],
+                         choices=[m.value for m in ControlMode],
+                         help="modes to run; the first is paired against each other")
     p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                          help="parallel worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -75,7 +75,7 @@ def matrix(tmp_path_factory):
     for scen_name, study in SCENARIOS.items():
         for mode in MODES:
             for seed in SEEDS:
-                config = load_config(study, mode=mode.value, seed=seed)
+                config = load_config(study, mode=mode, seed=seed)
                 tic = time.perf_counter()
                 result = run_scenario(config)
                 wall = time.perf_counter() - tic

@@ -21,15 +21,13 @@ from rampmerge.cli import (
     load_config,
     load_trajectories,
     main,
-    report_metrics,
     resolved_parameters,
 )
 from rampmerge.params import parts, settable
 from rampmerge.simulation import (
     CollisionError,
+    ControlMode,
     DemandPhase,
-    GroupMetrics,
-    RunMetrics,
     ScenarioConfig,
     TrajectoryLog,
     compute_metrics,
@@ -144,6 +142,8 @@ class TestLoadConfig:
         assert cfg.mode.value == "none" and cfg.seed == 5
         cfg = load_config(path, mode="metering", seed=11)
         assert cfg.mode.value == "metering" and cfg.seed == 11
+        # a library caller may pass the member itself
+        assert load_config(path, mode=ControlMode.METERING).mode is ControlMode.METERING
 
     def test_unknown_field_is_named(self, tmp_path):
         # a typo, the thread-pool knob that scoring no longer has, and the
@@ -281,6 +281,13 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, f"demand: {demand}\n"))
         assert err.value.issues == [("demand", "expected a list of phases")]
 
+    @pytest.mark.parametrize("entry", ["5", "600 s", "[1, 2]"])
+    def test_demand_entry_must_be_a_mapping(self, tmp_path, entry):
+        # used to be reported twice, also as "missing fields: ..."
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, f"demand: [{entry}]\n"))
+        assert err.value.issues == [("demand[0]", "expected a mapping")]
+
     def test_missing_phase_field_rejected(self, tmp_path):
         text = "demand:\n  - {duration: 60 s, mainline: 900 veh/h}\n"
         with pytest.raises(ConfigError, match="missing fields"):
@@ -386,51 +393,6 @@ class TestTrajectoryFiles:
             load_trajectories(bad)
 
 
-def fake_metrics(q, mpg):
-    group = GroupMetrics(
-        n_vehicles=100, vmt_miles=500.0, vht_hours=500.0 / q,
-        q_mph=q, fuel_ml=500.0 / mpg * 3785.411784, economy_mpg=mpg,
-    )
-    return RunMetrics(overall=group, mainline=group, ramp=group)
-
-
-class TestReports:
-    def test_paper_style_improvements(self, tmp_path):
-        per_mode = {
-            "optimal": fake_metrics(69.19, 40.0),
-            "metering": fake_metrics(33.01, 35.0),
-            "none": fake_metrics(29.14, 36.0),
-        }
-        report_metrics(per_mode, tmp_path / "r.json")
-        data = json.loads((tmp_path / "r.json").read_text())
-        imp = data["improvements"]
-        assert round(imp["optimal_vs_metering"]["q_pct"], 1) == 109.6
-        assert round(imp["optimal_vs_none"]["q_pct"], 1) == 137.4
-        q2 = (70.45 / 29.14 - 1.0) * 100.0
-        assert round(q2, 1) == 141.8
-
-    def test_identical_metrics_zero_improvement(self, tmp_path):
-        per_mode = {name: fake_metrics(40.0, 38.0)
-                    for name in ("optimal", "metering", "none")}
-        report_metrics(per_mode, tmp_path / "r.json")
-        data = json.loads((tmp_path / "r.json").read_text())
-        for pair in data["improvements"].values():
-            assert abs(pair["q_pct"]) < 1e-12
-            assert abs(pair["economy_pct"]) < 1e-12
-
-    def test_text_table_written(self, tmp_path):
-        text = report_metrics({"optimal": fake_metrics(50.0, 39.0)},
-                              tmp_path / "r.json")
-        assert (tmp_path / "r.txt").read_text() == text
-        assert "Q (mph)" in text and "Q (km/h)" in text
-        assert "economy (mpg)" in text
-        assert "Mainline" in text and "Ramp" in text
-
-    def test_needs_at_least_one_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            report_metrics({}, tmp_path / "r.json")
-
-
 class TestManifest:
     def test_manifest_round_trip(self, tmp_path):
         manifest = RunManifest(
@@ -483,7 +445,7 @@ class TestCommands:
         partial = tmp_path / "run_optimal_seed3_trajectories_partial.csv"
         assert partial.exists()
 
-    def test_compare_collision_writes_partial_trajectories(
+    def test_sweep_collision_writes_partial_trajectories(
             self, tmp_path, monkeypatch, capsys):
         import rampmerge.cli as cli_mod
 
@@ -491,12 +453,14 @@ class TestCommands:
             raise CollisionError(3.0, 1, 2, -0.5, log=TrajectoryLog().arrays())
 
         monkeypatch.setattr(cli_mod, "run_scenario", boom)
-        code = main(["compare", "--config", CONFIG_DIR + "/smoke.yaml",
-                     "--out", str(tmp_path)])
+        code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml", "--seeds", "3",
+                     "--workers", "1", "--out", str(tmp_path)])
         assert code == EXIT_COLLISION
-        assert "collision" in capsys.readouterr().err
-        partial = tmp_path / "compare_optimal_seed3_trajectories_partial.csv"
+        err = capsys.readouterr().err
+        assert "optimal seed 3 collided" in err and "collision abort" in err
+        partial = tmp_path / "sweep_optimal_seed3_trajectories_partial.csv"
         assert partial.exists()
+        assert not (tmp_path / "sweep.json").exists()
 
     def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -537,25 +501,59 @@ class TestCommands:
         printed = load_config(write_config(tmp_path, out, f"{name}.yaml"))
         assert resolved_parameters(printed) == resolved_parameters(cfg)
 
-    def test_compare_writes_report(self, tmp_path):
-        code = main(["compare", "--config", CONFIG_DIR + "/smoke.yaml",
-                     "--seed", "2", "--out", str(tmp_path)])
+    def test_sweep_writes_paired_report(self, tmp_path):
+        code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml",
+                     "--seeds", "2", "--workers", "1", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        report = json.loads((tmp_path / "compare_seed2_report.json").read_text())
-        assert set(report["modes"]) == {"optimal", "metering", "none"}
-        assert "optimal_vs_none" in report["improvements"]
-        assert (tmp_path / "compare_seed2_report.txt").exists()
-        for mode in ("optimal", "metering", "none"):
-            assert (tmp_path / f"compare_{mode}_seed2_trajectories.csv").exists()
+        data = json.loads((tmp_path / "sweep.json").read_text())
+        assert set(data) == {"optimal", "metering", "none"}
+        minus = data["optimal"]["minus"]
+        assert set(minus) == {"metering", "none"}
+        # one seed has no standard error
+        for stat in minus["none"]["stats"].values():
+            assert stat["se"] is None
+        text = (tmp_path / "sweep.txt").read_text()
+        assert "optimal minus metering, paired by seed" in text
+        assert "optimal minus none, paired by seed" in text
+        # single runs' trajectories come from `run`, not from a sweep
+        assert not list(tmp_path.glob("*.csv"))
 
-    def test_compare_report_takes_the_config_seed(self, tmp_path):
-        code = main(["compare", "--config", CONFIG_DIR + "/smoke.yaml",
-                     "--out", str(tmp_path)])
+    def test_sweep_runs_the_listed_seeds(self, tmp_path):
+        # not the config's seed 3, and in numeric order, not as text
+        code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml",
+                     "--seeds", "10", "9", "--modes", "none", "metering",
+                     "--workers", "1", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert (tmp_path / "compare_seed3_report.json").exists()
-        assert (tmp_path / "compare_seed3_report.txt").exists()
-        assert (tmp_path / "compare_optimal_seed3_trajectories.csv").exists()
-        assert not list(tmp_path.glob("*seedNone*"))
+        data = json.loads((tmp_path / "sweep.json").read_text())
+        assert data["none"]["seeds"] == [9, 10]
+        assert set(data["none"]["minus"]["metering"]["per_seed"]) == {"9", "10"}
+        seed_rows = [line.split()[0] for line in
+                     (tmp_path / "sweep.txt").read_text().splitlines()[-4:-2]]
+        assert seed_rows == ["9", "10"]
+
+    def test_sweep_pairs_runs_by_seed(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml",
+                         "--seeds", "1", "2", "--workers", "1", "--out", str(out)])
+            assert code == EXIT_OK
+        for name in ("sweep.json", "sweep.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        data = json.loads((outs[0] / "sweep.json").read_text())
+        runs = {mode: entry["runs"] for mode, entry in data.items()}
+        for other, paired in data["optimal"]["minus"].items():
+            for key in ("q_mph", "economy_mpg", "vehicles_left"):
+                diffs = [runs["optimal"][seed][key] - runs[other][seed][key]
+                         for seed in ("1", "2")]
+                assert [paired["per_seed"][seed][key] for seed in ("1", "2")] == diffs
+                stats = paired["stats"][key]
+                assert stats["mean"] == pytest.approx(sum(diffs) / 2, abs=1e-12)
+                # two values: the sample sd over sqrt(2) is half their distance
+                assert stats["se"] == pytest.approx(abs(diffs[0] - diffs[1]) / 2,
+                                                    abs=1e-12)
+        for entry in data.values():
+            for run in entry["runs"].values():
+                assert type(run["vehicles_left"]) is int and run["vehicles_left"] >= 0
 
     def test_sweep_aggregates(self, tmp_path):
         code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml",
