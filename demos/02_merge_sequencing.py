@@ -14,7 +14,7 @@ from rampmerge.sequencing import (
 )
 from rampmerge.vehicles import Lane, gap_floors
 
-ctx = ScoringContext(horizon=150, control_weight=2.0, desired_speed=30.0)
+ctx = ScoringContext(horizon=150, control_weight=2.0)
 
 mainline = [1, 2]
 ramp = [7, 8]

@@ -8,7 +8,7 @@ import numpy as np
 
 from rampmerge.idm import IdmParams, equilibrium_gap, idm_accel
 
-params = IdmParams(v0=32.99)
+params = IdmParams()
 length = 5.0
 dt = 0.1
 

@@ -34,7 +34,6 @@ from .simulation import (
     ControlMode,
     DemandPhase,
     RunMetrics,
-    RunResult,
     ScenarioConfig,
     TrajectoryLog,
     run_scenario,
@@ -438,26 +437,25 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _simulate(config: ScenarioConfig, out_dir: Path, stem: str) -> RunResult:
-    """``run_scenario``; a collision names the run's mode and seed on stderr
-    and leaves the log so far in ``<stem>_trajectories_partial.csv``."""
-    try:
-        return run_scenario(config)
-    except CollisionError as exc:
-        note = f"{config.mode.value} seed {config.seed} collided"
-        if exc.log is not None:
-            partial = export_trajectories(
-                exc.log, out_dir / f"{stem}_trajectories_partial.csv")
-            note += f"; partial trajectories: {partial}"
-        print(note, file=sys.stderr)
-        raise
+def _collided(exc: CollisionError, mode: str, seed: int, out_dir: Path, stem: str) -> None:
+    """Name a collided run's mode and seed on stderr and leave its log so far
+    in ``<stem>_trajectories_partial.csv``."""
+    note = f"{mode} seed {seed} collided"
+    if exc.log is not None:
+        partial = export_trajectories(exc.log, out_dir / f"{stem}_trajectories_partial.csv")
+        note += f"; partial trajectories: {partial}"
+    print(note, file=sys.stderr)
 
 
 def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
              stem: str) -> tuple[RunManifest, RunMetrics]:
     started = _utc_now()
     tic = time.perf_counter()
-    result = _simulate(config, out_dir, stem)
+    try:
+        result = run_scenario(config)
+    except CollisionError as exc:
+        _collided(exc, config.mode.value, config.seed, out_dir, stem)
+        raise
     wall = time.perf_counter() - tic
     traj_path = export_trajectories(result.log, out_dir / f"{stem}_trajectories.csv")
     metrics_path = out_dir / f"{stem}_metrics.json"
@@ -496,10 +494,10 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_one(payload) -> dict:
-    """One sweep run's record: its overall metrics and the vehicles left."""
-    config_path, mode, seed, out_dir = payload
-    config = load_config(config_path, mode=mode, seed=seed)
-    result = _simulate(config, out_dir, f"sweep_{mode}_seed{seed}")
+    """One sweep run's record: its overall metrics and the vehicles left.
+    It writes nothing: a collision is reported by the sweep it aborts."""
+    config_path, mode, seed = payload
+    result = run_scenario(load_config(config_path, mode=mode, seed=seed))
     return {**asdict(result.metrics.overall),
             "vehicles_left": result.final_vehicle_count}
 
@@ -551,15 +549,19 @@ def _cmd_sweep(args) -> int:
     # config errors should surface before any worker spins up
     load_config(args.config, mode=modes[0], seed=seeds[0])
     out_dir = _out_dir(args)
-    jobs = [(args.config, mode, seed, out_dir) for mode in modes for seed in seeds]
+    jobs = [(args.config, mode, seed) for mode in modes for seed in seeds]
     runs: dict[str, dict[int, dict]] = {mode: {} for mode in modes}
     with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
         # one worker runs in this process: no pool start-up, no pickled results
         records = (pool.map if args.workers > 1 else map)(_sweep_one, jobs)
         try:
-            for (_, mode, seed, _), record in zip(jobs, records):
-                runs[mode][seed] = record
+            for _, mode, seed in jobs:
+                runs[mode][seed] = next(records)
                 print(f"  done: {mode} seed {seed}")
+        except CollisionError as exc:
+            # only the run that aborts the sweep leaves a partial log
+            _collided(exc, mode, seed, out_dir, f"sweep_{mode}_seed{seed}")
+            raise
         finally:
             # an abort does not wait for the runs queued behind it
             pool.shutdown(cancel_futures=True)

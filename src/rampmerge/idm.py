@@ -15,18 +15,22 @@ from .params import Checked, param
 
 @dataclass(frozen=True)
 class IdmParams(Checked):
-    """Canonical IDM parameter set.
+    """Canonical IDM parameter set; the defaults are the mainline driver.
 
     ``v0`` desired speed (m/s), ``T`` desired time headway (s), ``a``
     maximum comfortable acceleration, ``b`` comfortable deceleration,
     ``s0`` standstill gap (m), ``delta`` free-flow exponent.
     """
 
-    v0: float = param("speed", bounds="> 0")
-    T: float = param("time", 1.5)
+    # a 1.5 s headway puts lane capacity near 1830 veh/h, the basis the
+    # suggested inflow works against; keep the accel gentle, aggressive
+    # mainline braking-and-sprinting throws waves the coordinated
+    # strings cannot absorb
+    v0: float = param("speed", 32.99, "> 0")
+    T: float = param("time", 1.5, ">= 0")
     a: float = param("accel", 1.4, "> 0")
     b: float = param("accel", 2.0, "> 0")
-    s0: float = param("length", 2.0)
+    s0: float = param("length", 2.0, ">= 0")
     delta: float = param("plain", 4.0, "> 0")
 
 

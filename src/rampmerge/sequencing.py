@@ -154,9 +154,12 @@ class ScoringContext(Checked):
     gap_weight_ramp: float = param("plain", 2.0, ">= 0")
     speed_weight_mainline: float = param("plain", 0.5, ">= 0")
     speed_weight_ramp: float = param("plain", 1.0, ">= 0")
-    control_weight: float = param("plain", 1.0, "> 0")
+    # heavy control weighting keeps planned accelerations small: strings
+    # drift onto their slots instead of sprinting, which is where the
+    # fuel advantage over the baselines comes from
+    control_weight: float = param("plain", 100.0, "> 0")
     terminal_factor: float = param("plain", 10.0, ">= 0")
-    desired_speed: float = param("speed", 32.99, "> 0")
+    desired_speed: float = param("speed", 30.0, "> 0")
     desired_time_headway: float = param("time", 1.2, ">= 0")
     activation_margin: float = param("length", 50.0, ">= 0")
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS

@@ -93,29 +93,14 @@ class ScenarioConfig(Checked):
     seed: int = param("plain", 0, ">= 0")
     dt: float = param("time", 0.1, "> 0")
     geometry: MergeGeometry = field(default_factory=MergeGeometry)
-    # physical speed cap a touch over the cruising target, so tracking
-    # transients cost little extra drag
-    limits: ControlLimits = field(default_factory=lambda: ControlLimits(v_max=34.65))
-    # mainline car-following at a 1.5 s headway puts lane capacity near
-    # 1830 veh/h, the basis the suggested inflow works against; keep its
-    # accel gentle, aggressive mainline braking-and-sprinting throws
-    # waves the coordinated strings cannot absorb
-    mainline_idm: IdmParams = field(
-        default_factory=lambda: IdmParams(v0=32.99)
-    )
+    limits: ControlLimits = field(default_factory=ControlLimits)
+    mainline_idm: IdmParams = field(default_factory=IdmParams)
     # ramp drivers queue sportier: quicker launches and later braking
     # make the stop-and-creep cycle burn what it really burns
     ramp_idm: IdmParams = field(
         default_factory=lambda: IdmParams(v0=14.98, T=1.0, a=2.0, b=2.8)
     )
-    # heavy control weighting keeps planned accelerations small: strings
-    # drift onto their slots instead of sprinting, which is where the
-    # fuel advantage over the baselines comes from
-    scoring: ScoringContext = field(
-        default_factory=lambda: ScoringContext(
-            control_weight=100.0, desired_speed=30.0
-        )
-    )
+    scoring: ScoringContext = field(default_factory=ScoringContext)
     fuel: FuelCoefficients = DEFAULT_COEFFICIENTS
     vehicle_length: float = param("length", 5.0, "> 0")
     name: str = ""

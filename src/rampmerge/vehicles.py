@@ -65,7 +65,9 @@ class ControlLimits(Checked):
     acc_max: float = param("accel", 2.50, "> 0")
     gap_min_headway: float = param("time", 2.0, "> 0")
     gap_floor: float = param("length", 5.0, "> 0")
-    v_max: float = param("speed", 36.33, "> 0")
+    # a touch over the cruising target, so tracking transients cost
+    # little extra drag
+    v_max: float = param("speed", 34.65, "> 0")
 
 
 @dataclass

@@ -201,6 +201,9 @@ class TestLoadConfig:
         ({"scoring": {"activation_margin": -100}}, "scoring.activation_margin"),
         # the repair used to start at max_horizon instead, silently
         ({"scoring": {"horizon": 5000}}, "scoring.horizon"),
+        # a negative desired gap squared into a braking term
+        ({"mainline_idm": {"T": -1.5}}, "mainline_idm.T"),
+        ({"mainline_idm": {"s0": -2}}, "mainline_idm.s0"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_out_of_range_field_is_named(self, tmp_path, capsys, edit, path):
         # each used to validate and then fail mid-run, run on silently, or
@@ -243,6 +246,15 @@ class TestLoadConfig:
         cfg = ScenarioConfig(phases=[])
         declared = {*settable(cfg), *dict(parts(cfg)), "phases", "mode", "name"}
         assert [f.name for f in fields(cfg) if f.name not in declared] == []
+
+    def test_sections_default_to_their_classes(self):
+        # each default is stated once, on its class; the ramp driver is a
+        # second IdmParams and the one section with its own default
+        cfg = ScenarioConfig(phases=[])
+        differ = [name for name, part in parts(cfg) if part != type(part)()]
+        assert differ == ["ramp_idm"]
+        # the planner's limits agree with the world's before a run syncs them
+        assert cfg.scoring.limits == cfg.limits
 
     def test_integral_float_counts_as_integer(self, tmp_path):
         path = write_config(tmp_path, "seed: 4.0\nscoring: {horizon: 250.0, cap: '1e2'}\n"
@@ -452,15 +464,20 @@ class TestCommands:
         def boom(config):
             raise CollisionError(3.0, 1, 2, -0.5, log=TrajectoryLog().arrays())
 
+        # the pool's workers are forked after this, so they collide too
         monkeypatch.setattr(cli_mod, "run_scenario", boom)
-        code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml", "--seeds", "3",
-                     "--workers", "1", "--out", str(tmp_path)])
-        assert code == EXIT_COLLISION
-        err = capsys.readouterr().err
-        assert "optimal seed 3 collided" in err and "collision abort" in err
-        partial = tmp_path / "sweep_optimal_seed3_trajectories_partial.csv"
-        assert partial.exists()
-        assert not (tmp_path / "sweep.json").exists()
+        for workers, seeds in (("1", ["3"]), ("2", ["1", "2"])):
+            out = tmp_path / f"workers{workers}"
+            code = main(["sweep", "--config", CONFIG_DIR + "/smoke.yaml", "--seeds", *seeds,
+                         "--workers", workers, "--out", str(out)])
+            assert code == EXIT_COLLISION
+            err = capsys.readouterr().err
+            assert f"optimal seed {seeds[0]} collided" in err and "collision abort" in err
+            # only the run that aborted the sweep leaves a partial log, however
+            # many other runs were in flight in the pool
+            assert [p.name for p in out.glob("*_partial.csv")] == [
+                f"sweep_optimal_seed{seeds[0]}_trajectories_partial.csv"]
+            assert not (out / "sweep.json").exists()
 
     def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -145,7 +145,8 @@ class TestRecursionProperties:
 
 def test_closed_loop_reaches_constant_reference():
     model = build_model(3, 0.1)
-    weights = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
+    weights = ScoringContext(control_weight=1.0).weights(
+        (Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
     r_vec = build_reference(np.array([30.0, 30.0]), 30.0, 1.2, 5.0)
     x0 = np.array([0.0, -30.0, -75.0, 26.0, 33.0, 28.0])
     sol = solve_finite_horizon_batch(model, [weights], np.tile(r_vec, (1, 601, 1)))
@@ -244,7 +245,8 @@ class TestSharedRiccatiTable:
 class TestConvergedGains:
     def setup_method(self):
         self.model = build_model(3, 0.1)
-        self.weights = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP, Lane.RAMP))
+        self.weights = ScoringContext(control_weight=1.0).weights(
+            (Lane.MAINLINE, Lane.RAMP, Lane.RAMP))
 
     def test_matches_algebraic_riccati_solution(self):
         # The tracked outputs evolve linearly on their own (gaps and speeds
@@ -542,7 +544,8 @@ class TestReferenceConstruction:
 
 class TestWeights:
     def test_lane_weighting_layout(self):
-        w = ScoringContext().weights((Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
+        w = ScoringContext(control_weight=1.0).weights(
+            (Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE))
         d = np.diag(w.Q)
         # gap rows weighted by follower lane, speed rows by own lane
         assert np.allclose(d[:2], [2.0, 1.0])
