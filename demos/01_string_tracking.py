@@ -1,20 +1,21 @@
 """Drive a three-vehicle string onto its reference with the LQ tracker.
 
 Shows the pieces in isolation: build the integrator-chain model, expand
-scalar weights, solve one finite-horizon pass, then run the closed loop
-with converged gains and watch gaps and speeds settle.
+scalar weights, solve one finite-horizon pass, then fly the converged
+law's clipped closed loop and watch gaps and speeds settle.
 """
 import numpy as np
 
 from rampmerge.sequencing import ScoringContext
 from rampmerge.statespace import build_model
 from rampmerge.tracking import (
+    ConvergedLaw,
     build_reference,
     converged_gains,
     solve_finite_horizon_batch,
     steady_state_feedforward,
 )
-from rampmerge.vehicles import Lane
+from rampmerge.vehicles import ControlLimits, Lane
 
 n = 3
 dt = 0.1
@@ -38,17 +39,16 @@ print(f"converged gains within {np.max(np.abs(K - solution.K[0])):.2e} of K_0")
 
 V = steady_state_feedforward(model, weights, K, r_vec)
 
-# start bunched and slow relative to the reference
+# start bunched and slow relative to the reference, and fly the clipped
+# closed loop a live string flies
 x = np.array([0.0, -28.0, -60.0, 24.0, 26.0, 22.0])
+traj = ConvergedLaw(model, K, Ky, V).forecast(x, 1200, ControlLimits())
 print("\n   t |    gap1    gap2 |      v1      v2      v3")
-for k in range(1200):
-    u = -K @ x + Ky @ V
-    x = model.step(x, u)
-    if k % 200 == 199:
-        y = model.observe(x)
-        print(f"{(k + 1) * dt:4.0f} | {y[0]:7.2f} {y[1]:7.2f} |"
-              f" {y[2]:7.2f} {y[3]:7.2f} {y[4]:7.2f}")
+for k in range(200, 1201, 200):
+    y = model.C @ traj.x[k]
+    print(f"{k * dt:4.0f} | {y[0]:7.2f} {y[1]:7.2f} |"
+          f" {y[2]:7.2f} {y[3]:7.2f} {y[4]:7.2f}")
 
-y = model.observe(x)
+y = model.C @ traj.x[-1]
 print(f"\nreference was gaps {r_vec[:2]} speeds {r_vec[2:]}")
 print(f"settled to     gaps {np.round(y[:2], 3)} speeds {np.round(y[2:], 3)}")

@@ -124,10 +124,19 @@ def _to_si(value, dimension: str) -> float:
 
 
 def _convert_field(declared: Field, value):
-    """``convert_quantity`` in the field's unit; ``int`` fields must be integral."""
-    si = convert_quantity(value, declared.metadata["unit"])
+    """``convert_quantity`` in the field's unit; ``int`` fields must be
+    integral.  An integer, or a string ``int()`` parses, is taken exactly
+    rather than through a float, which rounds above 2**53."""
     if declared.type not in (int, "int"):
-        return si
+        return convert_quantity(value, declared.metadata["unit"])
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    si = convert_quantity(value, declared.metadata["unit"])
     if not si.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(si)

@@ -34,6 +34,7 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -199,21 +200,26 @@ class ControlSet:
     last_repair_t: float = -math.inf
 
 
-@dataclass
-class CycleRecord:
-    """Audit entry for one decision cycle."""
+class EventKind(Enum):
+    """What a coordinator decision was, and so which keys its data holds."""
 
-    cycle_id: int
+    #: a decision cycle: ``ramp_ids``, ``mainline_ids``, ``sequence_ids``,
+    #: ``total_fuel``, ``horizon``, ``degraded`` and ``release_time``
+    CYCLE = "cycle"
+    #: a vehicle the enumeration cap shed from a cycle: ``lane``, ``vehicle``
+    CAP = "cap"
+    #: a live string re-planned on a forecast gap breach: ``horizon``, ``degraded``
+    REPLAN = "replan"
+
+
+@dataclass(frozen=True)
+class Event:
+    """One coordinator decision at time ``t``, for decision cycle ``cycle``."""
+
     t: float
-    leader_id: int
-    ramp_ids: tuple[int, ...]
-    mainline_ids: tuple[int, ...]
-    sequence_ids: tuple[int, ...]
-    total_fuel: float
-    feasible: bool
-    horizon: int
-    n_candidates: int
-    release_time: float
+    kind: EventKind
+    cycle: int
+    data: dict
 
 
 class MergeCoordinator:
@@ -234,8 +240,8 @@ class MergeCoordinator:
         #: live sets in creation order; a set leaves with its last member
         self.sets: list[ControlSet] = []
         self.ever_controlled: set[int] = set()
-        self.records: list[CycleRecord] = []
-        self.events: list[str] = []
+        #: every decision, in the order taken
+        self.events: list[Event] = []
         #: the pending leader may not cross the trigger line before this
         self.release_time = -math.inf
         #: the pending leader when this step's pacing commands it
@@ -448,11 +454,8 @@ class MergeCoordinator:
         while count_sequences(len(main_ids), len(ramp_ids)) > self.scoring.cap:
             lane, group = ((Lane.RAMP, ramp_ids) if len(ramp_ids) > 1
                            else (Lane.MAINLINE, main_ids))
-            dropped = group.pop()
-            self.events.append(
-                f"t={snap.t:.1f} cycle {self._cycle_count}: enumeration cap, "
-                f"dropped {lane.value} vehicle {dropped}"
-            )
+            self.events.append(Event(snap.t, EventKind.CAP, self._cycle_count,
+                                     {"lane": lane, "vehicle": group.pop()}))
 
         members = main_ids + ramp_ids
         idx = [snap.index_of(vid) for vid in members]
@@ -467,28 +470,13 @@ class MergeCoordinator:
         ))
         self.ever_controlled.update(seq.ids)
 
-        t_proper = proper_arrival_time(len(ramp_ids), snap.q_suggested)
-        self.records.append(
-            CycleRecord(
-                cycle_id=self._cycle_count,
-                t=snap.t,
-                leader_id=ramp_ids[0],
-                ramp_ids=tuple(ramp_ids),
-                mainline_ids=tuple(main_ids),
-                sequence_ids=seq.ids,
-                total_fuel=best.total_fuel,
-                feasible=not result.degraded,
-                horizon=result.solution.horizon,
-                n_candidates=count_sequences(len(main_ids), len(ramp_ids)),
-                release_time=snap.t + t_proper,
-            )
-        )
-        if result.degraded:
-            self.events.append(
-                f"t={snap.t:.1f} cycle {self._cycle_count}: degraded plan "
-                f"(horizon {result.solution.horizon})"
-            )
-        self.release_time = snap.t + t_proper
+        self.release_time = snap.t + proper_arrival_time(len(ramp_ids), snap.q_suggested)
+        self.events.append(Event(snap.t, EventKind.CYCLE, self._cycle_count, {
+            "ramp_ids": tuple(ramp_ids), "mainline_ids": tuple(main_ids),
+            "sequence_ids": seq.ids, "total_fuel": best.total_fuel,
+            "horizon": result.solution.horizon, "degraded": result.degraded,
+            "release_time": self.release_time,
+        }))
         self._cycle_count += 1
         return len(ramp_ids)
 
@@ -572,8 +560,6 @@ class MergeCoordinator:
         cset.repair = result.solution
         cset.repair_k = 0
         cset.last_repair_t = snap.t
-        self.events.append(
-            f"t={snap.t:.1f} cycle {cset.cycle_id}: predicted gap breach, "
-            f"re-planned over horizon {result.solution.horizon}"
-            + (" (degraded)" if result.degraded else "")
-        )
+        self.events.append(Event(snap.t, EventKind.REPLAN, cset.cycle_id, {
+            "horizon": result.solution.horizon, "degraded": result.degraded,
+        }))

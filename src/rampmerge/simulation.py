@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coordinator import HARD_BRAKE, MergeCoordinator, WorldSnapshot
+from .coordinator import HARD_BRAKE, EventKind, MergeCoordinator, WorldSnapshot
 from .fuel import (
     DEFAULT_COEFFICIENTS,
     METERS_PER_MILE,
@@ -113,6 +113,11 @@ class ScenarioConfig(Checked):
         named = parts(self) + [(f"demand[{i}]", p) for i, p in enumerate(self.phases)]
         for path, part in named:
             out += [(f"{path}.{name}", problem) for name, problem in part.issues()]
+        # an unmerged ramp vehicle stops about s0 short of the merge bar,
+        # which must still lie downstream of the merge point
+        if self.geometry.merge_zone_len < MERGE_STOP_SETBACK + self.ramp_idm.s0:
+            out.append(("geometry.merge_zone_len",
+                        "too short for a ramp vehicle to stop past the merge point"))
         return out
 
     @property
@@ -774,8 +779,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         run.step(k * config.dt)
     if run.coordinator is not None:
         run.counters.degraded_plans = sum(
-            1 for r in run.coordinator.records if not r.feasible
-        )
+            e.kind is EventKind.CYCLE and e.data["degraded"] for e in run.coordinator.events)
     arrays = run.log.arrays()
     return RunResult(
         config=config,

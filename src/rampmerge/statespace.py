@@ -36,23 +36,6 @@ class LtiModel:
     def output_dim(self) -> int:
         return 2 * self.n - 1
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One discrete transition ``x' = A x + B u``."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.shape != (self.state_dim,):
-            raise ValueError(f"state must have shape ({self.state_dim},), got {x.shape}")
-        if u.shape != (self.n,):
-            raise ValueError(f"input must have shape ({self.n},), got {u.shape}")
-        return self.A @ x + self.B @ u
-
-    def observe(self, x: np.ndarray) -> np.ndarray:
-        """Output ``y = C x``: consecutive position differences, then speeds."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.state_dim,):
-            raise ValueError(f"state must have shape ({self.state_dim},), got {x.shape}")
-        return self.C @ x
-
 
 def build_model(n: int, dt: float) -> LtiModel:
     """Exact zero-order-hold discretization for an ``n``-vehicle string."""

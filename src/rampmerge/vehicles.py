@@ -93,6 +93,9 @@ class MergeGeometry(Checked):
         # the buffer zone upstream of the trigger line must fit on the modeled ramp
         if self.ramp_buffer_start < -self.ramp_length:
             out.append(("ramp_length", "too short for the buffer zone before the trigger"))
+        # the density estimate counts vehicles over the whole mainline zone
+        if self.mainline_control_zone_len > self.upstream_extent:
+            out.append(("mainline_control_zone_len", "extends past the modeled upstream extent"))
         if self.merge_zone_len > self.downstream_extent:
             out.append(("merge_zone_len", "extends past the modeled downstream extent"))
         return out

@@ -123,7 +123,7 @@ def test_criterion_1_tracker_matches_dense_qp():
         u_closed = np.empty((N, nu))
         for k in range(N):
             u_closed[k] = solution.control(k, x)
-            x = model.step(x, u_closed[k])
+            x = model.A @ x + model.B @ u_closed[k]
         u_qp = qp_control_sequence(model, weights, ref, x0)
         worst = max(worst, float(np.max(np.abs(u_closed - u_qp))))
     elapsed = time.perf_counter() - tic

@@ -179,6 +179,7 @@ class TestLoadConfig:
         ("scoring: {cap: .inf}", "scoring.cap"),
         ("dt: .nan", "dt"),
         ("limits: {v_max: .inf}", "limits.v_max"),
+        ("seed: '1.5'", "seed"),
     ])
     def test_fractional_or_non_finite_number_is_named(self, tmp_path, capsys, text, path):
         # integer fields used to truncate silently, NaN and infinities to
@@ -204,6 +205,9 @@ class TestLoadConfig:
         # a negative desired gap squared into a braking term
         ({"mainline_idm": {"T": -1.5}}, "mainline_idm.T"),
         ({"mainline_idm": {"s0": -2}}, "mainline_idm.s0"),
+        # the density estimate divided by roadway that is not modeled
+        ({"geometry": {"mainline_control_zone_len": 2500}},
+         "geometry.mainline_control_zone_len"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_out_of_range_field_is_named(self, tmp_path, capsys, edit, path):
         # each used to validate and then fail mid-run, run on silently, or
@@ -255,6 +259,31 @@ class TestLoadConfig:
         assert differ == ["ramp_idm"]
         # the planner's limits agree with the world's before a run syncs them
         assert cfg.scoring.limits == cfg.limits
+
+    @pytest.mark.parametrize("length,valid", [(4.9, False), (5.0, True)])
+    def test_merge_zone_fits_the_ramp_stop(self, tmp_path, length, valid):
+        # the merge bar sits 3 m short of the zone end and an unmerged ramp
+        # vehicle stops s0 = 2 m short of it; any shorter and it stops
+        # upstream of the merge point, so no uncontrolled vehicle merges
+        path = write_config(tmp_path, f"geometry: {{merge_zone_len: {length}}}\n" + MINIMAL)
+        if valid:
+            assert load_config(path).geometry.merge_zone_len == length
+        else:
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert [p for p, _ in err.value.issues] == ["geometry.merge_zone_len"]
+
+    def test_integer_fields_are_exact_above_2_53(self, tmp_path, capsys):
+        # a float holds 53 bits: this seed used to load, and print, as 2**53
+        big = 2**53 + 1
+        path = write_config(tmp_path, f"seed: {big}\nscoring: {{cap: '{big}', horizon: 1e3}}\n"
+                            + MINIMAL)
+        cfg = load_config(path)
+        assert (cfg.seed, cfg.scoring.cap, cfg.scoring.horizon) == (big, big, 1000)
+        again = load_config(write_config(tmp_path, dump_config(cfg), "again.yaml"))
+        assert resolved_parameters(again) == resolved_parameters(cfg)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        assert f"seed: {big}\n" in capsys.readouterr().out
 
     def test_integral_float_counts_as_integer(self, tmp_path):
         path = write_config(tmp_path, "seed: 4.0\nscoring: {horizon: 250.0, cap: '1e2'}\n"

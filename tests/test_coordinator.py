@@ -12,6 +12,7 @@ from rampmerge.coordinator import (
     HARD_BRAKE,
     LOOKAHEAD_STEPS,
     REPAIR_GAP_FRACTION,
+    EventKind,
     MergeCoordinator,
     WorldSnapshot,
     inflow_group_cap,
@@ -21,7 +22,7 @@ from rampmerge.coordinator import (
 )
 from rampmerge.cli import load_config
 from rampmerge.idm import IdmParams, idm_accel
-from rampmerge.sequencing import ScoringContext, optimal_sequence
+from rampmerge.sequencing import ScoringContext, count_sequences, optimal_sequence
 from rampmerge.simulation import run_scenario
 from rampmerge.tracking import ConvergedLaw, Trajectory
 from rampmerge.vehicles import (
@@ -64,6 +65,11 @@ def make_snapshot(t, rows, q_main=1600 / 3600, q_sug=200 / 3600):
 def make_coordinator(q_cap=252):
     ctx = ScoringContext(limits=LIMITS, cap=q_cap)
     return MergeCoordinator(GEO, ctx, RAMP_IDM)
+
+
+def cycles(events):
+    """The decision-cycle events among ``events``."""
+    return [e for e in events if e.kind is EventKind.CYCLE]
 
 
 class TestBufferLength:
@@ -183,7 +189,7 @@ class TestFindRampLeader:
         )
         assert coord.regulated_leader is None
         assert cmds == {}
-        assert coord.records == []
+        assert coord.events == []
 
     def test_vehicle_already_past_line_is_not_a_candidate(self):
         coord = make_coordinator()
@@ -191,7 +197,7 @@ class TestFindRampLeader:
             (5, Lane.RAMP, -290.0, 10.0, 10.0), (6, Lane.RAMP, -320.0, 10.0),
         ]))
         # 200 veh/h admits one vehicle per cycle and holds the next 18 s
-        assert [rec.ramp_ids for rec in coord.records] == [(5,)]
+        assert [e.data["ramp_ids"] for e in cycles(coord.events)] == [(5,)]
         assert coord.regulated_leader == 6
         assert set(cmds) == {5, 6}
 
@@ -218,12 +224,13 @@ def test_controlled_ramp_vehicles_stay_a_queue_prefix(monkeypatch, suggested):
 
     def checked_step(coord, snap):
         ramp_queue(coord, snap)
-        n_records = len(coord.records)
+        n_events = len(coord.events)
         commands = original(coord, snap)
         queue = ramp_queue(coord, snap)
-        for rec in coord.records[n_records:]:
-            rank = queue.index(rec.leader_id)
-            assert tuple(queue[rank:rank + len(rec.ramp_ids)]) == rec.ramp_ids
+        for event in cycles(coord.events[n_events:]):
+            ramp_ids = event.data["ramp_ids"]
+            rank = queue.index(ramp_ids[0])
+            assert tuple(queue[rank:rank + len(ramp_ids)]) == ramp_ids
             seen["cycles"] += 1
         return commands
 
@@ -232,10 +239,26 @@ def test_controlled_ramp_vehicles_stay_a_queue_prefix(monkeypatch, suggested):
     if suggested is not None:
         config.phases = [replace(p, suggested=suggested) for p in config.phases]
     result = run_scenario(config)
-    records = result.coordinator.records
-    assert seen["cycles"] == len(records) >= 2
-    assert (suggested is None) == all(len(rec.ramp_ids) == 1 for rec in records)
+    events = cycles(result.coordinator.events)
+    assert seen["cycles"] == len(events) >= 2
+    assert (suggested is None) == all(len(e.data["ramp_ids"]) == 1 for e in events)
     assert np.any(result.log["status"] == ControlStatus.RAMP_LEADER_REGULATED.code)
+
+
+def test_smoke_run_events_are_consistent():
+    """Each cycle orders exactly its members, the admission schedule
+    never moves back, and the degraded-plan counter counts the degraded
+    cycles."""
+    config = load_config(Path(__file__).parents[1] / "configs" / "smoke.yaml", mode="optimal")
+    result = run_scenario(config)
+    events = cycles(result.coordinator.events)
+    assert len(events) >= 2
+    for e in events:
+        assert sorted(e.data["sequence_ids"]) == sorted(
+            e.data["mainline_ids"] + e.data["ramp_ids"])
+    releases = [e.data["release_time"] for e in events]
+    assert releases == sorted(releases)
+    assert result.counters.degraded_plans == sum(e.data["degraded"] for e in events)
 
 
 class TestDecisionCycle:
@@ -262,13 +285,14 @@ class TestDecisionCycle:
     def test_cycle_record_and_release_schedule(self):
         coord = make_coordinator()
         coord.step(self.trigger_snapshot(t=12.0))
-        rec = coord.records[0]
-        assert rec.leader_id == 1
-        assert rec.ramp_ids == (1,)
-        assert rec.mainline_ids == (2, 3)
-        assert rec.n_candidates == 3
+        [event] = coord.events
+        assert (event.t, event.kind, event.cycle) == (12.0, EventKind.CYCLE, 0)
+        data = event.data
+        assert data["ramp_ids"] == (1,)
+        assert data["mainline_ids"] == (2, 3)
+        assert count_sequences(len(data["mainline_ids"]), len(data["ramp_ids"])) == 3
         # one admitted vehicle at 200 veh/h holds the next leader 18 s
-        assert rec.release_time == pytest.approx(12.0 + 18.0)
+        assert data["release_time"] == pytest.approx(12.0 + 18.0)
         assert coord.release_time == pytest.approx(30.0)
 
     def test_sets_stay_disjoint(self):
@@ -307,10 +331,11 @@ class TestDecisionCycle:
             q_sug=600 / 3600,
         )
         coord.step(snap)
-        rec = coord.records[0]
-        assert rec.ramp_ids == (1,)
-        assert len(rec.mainline_ids) == 3
-        assert any("enumeration cap" in e for e in coord.events)
+        [cap, cycle] = coord.events
+        assert (cap.kind, cap.cycle, cap.data) == (
+            EventKind.CAP, 0, {"lane": Lane.RAMP, "vehicle": 2})
+        assert cycle.data["ramp_ids"] == (1,)
+        assert len(cycle.data["mainline_ids"]) == 3
         assert 2 not in coord.ever_controlled
 
     def test_cycle_inputs_are_the_snapshot_rows(self, monkeypatch):
@@ -397,7 +422,7 @@ class TestDecisionCycle:
             (2, Lane.MAINLINE, -200.0, 12.0),
             (3, Lane.MAINLINE, -600.0, 32.99),
         ]))
-        assert coord.records[0].mainline_ids == (3,)
+        assert cycles(coord.events)[0].data["mainline_ids"] == (3,)
 
     def test_member_exit_from_network_completes_set(self):
         coord = make_coordinator()
@@ -556,7 +581,9 @@ class TestPredictionRepair:
         monkeypatch.setattr(coord.scoring, "solve_batch", spy)
         cmds = coord.step(tight)
         assert cset.repair is not None
-        assert any("re-planned" in e for e in coord.events)
+        [_, replan] = coord.events
+        assert (replan.t, replan.kind, replan.cycle) == (1.5, EventKind.REPLAN, cset.cycle_id)
+        assert replan.data["horizon"] == cset.repair.horizon
         # the re-plan solves the set's own problem from the current state
         [(model, [replanned])] = solved
         assert model is cset.law.model

