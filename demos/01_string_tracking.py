@@ -8,13 +8,7 @@ import numpy as np
 
 from rampmerge.sequencing import ScoringContext
 from rampmerge.statespace import build_model
-from rampmerge.tracking import (
-    ConvergedLaw,
-    build_reference,
-    converged_gains,
-    solve_finite_horizon_batch,
-    steady_state_feedforward,
-)
+from rampmerge.tracking import build_reference, converged_law, solve_finite_horizon_batch
 from rampmerge.vehicles import ControlLimits, Lane
 
 n = 3
@@ -34,15 +28,13 @@ r_vec = build_reference(
 [solution] = solve_finite_horizon_batch(model, [weights], np.tile(r_vec, (1, 301, 1)))
 print(f"finite horizon N=300: feedback gain K_0 shape {solution.K[0].shape}")
 
-K, Ky = converged_gains(model, weights)
-print(f"converged gains within {np.max(np.abs(K - solution.K[0])):.2e} of K_0")
-
-V = steady_state_feedforward(model, weights, K, r_vec)
+law = converged_law(model, weights, r_vec)
+print(f"converged gains within {np.max(np.abs(law.K - solution.K[0])):.2e} of K_0")
 
 # start bunched and slow relative to the reference, and fly the clipped
 # closed loop a live string flies
 x = np.array([0.0, -28.0, -60.0, 24.0, 26.0, 22.0])
-traj = ConvergedLaw(model, K, Ky, V).forecast(x, 1200, ControlLimits())
+traj = law.forecast(x, 1200, ControlLimits())
 print("\n   t |    gap1    gap2 |      v1      v2      v3")
 for k in range(200, 1201, 200):
     y = model.C @ traj.x[k]

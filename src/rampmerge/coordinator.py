@@ -16,7 +16,7 @@ jointly controlled merge strings:
   the cheapest merge order, and keeps the winner's string problem
   (lanes, gap floors, weights and reference) in a :class:`ControlSet`;
 * every step it issues one acceleration command per controlled vehicle
-  from the converged receding-horizon law, watches short-range
+  from the string's law (:meth:`ScoringContext.law`), watches short-range
   predictions for developing gap violations (re-planning the same
   problem from the current state when needed), and releases vehicles
   once they clear the merge zone, leaving the suffix of the problem.
@@ -40,15 +40,7 @@ import numpy as np
 
 from .idm import IdmParams, idm_accel
 from .sequencing import ScoringContext, StringProblem, count_sequences, optimal_sequence
-from .statespace import LtiModel, build_model
-from .tracking import (
-    ConvergedLaw,
-    LqSolution,
-    active_pairs,
-    converged_gains,
-    cross_lane,
-    steady_state_feedforward,
-)
+from .tracking import ConvergedLaw, LqSolution, active_pairs, cross_lane
 from .vehicles import Lane, MergeGeometry, gap_floors
 
 #: Hard deceleration available to safety interventions (m/s^2).  Comfort
@@ -249,12 +241,6 @@ class MergeCoordinator:
         self._cycle_count = 0
         self._density_samples: deque[tuple[float, float]] = deque()
         self._last_lookahead = -math.inf
-        # converged gains depend only on the string's lane pattern, and
-        # shrinking a string always leaves a suffix of its pattern, so a
-        # small cache serves every release
-        self._gains_cache: dict[
-            tuple[int, ...], tuple[LtiModel, np.ndarray, np.ndarray]
-        ] = {}
 
     # -- public view ---------------------------------------------------
 
@@ -365,17 +351,6 @@ class MergeCoordinator:
 
     # -- decision cycle ------------------------------------------------
 
-    def _law_for(self, problem: StringProblem) -> ConvergedLaw:
-        """Converged law of a string problem."""
-        key = tuple(lane.code for lane in problem.lanes)
-        hit = self._gains_cache.get(key)
-        if hit is None:
-            model = build_model(len(problem.lanes), self.scoring.dt)
-            hit = self._gains_cache[key] = (model, *converged_gains(model, problem.weights))
-        model, K, Ky = hit
-        return ConvergedLaw(
-            model, K, Ky, steady_state_feedforward(model, problem.weights, K, problem.r_vec))
-
     def _collect_ramp_members(self, k: int, snap: WorldSnapshot) -> list[int]:
         """The leader at rank ``k`` of the ramp queue and the ranks right
         behind it, up to the buffer-zone start and the inflow cap."""
@@ -466,7 +441,7 @@ class MergeCoordinator:
         seq, result = best.sequence, best.result
         self.sets.append(ControlSet(
             cycle_id=self._cycle_count, ids=seq.ids, problem=best.problem,
-            law=self._law_for(best.problem),
+            law=self.scoring.law(best.problem),
         ))
         self.ever_controlled.update(seq.ids)
 
@@ -503,7 +478,7 @@ class MergeCoordinator:
                     problem.lanes[gone:], problem.floors[gone:],
                     snap.state(cset.ids),
                 )
-                cset.law = self._law_for(cset.problem)
+                cset.law = self.scoring.law(cset.problem)
                 cset.repair = None
                 cset.repair_k = 0
             live.append(cset)
@@ -556,7 +531,7 @@ class MergeCoordinator:
     def _repair_set(
         self, cset: ControlSet, x: np.ndarray, snap: WorldSnapshot
     ) -> None:
-        [result] = self.scoring.solve_batch(cset.law.model, [replace(cset.problem, x0=x)])
+        [result] = self.scoring.solve_batch([replace(cset.problem, x0=x)])
         cset.repair = result.solution
         cset.repair_k = 0
         cset.last_repair_t = snap.t

@@ -25,14 +25,16 @@ import numpy as np
 
 from .fuel import DEFAULT_COEFFICIENTS, FuelCoefficients, trajectory_fuel
 from .params import Checked, param
-from .statespace import LtiModel, build_model
+from .statespace import build_model
 from .tracking import (
+    ConvergedLaw,
     LqSolution,
     TrackerWeights,
     Trajectory,
     build_reference,
     check_constraints,
     chunks,
+    converged_law,
     cross_lane,
     rollout_batch,
     solve_finite_horizon_batch,
@@ -136,11 +138,11 @@ class ScoringContext(Checked):
     """The planning policy, bundled once per decision.
 
     :meth:`weights` and :meth:`problem` turn these fields into a string's
-    tracker weights and reference, and :meth:`solve_batch` plans strings
-    with horizon repair, for candidate scoring and for the coordinator's
-    releases and re-plans alike.  The merge point is the origin of the
-    axis: a cross-lane pair's gap floor applies from ``activation_margin``
-    upstream of it.
+    tracker weights and reference.  :meth:`solve_batch` plans strings with
+    horizon repair, to score candidates and re-plan live strings, and
+    :meth:`law` is the receding-horizon law each string flies.  The merge
+    point is the origin of the axis: a cross-lane pair's gap floor applies
+    from ``activation_margin`` upstream of it.
     """
 
     dt: float = 0.1
@@ -196,10 +198,13 @@ class ScoringContext(Checked):
         )
         return StringProblem(self.weights(lanes), r_vec, x0, floors, lanes)
 
-    def solve_batch(
-        self, model: LtiModel, problems: list[StringProblem]
-    ) -> list[RepairResult]:
-        """Plan strings of one model: solve, roll out clipped, and re-solve
+    def law(self, problem: StringProblem) -> ConvergedLaw:
+        """The receding-horizon law the string flies (``tracking.converged_law``)."""
+        model = build_model(len(problem.lanes), self.dt)
+        return converged_law(model, problem.weights, problem.r_vec)
+
+    def solve_batch(self, problems: list[StringProblem]) -> list[RepairResult]:
+        """Plan strings of one length: solve, roll out clipped, and re-solve
         over longer horizons until clean.
 
         The applied inputs respect the actuation range by construction, so
@@ -218,6 +223,7 @@ class ScoringContext(Checked):
         first round.
         """
         self.validate()
+        model = build_model(len(problems[0].lanes), self.dt)
         results: list[RepairResult | None] = [None] * len(problems)
         pending = list(range(len(problems)))
         N = self.horizon
@@ -268,7 +274,6 @@ def score_sequences(
     integrate each one's predicted fuel."""
     n = len(sequences[0])
     m = len(floors)
-    model = build_model(n, ctx.dt)
     problems = []
     for sequence in sequences:
         rows = np.array(sequence.rows)
@@ -276,7 +281,7 @@ def score_sequences(
             sequence.lanes, floors[rows[1:]], x0[np.concatenate((rows, rows + m))]
         ))
     scores = []
-    results = ctx.solve_batch(model, problems)
+    results = ctx.solve_batch(problems)
     for sequence, problem, result in zip(sequences, problems, results):
         speeds = np.maximum(result.trajectory.x[:-1, n:], 0.0)
         total = sum(

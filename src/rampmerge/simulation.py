@@ -118,6 +118,9 @@ class ScenarioConfig(Checked):
         if self.geometry.merge_zone_len < MERGE_STOP_SETBACK + self.ramp_idm.s0:
             out.append(("geometry.merge_zone_len",
                         "too short for a ramp vehicle to stop past the merge point"))
+        # the planner would score braking that integration clips away
+        if self.limits.acc_min < HARD_BRAKE:
+            out.append(("limits.acc_min", f"must be >= {HARD_BRAKE} (hard braking)"))
         return out
 
     @property
@@ -324,6 +327,8 @@ class SimCounters:
     #: vehicle-steps of mainline set members standing (below 0.1 m/s)
     #: with their lane clear ahead for a stop from the desired speed
     stalls: int = 0
+    #: vehicles that crossed the merge zone's end still in the ramp lane
+    ramp_overruns: int = 0
 
 
 @dataclass
@@ -694,8 +699,11 @@ class _Run:
         self.log.append_step(
             self.t, world.ids, world.lane, world.pos, world.v, a_real, status, fuel
         )
-        world.pos = world.pos + 0.5 * (world.v + v_next) * dt
-        world.v = v_next
+        pos_next = world.pos + 0.5 * (world.v + v_next) * dt
+        end = self.config.geometry.merge_zone_end
+        self.counters.ramp_overruns += int(np.count_nonzero(
+            self.on_ramp & (world.pos < end) & (pos_next >= end)))
+        world.pos, world.v = pos_next, v_next
 
     def _lane_transfers(self) -> None:
         world, dt, L = self.world, self.config.dt, self.config.vehicle_length

@@ -29,10 +29,10 @@ call per problem, so each batched result is bitwise what the problem
 gets alone: in a batch of one, and in the one-problem reference
 ``tests/oracles.py``.
 
-Receding-horizon use flies the recursion's limit (:class:`ConvergedLaw`):
-the gains by fixed-point iteration (:func:`converged_gains`) and, for a
-constant reference, the costate as one linear solve on the tracked
-outputs (:func:`steady_state_feedforward`).
+Receding-horizon use flies the recursion's limit (:func:`converged_law`):
+the gains by fixed-point iteration (:func:`converged_gains`), kept once
+per (model, weights), and, for a constant reference, the costate as one
+linear solve on the tracked outputs (:func:`steady_state_feedforward`).
 
 This module holds the mathematics only.  The policy that applies it,
 which weights and reference each string gets and how far its horizon
@@ -200,6 +200,11 @@ RICCATI_CACHE_BYTES = 128 * 2**20
 _riccati_tables: OrderedDict[tuple, RiccatiTable] = OrderedDict()
 
 
+def _key(model: LtiModel, w: TrackerWeights) -> tuple:
+    """Key of ``model`` under the weights ``w`` in the process-wide caches."""
+    return tuple(m.tobytes() for m in (model.A, model.B, model.C, w.Q, w.R, w.Q_N))
+
+
 def _riccati_tables_for(
     model: LtiModel, weights: list[TrackerWeights], N: int
 ) -> list[RiccatiTable]:
@@ -208,10 +213,9 @@ def _riccati_tables_for(
     The caller must hold the returned tables while it reads them: once the
     cache is over its byte budget it may drop any of them.
     """
-    model_key = tuple(m.tobytes() for m in (model.A, model.B, model.C))
     tables = []
     for w in weights:
-        key = model_key + tuple(m.tobytes() for m in (w.Q, w.R, w.Q_N))
+        key = _key(model, w)
         table = _riccati_tables.get(key)
         if table is None:
             table = _riccati_tables[key] = RiccatiTable(model, w)
@@ -493,3 +497,18 @@ class ConvergedLaw:
             traj.u[k] = _step(traj.x[k], self.control(traj.x[k]), traj.x[k + 1],
                               self.model.dt, limits)
         return traj
+
+
+#: converged gains by (model, weights), never trimmed: an entry is one
+#: n x 2n gain pair, and a run meets a few hundred lane patterns
+_converged_gains: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def converged_law(model: LtiModel, weights: TrackerWeights, r_vec: np.ndarray) -> ConvergedLaw:
+    """The law for the constant reference ``r_vec``; its gains are solved
+    once per (model, weights) in the process."""
+    key = _key(model, weights)
+    if key not in _converged_gains:
+        _converged_gains[key] = converged_gains(model, weights)
+    K, Ky = _converged_gains[key]
+    return ConvergedLaw(model, K, Ky, steady_state_feedforward(model, weights, K, r_vec))

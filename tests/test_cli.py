@@ -208,6 +208,8 @@ class TestLoadConfig:
         # the density estimate divided by roadway that is not modeled
         ({"geometry": {"mainline_control_zone_len": 2500}},
          "geometry.mainline_control_zone_len"),
+        # the planner scored braking that integration clips at HARD_BRAKE
+        ({"limits": {"acc_min": -6.5}}, "limits.acc_min"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_out_of_range_field_is_named(self, tmp_path, capsys, edit, path):
         # each used to validate and then fail mid-run, run on silently, or
@@ -272,6 +274,10 @@ class TestLoadConfig:
             with pytest.raises(ConfigError) as err:
                 load_config(path)
             assert [p for p, _ in err.value.issues] == ["geometry.merge_zone_len"]
+
+    def test_hard_braking_is_the_lowest_acc_min(self, tmp_path):
+        path = write_config(tmp_path, "limits: {acc_min: -6.0}\n" + MINIMAL)
+        assert load_config(path).limits.acc_min == -6.0
 
     def test_integer_fields_are_exact_above_2_53(self, tmp_path, capsys):
         # a float holds 53 bits: this seed used to load, and print, as 2**53
@@ -346,6 +352,15 @@ class TestLoadConfig:
 
 
 class TestDigest:
+    @pytest.mark.parametrize("name,digest", [
+        ("smoke", "275007671a83b2402b4ca4beec637f2c14818b1c3c4cf0c6de522af9536e1930"),
+        ("scenario1", "4f4080dda498eac7441e492bf79285b59c078f29a82cc09c3db5c9eb801f4a33"),
+        ("scenario2", "91ead72a6c3d26151bf722f4b1f1ce8c865835d472261304b32a0cbc7915d9cc"),
+    ])
+    def test_shipped_configs_are_pinned(self, name, digest):
+        # a deliberate schema or value change updates these and lists each one
+        assert config_digest(load_config(f"{CONFIG_DIR}/{name}.yaml")) == digest
+
     def test_stable_under_key_reordering(self, tmp_path):
         a = write_config(
             tmp_path,

@@ -574,9 +574,9 @@ class TestPredictionRepair:
         solved = []
         solve_batch = coord.scoring.solve_batch
 
-        def spy(model, problems):
-            solved.append((model, problems))
-            return solve_batch(model, problems)
+        def spy(problems):
+            solved.append(problems)
+            return solve_batch(problems)
 
         monkeypatch.setattr(coord.scoring, "solve_batch", spy)
         cmds = coord.step(tight)
@@ -585,8 +585,7 @@ class TestPredictionRepair:
         assert (replan.t, replan.kind, replan.cycle) == (1.5, EventKind.REPLAN, cset.cycle_id)
         assert replan.data["horizon"] == cset.repair.horizon
         # the re-plan solves the set's own problem from the current state
-        [(model, [replanned])] = solved
-        assert model is cset.law.model
+        [[replanned]] = solved
         assert np.array_equal(replanned.x0, tight.state(cset.ids))
         for name in ("weights", "r_vec", "floors", "lanes"):
             assert getattr(replanned, name) is getattr(cset.problem, name)
@@ -646,6 +645,28 @@ class TestStringLaw:
         assert np.array_equal(forecast.u, np.clip(commands, LIMITS.acc_min, LIMITS.acc_max))
         inside = (forecast.u > LIMITS.acc_min) & (forecast.u < LIMITS.acc_max)
         assert inside.all() != clipped
+
+    def test_live_law_is_the_policy_law(self):
+        # a set flies the law the policy hands out for its problem, after
+        # the cycle and after a release leaves the suffix of the problem
+        coord = make_coordinator()
+        coord.step(TestDecisionCycle().trigger_snapshot())
+        [cset] = coord.sets
+
+        def assert_policy_law():
+            want = coord.scoring.law(cset.problem)
+            for name in ("K", "Ky", "V"):
+                assert getattr(cset.law, name).tobytes() == getattr(want, name).tobytes()
+
+        assert_policy_law()
+        ids, lanes = cset.ids, cset.problem.lanes
+        coord.step(make_snapshot(30.0, [
+            (ids[0], Lane.MAINLINE, 260.0, 33.0, 15.0),
+            (ids[1], lanes[1], -100.0, 30.0, 15.0),
+            (ids[2], lanes[2], -160.0, 30.0, 15.0),
+        ]))
+        assert cset.ids == ids[1:]
+        assert_policy_law()
 
 
 class TestDensityEstimate:

@@ -256,6 +256,7 @@ class TestModes:
         res = run_scenario(cfg)
         assert res.counters.meter_releases > 0
         assert np.any(res.log["status"] == 3)  # merged vehicles exist
+        assert res.counters.ramp_overruns == 0
         # released rate is bounded by the suggestion
         assert res.counters.meter_releases <= 400.0 / 3600.0 * 300.0 + 2
 
@@ -265,6 +266,7 @@ class TestModes:
         assert res.coordinator is None
         assert res.counters.coordinator_commands == 0
         assert np.any(res.log["status"] == 3)
+        assert res.counters.ramp_overruns == 0
 
     def test_optimal_mode_runs_cycles(self):
         cfg = small_config(duration=240.0, mainline=900.0, ramp=300.0,
@@ -274,6 +276,21 @@ class TestModes:
         assert res.counters.coordinator_commands > 0
         assert np.any(res.log["status"] == 2)
         assert np.any(res.log["status"] == 3)
+
+    def test_ramp_overrun_is_counted_once(self):
+        # a ramp vehicle boxed in by a mainline one beside it cannot merge
+        # and drives past the lane's end; the mainline vehicle and a ramp
+        # vehicle short of the merge are no overruns
+        run = _Run(small_config(mainline=0.0, ramp=0.0))
+        end = run.config.geometry.merge_zone_end
+        for vid, (lane, x) in enumerate([(Lane.RAMP, end - 1.0), (Lane.MAINLINE, end - 1.0),
+                                         (Lane.RAMP, -50.0)]):
+            run.world.add(vid, lane.code, x, 25.0)
+        for k in range(5):
+            run.step(k * run.config.dt)
+        assert run.world.lane.tolist() == [Lane.RAMP.code, Lane.MAINLINE.code, Lane.RAMP.code]
+        assert run.world.pos[0] > end + 5.0
+        assert run.counters.ramp_overruns == 1
 
     def test_optimal_trigger_spacing_respects_suggestion(self):
         cfg = small_config(duration=300.0, mainline=900.0, ramp=500.0,

@@ -316,6 +316,47 @@ class TestConvergedGains:
         assert np.max(np.abs(self.model.C @ x - r_vec)) < 1e-6
 
 
+class TestConvergedLaw:
+    LANES = (Lane.MAINLINE, Lane.RAMP, Lane.RAMP)
+
+    def test_gains_solved_once_per_model_and_weights(self, monkeypatch):
+        monkeypatch.setattr(tracking, "_converged_gains", {})
+        solved = []
+
+        def spy(model, weights):
+            solved.append(weights)
+            return converged_gains(model, weights)
+
+        monkeypatch.setattr(tracking, "converged_gains", spy)
+        ctx = ScoringContext()
+        model, weights = build_model(3, ctx.dt), ctx.weights(self.LANES)
+        r_a = build_reference(np.array([10.0, 20.0]), 30.0, 1.2, 5.0)
+        r_b = build_reference(np.array([5.0, 40.0]), 25.0, 1.2, 5.0)
+        first = tracking.converged_law(model, weights, r_a)
+        # an equal model and weights, built anew, and another reference
+        again = tracking.converged_law(build_model(3, ctx.dt), ctx.weights(self.LANES), r_b)
+        assert solved == [weights]
+        assert again.K is first.K and again.Ky is first.Ky
+        K, Ky = converged_gains(model, weights)
+        assert np.array_equal(first.K, K) and np.array_equal(first.Ky, Ky)
+        for law, r_vec in ((first, r_a), (again, r_b)):
+            assert np.array_equal(law.V, steady_state_feedforward(model, weights, K, r_vec))
+        tracking.converged_law(model, ctx.weights(self.LANES[::-1]), r_a)
+        assert len(solved) == 2
+
+    def test_control_weight_keys_the_gains(self, monkeypatch):
+        # two policies that differ only in control weight, asked for the
+        # same lanes one after the other, each get their own gains
+        monkeypatch.setattr(tracking, "_converged_gains", {})
+        model = build_model(3, 0.1)
+        for weight in (1.0, 100.0):
+            ctx = ScoringContext(control_weight=weight)
+            law = ctx.law(ctx.problem(self.LANES, np.full(2, 10.0), np.zeros(6)))
+            K, Ky = converged_gains(model, ctx.weights(self.LANES))
+            assert np.array_equal(law.K, K) and np.array_equal(law.Ky, Ky)
+        assert len(tracking._converged_gains) == 2
+
+
 class TestRollout:
     def test_clipping_flagged_and_applied(self):
         model = build_model(2, 0.1)
@@ -487,13 +528,12 @@ class TestConstraintChecks:
 
 class TestRepair:
     def _setup(self, follower_pos, floor, **kwargs):
-        model = build_model(2, 0.1)
         ctx = ScoringContext(limits=LIMITS, vehicle_length=5.0, **kwargs)
         lanes = (Lane.MAINLINE, Lane.MAINLINE)
         r_vec = build_reference(np.array([floor]), 15.0, 1.2, 5.0)
         x0 = np.array([0.0, follower_pos, 15.0, 15.0])
         problem = StringProblem(ctx.weights(lanes), r_vec, x0, np.array([floor]), lanes)
-        return ctx.solve_batch(model, [problem])[0]
+        return ctx.solve_batch([problem])[0]
 
     def test_benign_instance_keeps_requested_horizon(self):
         # follower starts a half meter off the settle point
