@@ -422,6 +422,10 @@ class RunManifest:
     wall_seconds: float
     outputs: dict[str, str] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
+    #: the run's ``SimCounters``
+    counters: dict = field(default_factory=dict)
+    #: host seconds per step phase (``RunResult.profile``)
+    profile: dict = field(default_factory=dict)
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
@@ -483,6 +487,8 @@ def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
             "metrics": str(metrics_path),
         },
         metrics=asdict(result.metrics.overall),
+        counters=asdict(result.counters),
+        profile=result.profile,
     )
     manifest.write(out_dir / f"{stem}_manifest.json")
     return manifest, result.metrics

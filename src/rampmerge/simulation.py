@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -339,6 +340,8 @@ class RunResult:
     counters: SimCounters
     final_vehicle_count: int
     coordinator: MergeCoordinator | None = None
+    #: host seconds spent in each step phase, summed over the run
+    profile: dict[str, float] = field(default_factory=dict)
 
 
 class _World:
@@ -475,10 +478,17 @@ class _Entrance:
     next: int = 0  # the first arrival still waiting off-network
 
 
+#: the step's phases in order, each the ``_Run`` method of its name
+STEP_PHASES = ("spawn", "entry_speeds", "car_following", "mode_layer", "bar_holds",
+               "stopping_bound", "integrate_and_log", "lane_transfers",
+               "collision_audit", "exits")
+
+
 class _Run:
     """One run's state; :meth:`step` advances it one time step, phase by
-    phase.  Per-vehicle facts that car-following and the mode layer work
-    out stay on the run for the later phases of the same step."""
+    phase, and sums each phase's host time in ``spent_ns``.  Per-vehicle
+    facts that car-following and the mode layer work out stay on the run
+    for the later phases of the same step."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
@@ -520,24 +530,26 @@ class _Run:
         self.ramp_entry_release = -math.inf
         self.merge_bar = geo.merge_zone_end - MERGE_STOP_SETBACK
         self.stall_room = stopping_distance(config.scoring.desired_speed, config.dt, -HARD_BRAKE)
+        self.spent_ns = dict.fromkeys(STEP_PHASES, 0)
+        self.phases = [(name, getattr(self, "_" + name)) for name in STEP_PHASES[1:]]
 
     def step(self, t: float) -> None:
         self.t = t
         self.phase = self.config.phase_at(t)
+        clock, spent = time.perf_counter_ns, self.spent_ns
+        start = clock()
         self._spawn()
+        last = clock()
+        spent["spawn"] += last - start
         if len(self.world) == 0:
             return
         # lanes change only in the transfer phase, so this holds until then
         self.on_ramp = self.world.lane == Lane.RAMP.code
-        self._entry_speeds()
-        self._car_following()
-        self._mode_layer()
-        self._bar_holds()
-        self._stopping_bound()
-        self._integrate_and_log()
-        self._lane_transfers()
-        self._collision_audit()
-        self._exits()
+        for name, phase in self.phases:
+            phase()
+            now = clock()
+            spent[name] += now - last
+            last = now
 
     def _spawn(self) -> None:
         # a new vehicle blocks its own entrance: one spawn per lane and step
@@ -796,5 +808,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         counters=run.counters,
         final_vehicle_count=len(run.world),
         coordinator=run.coordinator,
+        profile={name: ns / 1e9 for name, ns in run.spent_ns.items()},
     )
 

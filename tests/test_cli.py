@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from rampmerge.params import parts, settable
 from rampmerge.simulation import (
     CollisionError,
     ControlMode,
+    STEP_PHASES,
     DemandPhase,
     ScenarioConfig,
     TrajectoryLog,
@@ -479,6 +480,17 @@ class TestCommands:
             (out_a / "run_optimal_seed3_manifest.json").read_text())
         assert manifest["mode"] == "optimal" and manifest["seed"] == 3
         assert manifest["metrics"]["q_mph"] > 0
+
+    def test_run_manifest_carries_counters_and_profile(self, tmp_path):
+        smoke = CONFIG_DIR + "/smoke.yaml"
+        assert main(["run", "--config", smoke, "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run_optimal_seed3_manifest.json").read_text())
+        result = run_scenario(load_config(smoke))
+        assert manifest["counters"] == asdict(result.counters)
+        assert manifest["counters"]["coordinator_commands"] > 0
+        assert sorted(manifest["profile"]) == sorted(STEP_PHASES)
+        assert all(seconds > 0.0 for seconds in manifest["profile"].values())
+        assert sum(manifest["profile"].values()) <= manifest["wall_seconds"] + 1e-3
 
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -2,8 +2,9 @@
 
 Runs ``configs/smoke.yaml`` (120 s, seed 3) in each mode, a 180 s window
 of ``configs/scenario2.yaml`` (seed 2, coordinated) whose strings get
-re-planned, and the first 300 s of ``configs/scenario1.yaml`` (seed 1,
-no control) where ramp vehicles force their way in, and compares the
+re-planned, and the first 300 s of ``configs/scenario1.yaml`` (seed 1)
+with no control, where ramp vehicles force their way in, and under
+metering, where the stop bar releases a queue, and compares the
 SHA-256 of each trajectory CSV with the digests below, recorded with
 numpy 2.4.6.  A change that alters trajectories on purpose updates these
 digests and says so in CHANGES.md.
@@ -129,3 +130,17 @@ def test_forced_merge_export_is_unchanged(tmp_path):
     assert result.counters.forced_merges > 0
     path = export_trajectories(result.log, tmp_path / "trajectories.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FORCED_MERGE_SHA256
+
+
+METERING_SHA256 = "28a056ba55d9c64f5ee172013135b8891a2bd9f82ac458191265361efdc7880e"
+
+
+def test_metering_export_is_unchanged(tmp_path):
+    """The forced-merge window under metering, where the bar holds a queue."""
+    config = load_config(CONFIGS / "scenario1.yaml", mode="metering", seed=1)
+    config.phases = [replace(config.phases[0], duration=300.0)]
+    result = run_scenario(config)
+    # the case pins the stop bar only while it releases a queue
+    assert result.counters.meter_releases > 10
+    path = export_trajectories(result.log, tmp_path / "trajectories.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == METERING_SHA256
