@@ -42,7 +42,7 @@ def fuel_rate(speed, accel, coeffs: FuelCoefficients = DEFAULT_COEFFICIENTS):
     """
     v = np.asarray(speed, dtype=float)
     a = np.asarray(accel, dtype=float)
-    if np.any(v < 0.0):
+    if (v < 0.0).any():
         raise ValueError("fuel model undefined for negative speeds")
     cruise = coeffs.b0 + v * (coeffs.b1 + v * (coeffs.b2 + v * coeffs.b3))
     accel_weight = coeffs.c0 + v * (coeffs.c1 + v * coeffs.c2)

@@ -34,30 +34,48 @@ class IdmParams(Checked):
     delta: float = param("plain", 4.0, "> 0")
 
 
-def idm_accel(speed, gap, closing_speed, params: IdmParams):
+def idm_table(*sets: IdmParams) -> np.ndarray:
+    """Parameter sets as the columns of one table for :func:`idm_accel`.
+
+    Its rows are ``v0``, ``T``, ``a``, ``b``, ``s0``, ``delta`` and
+    ``2 sqrt(a b)``; ``table.take(k, axis=1)`` gives each vehicle the set
+    its entry of ``k`` names.
+    """
+    return np.array([[p.v0, p.T, p.a, p.b, p.s0, p.delta, 2.0 * math.sqrt(p.a * p.b)]
+                     for p in sets]).T.copy()
+
+
+def idm_accel(speed, gap, closing_speed, params):
     """IDM acceleration; accepts scalars or aligned arrays.
 
     ``gap`` is the net (bumper-to-bumper) distance to the leader, with
     ``math.inf`` meaning free flow.  ``closing_speed`` is own speed minus
     leader speed.  The desired gap is floored at ``s0`` so a leader
-    pulling away never produces a negative spacing target.  Scalars are
-    computed with Python floats, in the same operations and order as
-    NumPy's scalar arithmetic, which they equal bit for bit.
+    pulling away never produces a negative spacing target.  ``params`` is
+    one :class:`IdmParams`, or, with arrays, per-vehicle columns of an
+    :func:`idm_table`; each vehicle's result is the same either way,
+    except for a ``delta`` of 2 or 0.5, whose power NumPy takes by a
+    shortcut (square, square root) for a scalar exponent only.
+    Scalars are computed with Python floats, in the same operations and
+    order as NumPy's scalar arithmetic, which they equal bit for bit.
     """
-    root_ab = 2.0 * math.sqrt(params.a * params.b)
     if np.isscalar(speed) and np.isscalar(gap) and np.isscalar(closing_speed):
+        root_ab = 2.0 * math.sqrt(params.a * params.b)
         v, s, dv = float(speed), float(gap), float(closing_speed)
         if s <= 0.0:
             raise ValueError("IDM needs a positive gap; overlap means a collision")
         s_star = params.s0 + max(v * params.T + v * dv / root_ab, 0.0)
         return params.a * (1.0 - (v / params.v0) ** params.delta - (s_star / s) ** 2)
+    if isinstance(params, IdmParams):
+        params = idm_table(params)[:, 0]
+    v0, T, a, _, s0, delta, root_ab = params
     v = np.asarray(speed, dtype=float)
     s = np.asarray(gap, dtype=float)
     dv = np.asarray(closing_speed, dtype=float)
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         raise ValueError("IDM needs a positive gap; overlap means a collision")
-    s_star = params.s0 + np.maximum(v * params.T + v * dv / root_ab, 0.0)
-    return params.a * (1.0 - (v / params.v0) ** params.delta - (s_star / s) ** 2)
+    s_star = s0 + np.maximum(v * T + v * dv / root_ab, 0.0)
+    return a * (1.0 - (v / v0) ** delta - (s_star / s) ** 2)
 
 
 def equilibrium_gap(speed: float, params: IdmParams) -> float:

@@ -42,7 +42,7 @@ from .fuel import (
     economy_mpg,
     fuel_rate,
 )
-from .idm import IdmParams, idm_accel
+from .idm import IdmParams, idm_accel, idm_table
 from .params import Checked, param, parts
 from .sequencing import ScoringContext
 from .vehicles import ControlLimits, ControlStatus, Lane, MergeGeometry, lane_orders
@@ -203,20 +203,26 @@ class TrajectoryLog:
         "speed": float, "accel": float, "status": np.int64, "fuel_rate": float,
     }
 
+    #: the columns a step stores together, in one block per dtype
+    BLOCKS = (("id", "lane", "status"), ("position", "speed", "accel", "fuel_rate"))
+
     def __init__(self) -> None:
-        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._steps: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     def append_step(self, t, ids, lanes, pos, speed, accel, status, fuel) -> None:
         # copies: the caller may write to its arrays in place later
-        columns = (np.full(len(ids), t), ids, lanes, pos, speed, accel, status, fuel)
-        self._chunks.append(tuple(
-            np.array(col, dtype=dtype) for col, dtype in zip(columns, self.FIELDS.values())
-        ))
+        self._steps.append((t, np.array((ids, lanes, status), dtype=np.int64),
+                            np.array((pos, speed, accel, fuel), dtype=float)))
 
     def arrays(self) -> dict[str, np.ndarray]:
-        if not self._chunks:
+        if not self._steps:
             return {name: np.empty(0, dtype=dtype) for name, dtype in self.FIELDS.items()}
-        out = {name: np.concatenate(col) for name, col in zip(self.FIELDS, zip(*self._chunks))}
+        times, *blocks = zip(*self._steps)
+        rows = [len(ints[0]) for ints in blocks[0]]
+        columns = {"t": np.repeat(np.array(times, dtype=float), rows)}
+        for names, block in zip(self.BLOCKS, blocks):
+            columns.update(zip(names, np.concatenate(block, axis=1)))
+        out = {name: columns[name] for name in self.FIELDS}
         # rounding is element by element: once per run equals once per step
         for name, dtype in self.FIELDS.items():
             if dtype is float:
@@ -444,7 +450,7 @@ def stopping_bound(acc, net_gap, v, v_lead, dt: float, brake: float, margin: flo
     # stopping distances, v^2 / 2b <= D(v) <= v^2 / 2b + b dt^2 / 8
     w = v + acc * dt
     need = 0.5 * (v + w) * dt + (w * w - v_lead * v_lead) / (2.0 * brake)
-    if np.all(net_gap >= need + (margin + brake * dt * dt / 8.0)):
+    if (net_gap >= need + (margin + brake * dt * dt / 8.0)).all():
         return acc, 0
     bound = (safe_next_speed(net_gap, v, v_lead, dt, brake, margin) - v) / dt
     tight = bound < acc
@@ -530,6 +536,8 @@ class _Run:
         self.ramp_entry_release = -math.inf
         self.merge_bar = geo.merge_zone_end - MERGE_STOP_SETBACK
         self.stall_room = stopping_distance(config.scoring.desired_speed, config.dt, -HARD_BRAKE)
+        # column 0 the mainline IDM, column 1 the ramp IDM
+        self.idm_sets = idm_table(config.mainline_idm, config.ramp_idm)
         self.spent_ns = dict.fromkeys(STEP_PHASES, 0)
         self.phases = [(name, getattr(self, "_" + name)) for name in STEP_PHASES[1:]]
 
@@ -587,35 +595,26 @@ class _Run:
         world.entry[crossed] = world.v[crossed]
 
     def _car_following(self) -> None:
-        """Base IDM accelerations along each lane chain, and each vehicle's
-        same-lane predecessor and net gap."""
-        world, n, L = self.world, len(self.world), self.config.vehicle_length
-        self.acc = acc = np.empty(n)
-        self.gap = gap_all = np.full(n, np.inf)
-        dv_all = np.zeros(n)
-        self.pred_of = pred_of = np.full(n, -1, dtype=int)
+        """Each vehicle's same-lane predecessor, net gap and closing speed
+        from one pass over the lanes' order, then its IDM acceleration."""
+        world, n = self.world, len(self.world)
         self.chains = lane_orders(world.lane, world.pos)
-        for lane, order in self.chains.items():
-            if len(order) == 0:
-                continue
-            pred_of[order[1:]] = order[:-1]
-            gap_all[order[1:]] = world.pos[order[:-1]] - world.pos[order[1:]] - L
-            dv_all[order[1:]] = world.v[order[1:]] - world.v[order[:-1]]
-            acc[order] = idm_accel(
-                world.v[order], np.maximum(gap_all[order], 1e-3), dv_all[order],
-                self.entrances[lane.code].params,
-            )
-
-        # acceleration-lane behavior: an uncontrolled ramp vehicle close
-        # to the merge drives to mainline norms while hunting for a slot
-        accel_lane = np.nonzero(self.on_ramp & (world.pos >= ACCEL_LANE_START))[0]
-        if len(accel_lane):
-            acc[accel_lane] = idm_accel(
-                world.v[accel_lane],
-                np.maximum(gap_all[accel_lane], 1e-3),
-                dv_all[accel_lane],
-                self.config.mainline_idm,
-            )
+        order = np.concatenate(tuple(self.chains.values()))
+        rear, front = order[1:], order[:-1]
+        same = world.lane[rear] == world.lane[front]  # not across the lane boundary
+        rear, front = rear[same], front[same]
+        self.pred_of = np.full(n, -1)
+        self.pred_of[rear] = front
+        self.gap = np.full(n, np.inf)
+        self.gap[rear] = world.pos[front] - world.pos[rear] - self.config.vehicle_length
+        closing = np.zeros(n)
+        closing[rear] = world.v[rear] - world.v[front]
+        # the ramp IDM, except in the acceleration lane: an uncontrolled
+        # ramp vehicle close to the merge drives to mainline norms while
+        # hunting for a slot
+        ramp_idm = self.on_ramp & (world.pos < ACCEL_LANE_START)
+        self.acc = idm_accel(world.v, np.maximum(self.gap, 1e-3), closing,
+                             self.idm_sets.take(ramp_idm.view(np.int8), axis=1))
 
     def _mode_layer(self) -> None:
         """Coordinator commands, or the metering hold; writes each vehicle's
@@ -702,11 +701,13 @@ class _Run:
 
     def _integrate_and_log(self) -> None:
         world, dt, limits = self.world, self.config.dt, self.config.limits
-        acc = np.clip(self.acc, HARD_BRAKE, limits.acc_max)
-        v_next = np.clip(world.v + acc * dt, 0.0, limits.v_max)
+        # clips as the maximum-then-minimum pair, which picks the same values
+        acc = np.minimum(np.maximum(self.acc, HARD_BRAKE), limits.acc_max)
+        v_next = np.minimum(np.maximum(world.v + acc * dt, 0.0), limits.v_max)
         a_real = (v_next - world.v) / dt
         fuel = fuel_rate(world.v, a_real, self.config.fuel)
-        merged = (world.origin == Lane.RAMP.code) & ~self.on_ramp & (self.status == 0)
+        # a ramp vehicle on the mainline (none leaves the mainline), uncommanded
+        merged = (world.origin != world.lane) & (self.status == 0)
         status = np.where(merged, ControlStatus.MERGED.code, self.status)
         self.log.append_step(
             self.t, world.ids, world.lane, world.pos, world.v, a_real, status, fuel
@@ -779,16 +780,16 @@ class _Run:
         # consecutive gaps along the step's chains: any same-lane swap
         # this step shows as a non-positive gap
         for order in self.chains.values():
-            gaps = world.pos[order[:-1]] - world.pos[order[1:]] - L
-            bad = np.nonzero(gaps <= 0.0)[0]
-            if len(bad):
-                b = bad[0]
+            pos = world.pos[order]
+            gaps = pos[:-1] - pos[1:] - L
+            if (gaps <= 0.0).any():
+                b = int(np.argmax(gaps <= 0.0))  # the first overlap downstream
                 raise CollisionError(self.t, int(world.ids[order[b]]), int(world.ids[order[b + 1]]),
                                      float(gaps[b]), log=self.log.arrays())
 
     def _exits(self) -> None:
         gone = self.world.pos > self.config.geometry.downstream_extent
-        if np.any(gone):
+        if gone.any():
             self.counters.exited += int(np.count_nonzero(gone))
             self.world.remove(gone)
 

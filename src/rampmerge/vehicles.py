@@ -26,17 +26,13 @@ class Lane(enum.Enum):
         return 0 if self is Lane.MAINLINE else 1
 
 
-_LANE_CODES = tuple((lane, lane.code) for lane in Lane)  # once, not per step
-
-
 def lane_orders(lanes: np.ndarray, positions: np.ndarray) -> dict[Lane, np.ndarray]:
     """Indices of each lane's vehicles, downstream first (ties keep index
-    order), from per-vehicle lane codes and positions."""
-    orders = {}
-    for lane, code in _LANE_CODES:
-        idx = np.nonzero(lanes == code)[0]
-        orders[lane] = idx[np.argsort(-positions[idx], kind="stable")]
-    return orders
+    order), from per-vehicle lane codes and positions: one stable sort by
+    lane code, then downstream first, split at the lane boundary."""
+    order = np.lexsort((-positions, lanes))
+    split = np.count_nonzero(lanes == Lane.MAINLINE.code)
+    return {Lane.MAINLINE: order[:split], Lane.RAMP: order[split:]}
 
 
 class ControlStatus(enum.Enum):

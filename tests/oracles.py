@@ -9,8 +9,9 @@ scorer scores one candidate at a time, one step at a time, the settle
 check walks one pair at a time, the coordinator's forecast is its own
 clipped step loop under constant gains, the trajectory writer is the
 one-``%``-call-per-row ``np.savetxt`` writer, the scalar IDM is the
-NumPy-scalar evaluation of the law, and a merger's mainline neighbors
-come from a scan over every vehicle.
+NumPy-scalar evaluation of the law, a merger's mainline neighbors
+come from a scan over every vehicle, and car-following sorts and
+evaluates each lane on its own, then the acceleration lane again.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rampmerge.simulation import TrajectoryLog
+from rampmerge.idm import idm_accel
+from rampmerge.simulation import ACCEL_LANE_START, TrajectoryLog
 from rampmerge.vehicles import Lane
 
 
@@ -243,3 +245,31 @@ def insertion_neighbors_by_scan(world, pos: float) -> tuple[int, int]:
         elif p < pos and p > lag_pos:
             lag, lag_pos = int(j), p
     return lead, lag
+
+
+def car_following_by_lane(lanes, pos, v, vehicle_length, mainline_idm, ramp_idm):
+    """Each vehicle's IDM acceleration, net gap and same-lane predecessor
+    (-1 for none), and each lane's indices downstream first, ties in
+    index order: one stable sort and one IDM call per lane, then the
+    ramp vehicles at or past ``ACCEL_LANE_START`` again on the mainline
+    set, overwriting their ramp result."""
+    n = len(lanes)
+    acc = np.empty(n)
+    gap = np.full(n, np.inf)
+    closing = np.zeros(n)
+    pred_of = np.full(n, -1, dtype=int)
+    chains = {}
+    for lane, params in ((Lane.MAINLINE, mainline_idm), (Lane.RAMP, ramp_idm)):
+        idx = np.nonzero(lanes == lane.code)[0]
+        order = chains[lane] = idx[np.argsort(-pos[idx], kind="stable")]
+        if len(order) == 0:
+            continue
+        pred_of[order[1:]] = order[:-1]
+        gap[order[1:]] = pos[order[:-1]] - pos[order[1:]] - vehicle_length
+        closing[order[1:]] = v[order[1:]] - v[order[:-1]]
+        acc[order] = idm_accel(v[order], np.maximum(gap[order], 1e-3), closing[order], params)
+    accel_lane = np.nonzero((lanes == Lane.RAMP.code) & (pos >= ACCEL_LANE_START))[0]
+    if len(accel_lane):
+        acc[accel_lane] = idm_accel(v[accel_lane], np.maximum(gap[accel_lane], 1e-3),
+                                    closing[accel_lane], mainline_idm)
+    return acc, gap, pred_of, chains

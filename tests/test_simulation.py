@@ -2,17 +2,20 @@
 import concurrent.futures
 import math
 import pickle
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import insertion_neighbors_by_scan
+from oracles import car_following_by_lane, insertion_neighbors_by_scan
 from rampmerge.cli import load_config
 from rampmerge.coordinator import HARD_BRAKE, EventKind
 from rampmerge.fuel import METERS_PER_MILE, ML_PER_GALLON, fuel_rate
+from rampmerge.idm import IdmParams
 from rampmerge.simulation import (
+    ACCEL_LANE_START,
     ARRIVAL_MIN_HEADWAY,
     COMFORT_BRAKE,
     COMFORT_MARGIN,
@@ -536,6 +539,53 @@ class TestSafetyLayer:
             (100.0, 0.0, Lane.MAINLINE, ControlStatus.OPTIMAL_CONTROLLED),
             (115.0, 0.0, Lane.MAINLINE, ControlStatus.UNCONTROLLED),  # 10 m ahead
         ]) == 0
+
+
+class TestCarFollowing:
+    """The one-pass car-following phase equals the per-lane loop with its
+    second acceleration-lane pass (``oracles.car_following_by_lane``)."""
+
+    #: mainline and ramp IDM sets: the studies' pair, and a pair that
+    #: differs in every field
+    IDM_SETS = (
+        (IdmParams(), IdmParams(v0=14.98, T=1.0, a=2.0, b=2.8)),
+        (IdmParams(T=1.2, s0=1.5, delta=3.0),
+         IdmParams(v0=16.0, T=0.8, a=2.2, b=3.1, s0=2.5, delta=4.5)),
+    )
+
+    def test_one_pass_equals_the_per_lane_loop(self):
+        rng = np.random.default_rng(30)
+        seen = Counter()
+        for k in range(200):
+            config = small_config()
+            config.mainline_idm, config.ramp_idm = self.IDM_SETS[k % 2]
+            run = _Run(config)
+            world = run.world
+            counts = rng.integers(0, 9, size=2) * (rng.random(2) < 0.9)
+            for code, count in enumerate(counts):
+                for _ in range(count):
+                    # a coarse grid around the acceleration lane's start puts
+                    # vehicles on one position and on the start itself
+                    x = (ACCEL_LANE_START + 2.5 * float(rng.integers(-12, 13))
+                         if rng.random() < 0.7 else float(rng.uniform(-400.0, 200.0)))
+                    world.add(len(world), code, x, float(rng.uniform(0.0, 36.0)))
+            run.on_ramp = world.lane == Lane.RAMP.code
+            run._car_following()
+            acc, gap, pred_of, chains = car_following_by_lane(
+                world.lane, world.pos, world.v, config.vehicle_length,
+                config.mainline_idm, config.ramp_idm)
+            assert run.acc.tobytes() == acc.tobytes(), k
+            assert run.gap.tobytes() == gap.tobytes(), k
+            assert np.array_equal(run.pred_of, pred_of), k
+            for lane in Lane:
+                assert np.array_equal(run.chains[lane], chains[lane]), (k, lane)
+            seen["empty lane"] += int(min(counts) == 0 < max(counts))
+            seen["lone vehicle"] += int(1 in counts)
+            seen["equal positions"] += int(any(
+                len(np.unique(world.pos[order])) < len(order) for order in chains.values()))
+            seen["on the acceleration lane's start"] += int(np.any(
+                run.on_ramp & (world.pos == ACCEL_LANE_START)))
+        assert len(seen) == 4 and min(seen.values()) >= 5, seen
 
 
 class TestLaneChains:
