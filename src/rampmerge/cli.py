@@ -1,12 +1,18 @@
 """Command-line front end: configs, runs, exports, seed sweeps.
 
 A single YAML file carries every parameter a run needs, so config + seed
-fully reproduce a simulation.  Numeric fields accept either plain SI
-numbers or strings with an explicit unit suffix ("73.8 mph", "8.2 ft/s2",
-"600 s"); everything is converted to SI on load.  Exports are plain CSV
-with fixed six-decimal formatting, and a sweep's report of modes over
-seeds comes in both a machine-readable JSON form and an aligned text
-table.
+fully reproduce a simulation on one numeric path.  Coordinated runs call
+LAPACK solves whose last bits depend on the BLAS kernels and the numpy
+SIMD loops the host selects: one coordinated study gave a different
+full-log sha256 under each of four kernel settings besides the default.
+The run manifest records the path (``numeric_path``) beside the sha256 of
+every output, so two digests compare only when their paths match.
+
+Numeric fields accept either plain SI numbers or strings with an
+explicit unit suffix ("73.8 mph", "8.2 ft/s2", "600 s"); everything is
+converted to SI on load.  Exports are plain CSV with fixed six-decimal
+formatting, and a sweep's report of modes over seeds comes in both a
+machine-readable JSON form and an aligned text table.
 
 Exit codes: 0 success, 2 configuration error, 3 collision abort.
 """
@@ -426,11 +432,42 @@ class RunManifest:
     counters: dict = field(default_factory=dict)
     #: host seconds per step phase (``RunResult.profile``)
     profile: dict = field(default_factory=dict)
+    #: sha256 of each file in ``outputs``, by the same names
+    sha256: dict = field(default_factory=dict)
+    #: the arithmetic the run used (:func:`numeric_path`)
+    numeric_path: dict = field(default_factory=dict)
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return path
+
+
+def numeric_path() -> dict:
+    """numpy's version, its BLAS and SIMD loops, and ``OPENBLAS_CORETYPE``
+    if set: coordinated runs are bitwise reproducible only on one such
+    path, so a digest is comparable only beside its path."""
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        build = {}
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    path = {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "simd": build.get("SIMD Extensions", {}).get("found", []),
+    }
+    if "OPENBLAS_CORETYPE" in os.environ:
+        path["OPENBLAS_CORETYPE"] = os.environ["OPENBLAS_CORETYPE"]
+    return path
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _utc_now() -> str:
@@ -474,6 +511,7 @@ def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
     metrics_path = out_dir / f"{stem}_metrics.json"
     metrics_path.write_text(
         json.dumps(asdict(result.metrics), indent=2, sort_keys=True) + "\n")
+    outputs = {"trajectories": traj_path, "metrics": metrics_path}
     manifest = RunManifest(
         config_digest=config_digest(config),
         config_path=str(config_path),
@@ -482,13 +520,12 @@ def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
         started=started,
         finished=_utc_now(),
         wall_seconds=round(wall, 3),
-        outputs={
-            "trajectories": str(traj_path),
-            "metrics": str(metrics_path),
-        },
+        outputs={kind: str(path) for kind, path in outputs.items()},
         metrics=asdict(result.metrics.overall),
         counters=asdict(result.counters),
         profile=result.profile,
+        sha256={kind: _sha256(path) for kind, path in outputs.items()},
+        numeric_path=numeric_path(),
     )
     manifest.write(out_dir / f"{stem}_manifest.json")
     return manifest, result.metrics

@@ -216,11 +216,12 @@ class ScoringContext(Checked):
         executable, since its inputs are clipped).
 
         Repair runs in rounds: every problem starts at ``horizon``, each
-        round solves, rolls out and checks its problems in stacked chunks,
-        and the problems whose rollout is still short of a gap floor go on
-        to the next horizon together.  Each result is bitwise what the
-        problem gets alone.  The context is validated once, before the
-        first round.
+        round solves, rolls out and checks its problems as one stack
+        (split by ``tracking.chunks`` only where its tables would outgrow
+        the table cache), and the problems whose rollout is still short of
+        a gap floor go on to the next horizon together.  Each result is
+        bitwise what the problem gets alone.  The context is validated
+        once, before the first round.
         """
         self.validate()
         model = build_model(len(problems[0].lanes), self.dt)

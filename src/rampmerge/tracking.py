@@ -23,11 +23,13 @@ K_k, Ky_k and S_k depend only on the model, the weights and the steps
 left, so they are kept once per (model, weights) in a table indexed by
 time-to-go; each solve reads its gains from the table and recurses only
 V_k.  A batch's problems share one model (one string size and step) and
-are solved, rolled out and checked as stacks, in chunks sized by
-:func:`chunks`; a stacked ``matmul`` or ``solve`` makes one BLAS/LAPACK
-call per problem, so each batched result is bitwise what the problem
-gets alone: in a batch of one, and in the one-problem reference
-``tests/oracles.py``.
+are solved, rolled out and checked as one stack, split by :func:`chunks`
+only where their tables would outgrow the table cache's whole byte
+budget.  The time loops bound their temporary stacks by ``TIME_BLOCK``
+steps, so working memory does not grow with the horizon.  A stacked
+``matmul`` or ``solve`` makes one BLAS/LAPACK call per problem, so each
+batched result is bitwise what the problem gets alone: in a batch of
+one, and in the one-problem reference ``tests/oracles.py``.
 
 Receding-horizon use flies the recursion's limit (:func:`converged_law`):
 the gains by fixed-point iteration (:func:`converged_gains`), kept once
@@ -162,13 +164,32 @@ def extend_tables(model: LtiModel, tables: list[RiccatiTable], N: int) -> None:
         t.size = N
 
 
+def table_bytes(n: int, N: int) -> int:
+    """Bytes of one ``n``-vehicle string's table filled to ``N`` steps to go."""
+    nx = 2 * n
+    return 8 * (2 * N * n * nx + (2 * N + 1) * nx * nx)
+
+
+#: steps per block of the time loops' temporary stacks: a fill flushes its
+#: block into the tables, and the costate recursion and the rollout gather
+#: a block's gains at once, so their working memory does not grow with the
+#: horizon
+TIME_BLOCK = 64
+
+
+def _blocks(start: int, stop: int) -> list[tuple[int, int]]:
+    """``(begin, end)`` of each ``TIME_BLOCK`` of the steps ``start`` to ``stop``."""
+    begins = range(start, stop, TIME_BLOCK)
+    return list(zip(begins, [*begins[1:], stop]))
+
+
 def _fill(model: LtiModel, tables: list[RiccatiTable], start: int, stop: int) -> None:
     """Recursion steps ``start`` to ``stop`` of tables filled to ``start``."""
     A, B = model.A, model.B
     R = np.stack([t.R for t in tables])
     CtQC = np.stack([t.CtQC for t in tables])
     At, Bt = A.T, B.T
-    steps = (len(tables), stop - start)
+    steps = (len(tables), min(TIME_BLOCK, stop - start))
     K = np.empty(steps + tables[0].K.shape[1:])
     Ky = np.empty_like(K)
     Acl = np.empty(steps + tables[0].Acl.shape[1:])
@@ -177,25 +198,26 @@ def _fill(model: LtiModel, tables: list[RiccatiTable], start: int, stop: int) ->
     rhs = np.empty(K.shape[:1] + (K.shape[2], 2 * nx))  # [B'S A | B'], one solve
     rhs[..., nx:] = Bt
     Sn = np.stack([t.S[start] for t in tables])
-    for j in range(stop - start):
-        BtS = Bt @ Sn
-        M = R + BtS @ B
-        np.matmul(BtS, A, out=rhs[..., :nx])
-        gains = np.linalg.solve(M, rhs)
-        K[:, j] = gains[..., :nx]
-        Ky[:, j] = gains[..., nx:]
-        Acl[:, j] = A - B @ K[:, j]
-        Sk = CtQC + At @ Sn @ Acl[:, j]
-        Sn = S[:, j] = 0.5 * (Sk + Sk.swapaxes(1, 2))  # symmetrize against drift
-    for g, t in enumerate(tables):
-        t.K[start:stop] = K[g]
-        t.Ky[start:stop] = Ky[g]
-        t.Acl[start:stop] = Acl[g]
-        t.S[start + 1:stop + 1] = S[g]
+    for begin, end in _blocks(start, stop):
+        for j in range(end - begin):
+            BtS = Bt @ Sn
+            M = R + BtS @ B
+            np.matmul(BtS, A, out=rhs[..., :nx])
+            gains = np.linalg.solve(M, rhs)
+            K[:, j] = gains[..., :nx]
+            Ky[:, j] = gains[..., nx:]
+            np.subtract(A, B @ K[:, j], out=Acl[:, j])
+            Sk = CtQC + At @ Sn @ Acl[:, j]
+            Sn = S[:, j] = 0.5 * (Sk + Sk.swapaxes(1, 2))  # symmetrize against drift
+        for g, t in enumerate(tables):
+            t.K[begin:end] = K[g, :end - begin]
+            t.Ky[begin:end] = Ky[g, :end - begin]
+            t.Acl[begin:end] = Acl[g, :end - begin]
+            t.S[begin + 1:end + 1] = S[g, :end - begin]
 
 
-#: upper bound on the bytes held by cached Riccati tables; the least
-#: recently used tables go first, and a dropped table is rebuilt exactly
+#: bytes of cached Riccati tables a request may leave beside its own; a
+#: dropped table is rebuilt exactly
 RICCATI_CACHE_BYTES = 128 * 2**20
 _riccati_tables: OrderedDict[tuple, RiccatiTable] = OrderedDict()
 
@@ -210,23 +232,31 @@ def _riccati_tables_for(
 ) -> list[RiccatiTable]:
     """Process-wide tables of ``model`` under each weights, filled to ``N`` steps.
 
-    The caller must hold the returned tables while it reads them: once the
-    cache is over its byte budget it may drop any of them.
+    Before the fill, the least recently used tables outside this request
+    are dropped until the cache, filled, fits ``RICCATI_CACHE_BYTES``; the
+    request's own tables are never dropped, so a request larger than the
+    budget holds them all until a later request makes room.  The caller
+    must hold the returned tables while it reads them: a later request
+    may drop any of them.
     """
-    tables = []
-    for w in weights:
-        key = _key(model, w)
-        table = _riccati_tables.get(key)
-        if table is None:
-            table = _riccati_tables[key] = RiccatiTable(model, w)
-        _riccati_tables.move_to_end(key)
-        tables.append(table)
-    extend_tables(model, tables, N)
-    held = sum(t.nbytes for t in _riccati_tables.values())
-    while held > RICCATI_CACHE_BYTES and len(_riccati_tables) > 1:
-        _, dropped = _riccati_tables.popitem(last=False)
-        held -= dropped.nbytes
-    return tables
+    keys = [_key(model, w) for w in weights]
+    tables = {}
+    for key, w in zip(keys, weights):
+        if key not in tables:
+            table = _riccati_tables.get(key)
+            if table is None:
+                table = _riccati_tables[key] = RiccatiTable(model, w)
+            _riccati_tables.move_to_end(key)
+            tables[key] = table
+    held = sum(t.nbytes for t in _riccati_tables.values()) + sum(
+        table_bytes(model.n, N) - t.nbytes for t in tables.values() if t.size < N)
+    while held > RICCATI_CACHE_BYTES:
+        oldest = next(iter(_riccati_tables))
+        if oldest in tables:  # the request's own are the most recent
+            break
+        held -= _riccati_tables.pop(oldest).nbytes
+    extend_tables(model, list(tables.values()), N)
+    return [tables[key] for key in keys]
 
 
 def solve_finite_horizon_batch(
@@ -238,8 +268,9 @@ def solve_finite_horizon_batch(
     with ``N >= 1``.  The gains and quadratic terms come from the shared
     time-to-go tables (see :class:`RiccatiTable`), filled by one stacked
     recursion; the linear term ``V`` is recursed for all problems at once,
-    one stacked step per time step.  The returned ``K``, ``Ky`` and ``S``
-    are read-only views into the tables.
+    one stacked step per time step, with each ``TIME_BLOCK`` of closed-loop
+    matrices gathered at once.  The returned ``K``, ``Ky`` and ``S`` are
+    read-only views into the tables.
     """
     if r.shape[2:] != (model.output_dim,):
         raise ValueError(f"references {r.shape} do not fit model outputs ({model.output_dim},)")
@@ -255,9 +286,11 @@ def solve_finite_horizon_batch(
 
     V = np.empty((len(weights), N + 1, model.state_dim))
     V[:, N] = (Ct @ (Q_N @ r[:, N, :, None]))[..., 0]
-    AclT = np.stack([t.Acl[:N] for t in tables]).swapaxes(2, 3)
-    for k in range(N - 1, -1, -1):
-        V[:, k] = (AclT[:, N - 1 - k] @ V[:, k + 1, :, None])[..., 0] + forcing[:, k]
+    for begin, end in _blocks(0, N):  # in steps to go
+        AclT = np.stack([t.Acl[begin:end] for t in tables]).swapaxes(2, 3)
+        for j in range(end - begin):
+            k = N - 1 - begin - j
+            np.add((AclT[:, j] @ V[:, k + 1, :, None])[..., 0], forcing[:, k], out=V[:, k])
     solutions = []
     for table, Vg in zip(tables, V):
         K, Ky, S = table.K[N - 1::-1], table.Ky[N - 1::-1], table.S[N::-1]
@@ -284,14 +317,13 @@ def _step(x: np.ndarray, u: np.ndarray, x_next: np.ndarray, dt: float,
     Positions integrate the trapezoid of successive speeds, exactly
     ``A @ x + B @ u`` whenever no clamp binds."""
     if limits is not None:
-        u = np.clip(u, limits.acc_min, limits.acc_max)
+        u = np.minimum(np.maximum(u, limits.acc_min), limits.acc_max)
     n = u.shape[-1]
-    v = x[..., n:]
-    v_next = v + dt * u
+    v, v_next = x[..., n:], x_next[..., n:]
+    np.add(v, dt * u, out=v_next)
     if limits is not None:
-        v_next = np.clip(v_next, 0.0, limits.v_max)
-    x_next[..., :n] = x[..., :n] + 0.5 * dt * (v + v_next)
-    x_next[..., n:] = v_next
+        np.minimum(np.maximum(v_next, 0.0, out=v_next), limits.v_max, out=v_next)
+    np.add(x[..., :n], 0.5 * dt * (v + v_next), out=x_next[..., :n])
     return u
 
 
@@ -305,9 +337,10 @@ def rollout_batch(
 
     ``x0`` stacks the start states, shape ``(G, 2n)``, and the returned
     states and inputs stack the loops the same way.  Each input is
-    ``-K_k x_k + Ky_k V_{k+1}``, applied by :func:`_step`.  Each step is
-    one stacked update of every loop, so each trajectory is bitwise what
-    it would be alone.
+    ``-K_k x_k + Ky_k V_{k+1}``, applied by :func:`_step`; the gains of
+    each ``TIME_BLOCK`` of steps are gathered at once.  Each step is one
+    stacked update of every loop, so each trajectory is bitwise what it
+    would be alone.
     """
     N = solutions[0].horizon
     if any(s.horizon != N for s in solutions):
@@ -317,18 +350,20 @@ def rollout_batch(
         raise ValueError(
             f"x0 must have shape ({len(solutions)}, {model.state_dim}), got {x0.shape}"
         )
-    # np.array lays the solutions' table views out C-contiguously, which
-    # keeps every product below on the BLAS path of a lone matvec
-    neg_K = np.array([s.K for s in solutions])
-    np.negative(neg_K, out=neg_K)
-    V_next = np.array([s.V[1:] for s in solutions])
-    feedforward = (np.array([s.Ky for s in solutions]) @ V_next[..., None])[..., 0]
     x = np.empty((len(solutions), N + 1, model.state_dim))
     u = np.empty((len(solutions), N, model.n))
     x[:, 0] = x0
-    for k in range(N):
-        uk = (neg_K[:, k] @ x[:, k, :, None])[..., 0] + feedforward[:, k]
-        u[:, k] = _step(x[:, k], uk, x[:, k + 1], model.dt, limits)
+    for begin, end in _blocks(0, N):
+        # np.array lays the solutions' table views out C-contiguously, which
+        # keeps every product below on the BLAS path of a lone matvec
+        neg_K = np.array([s.K[begin:end] for s in solutions])
+        np.negative(neg_K, out=neg_K)
+        V_next = np.array([s.V[begin + 1:end + 1] for s in solutions])
+        Ky = np.array([s.Ky[begin:end] for s in solutions])
+        feedforward = (Ky @ V_next[..., None])[..., 0]
+        for j, k in enumerate(range(begin, end)):
+            uk = (neg_K[:, j] @ x[:, k, :, None])[..., 0] + feedforward[:, j]
+            u[:, k] = _step(x[:, k], uk, x[:, k + 1], model.dt, limits)
     return Trajectory(x=x, u=u)
 
 
@@ -401,19 +436,12 @@ def check_constraints(
     return (short & (to_go <= hold)).any(axis=(1, 2))
 
 
-#: one chunk's stacked arrays stay within this share of RICCATI_CACHE_BYTES
-_CHUNK_SHARE = 8
-
-
 def chunks(pending: list[int], n: int, N: int) -> list[list[int]]:
-    """Split ``pending`` into runs whose stacked arrays for ``n``-vehicle
-    strings at horizon ``N`` fit the chunk budget.
-
-    The largest stack is a fill's: ``K``, ``Ky``, ``A - B K`` and ``S``
-    for every step of every table in the chunk.
-    """
-    per_problem = 8 * N * 2 * (2 * n) * (2 * n + n)
-    size = max(1, RICCATI_CACHE_BYTES // _CHUNK_SHARE // per_problem)
+    """Split ``pending`` into runs whose tables for ``n``-vehicle strings
+    at horizon ``N``, one per problem, fit ``RICCATI_CACHE_BYTES``
+    together, so no run outgrows the table cache.  A round that fits is
+    one run."""
+    size = max(1, RICCATI_CACHE_BYTES // table_bytes(n, N))
     return [pending[c:c + size] for c in range(0, len(pending), size)]
 
 
@@ -433,17 +461,18 @@ def converged_gains(
     the iteration has not settled within ``GAIN_MAX_ITER`` steps.
     """
     A, B, C = model.A, model.B, model.C
+    At, Bt = A.T, B.T
     CtQC = C.T @ weights.Q @ C
     S = C.T @ weights.Q_N @ C
     K_prev: np.ndarray | None = None
     for _ in range(GAIN_MAX_ITER):
-        BtS = B.T @ S
+        BtS = Bt @ S
         M = weights.R + BtS @ B
         K = np.linalg.solve(M, BtS @ A)
-        if K_prev is not None and np.max(np.abs(K - K_prev)) <= GAIN_TOL:
-            Ky = np.linalg.solve(M, B.T)
+        if K_prev is not None and abs(K - K_prev).max() <= GAIN_TOL:
+            Ky = np.linalg.solve(M, Bt)
             return K, Ky
-        Sk = CtQC + A.T @ S @ (A - B @ K)
+        Sk = CtQC + At @ S @ (A - B @ K)
         S = 0.5 * (Sk + Sk.T)
         K_prev = K
     raise RuntimeError(f"gain iteration did not converge within {GAIN_MAX_ITER} steps")

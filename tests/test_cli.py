@@ -491,6 +491,15 @@ class TestCommands:
         assert sorted(manifest["profile"]) == sorted(STEP_PHASES)
         assert all(seconds > 0.0 for seconds in manifest["profile"].values())
         assert sum(manifest["profile"].values()) <= manifest["wall_seconds"] + 1e-3
+        assert sorted(manifest["sha256"]) == sorted(manifest["outputs"]) == [
+            "metrics", "trajectories"]
+        for kind, path in manifest["outputs"].items():
+            assert manifest["sha256"][kind] == hashlib.sha256(
+                Path(path).read_bytes()).hexdigest(), kind
+        path = manifest["numeric_path"]
+        assert path["numpy"] == np.__version__
+        assert set(path["blas"]) == {"name", "version"}
+        assert isinstance(path["simd"], list)
 
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -213,3 +213,35 @@ class TestBatchedScoring:
         sizes = {t.size for t in tracking._riccati_tables.values()}
         assert sizes == {40, 90, 150}
         self.assert_exact(expected)
+
+    def test_round_split_into_chunks_of_three(self, expected, monkeypatch):
+        n, N = len(self.MAIN + self.RAMP), self.CTX.horizon
+        monkeypatch.setattr(tracking, "RICCATI_CACHE_BYTES", 3 * tracking.table_bytes(n, N))
+        assert [len(c) for c in tracking.chunks(list(range(20)), n, N)] == [3] * 6 + [2]
+        self.assert_exact(expected)
+
+    @pytest.mark.parametrize("block", [1, 7])  # 7 divides neither 135 nor 150
+    def test_time_blocks_change_no_number(self, expected, monkeypatch, block):
+        monkeypatch.setattr(tracking, "TIME_BLOCK", block)
+        self.assert_exact(expected)
+
+    def test_rescoring_a_cycle_that_fits_builds_each_table_once(self, expected, monkeypatch):
+        built = []
+
+        class Counted(tracking.RiccatiTable):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(tracking, "RiccatiTable", Counted)
+        self.assert_exact(expected)
+        assert len(built) == 20  # one lane pattern per candidate
+        # a budget that holds exactly the cycle's tables, as filled
+        monkeypatch.setattr(tracking, "RICCATI_CACHE_BYTES",
+                            sum(t.nbytes for t in tracking._riccati_tables.values()))
+        tracking._riccati_tables.clear()
+        built.clear()
+        for _ in range(2):
+            self.assert_exact(expected)
+            assert len(built) == 20
+        assert {id(t) for t in tracking._riccati_tables.values()} == {id(t) for t in built}

@@ -231,6 +231,21 @@ class TestSharedRiccatiTable:
                 extend_tables(build_model(n, 0.1), tables, 10)
         assert [t.size for t in tables] == [0, 0]
 
+    def test_request_keeps_its_own_tables(self, monkeypatch):
+        monkeypatch.setattr(tracking, "RICCATI_CACHE_BYTES", 0)
+        ctx = ScoringContext(control_weight=100.0)
+        model = build_model(3, 0.1)
+        weights = [ctx.weights(lanes) for lanes in (
+            self.PATTERNS[2], (Lane.RAMP, Lane.MAINLINE, Lane.MAINLINE))]
+        tables = tracking._riccati_tables_for(model, weights + weights[:1], 300)
+        assert tables[0] is tables[2] and tables[0] is not tables[1]
+        assert [t.size for t in tables] == [300] * 3
+        assert list(tracking._riccati_tables.values()) == tables[:2]
+        # the next request makes room for its own
+        [table] = tracking._riccati_tables_for(model, weights[1:], 450)
+        assert list(tracking._riccati_tables.values()) == [table] == tables[1:2]
+        assert table.size == 450
+
     def test_solution_is_read_only(self):
         model = build_model(2, 0.1)
         weights = ScoringContext().weights(self.PATTERNS[1])
@@ -240,6 +255,43 @@ class TestSharedRiccatiTable:
         with pytest.raises(ValueError):
             sol.K[0, 0, 0] = 1.0
         sol.V[0, 0] = 1.0  # the reference-dependent term is the caller's own
+
+
+class TestTimeBlocks:
+    """Flushing the fill and gathering gains in time blocks changes no number."""
+
+    N = 150  # a multiple of none of the blocks below
+    PATTERNS = (
+        (Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE),
+        (Lane.RAMP, Lane.MAINLINE, Lane.MAINLINE),
+        (Lane.MAINLINE, Lane.MAINLINE, Lane.RAMP),
+    )
+
+    def solve_and_roll_out(self, monkeypatch, block):
+        monkeypatch.setattr(tracking, "_riccati_tables", OrderedDict())
+        monkeypatch.setattr(tracking, "TIME_BLOCK", block)
+        model = build_model(3, 0.1)
+        weights = [ScoringContext(control_weight=100.0).weights(p) for p in self.PATTERNS]
+        # the tables enter the stacked fill at different levels
+        for w, filled in zip(weights[1:], (20, 45)):
+            solve_finite_horizon_batch(model, [w], np.zeros((1, filled + 1, 5)))
+        r = np.stack([np.tile(build_reference(np.full(2, floor), 30.0, 1.2, 5.0), (self.N + 1, 1))
+                      for floor in (12.0, 30.0, 45.0)])
+        solutions = solve_finite_horizon_batch(model, weights, r)
+        # tight gaps and a slow ramp vehicle saturate the inputs
+        x0 = np.array([[0.0, -10.0, -30.0, 30.0, 12.0, 25.0]] * 3)
+        return solutions, rollout_batch(model, solutions, x0, LIMITS)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_match_one_block(self, monkeypatch, block):
+        want, want_traj = self.solve_and_roll_out(monkeypatch, self.N)
+        got, got_traj = self.solve_and_roll_out(monkeypatch, block)
+        assert np.max(want_traj.u) == LIMITS.acc_max
+        for a, b in zip(got, want):
+            for name in ("K", "Ky", "S", "V"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(got_traj.x, want_traj.x)
+        assert np.array_equal(got_traj.u, want_traj.u)
 
 
 class TestConvergedGains:
