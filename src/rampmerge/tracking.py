@@ -282,15 +282,17 @@ def solve_finite_horizon_batch(
     Q_N = np.stack([w.Q_N for w in weights])
     Ct = model.C.T
     CtQ = Ct @ Q
-    forcing = (CtQ[:, None] @ r[..., None])[..., 0]  # C' Q r_k for every k
 
     V = np.empty((len(weights), N + 1, model.state_dim))
     V[:, N] = (Ct @ (Q_N @ r[:, N, :, None]))[..., 0]
     for begin, end in _blocks(0, N):  # in steps to go
         AclT = np.stack([t.Acl[begin:end] for t in tables]).swapaxes(2, 3)
+        first = N - end  # the block's earliest time step
+        forcing = (CtQ[:, None] @ r[:, first:N - begin, :, None])[..., 0]  # C' Q r_k
         for j in range(end - begin):
             k = N - 1 - begin - j
-            np.add((AclT[:, j] @ V[:, k + 1, :, None])[..., 0], forcing[:, k], out=V[:, k])
+            np.add((AclT[:, j] @ V[:, k + 1, :, None])[..., 0], forcing[:, k - first],
+                   out=V[:, k])
     solutions = []
     for table, Vg in zip(tables, V):
         K, Ky, S = table.K[N - 1::-1], table.Ky[N - 1::-1], table.S[N::-1]

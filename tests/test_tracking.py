@@ -275,7 +275,9 @@ class TestTimeBlocks:
         # the tables enter the stacked fill at different levels
         for w, filled in zip(weights[1:], (20, 45)):
             solve_finite_horizon_batch(model, [w], np.zeros((1, filled + 1, 5)))
-        r = np.stack([np.tile(build_reference(np.full(2, floor), 30.0, 1.2, 5.0), (self.N + 1, 1))
+        # references that move with time, so each step's forcing is its own
+        drift = np.linspace(0.0, 6.0, self.N + 1)[:, None]
+        r = np.stack([build_reference(np.full(2, floor), 30.0, 1.2, 5.0) + drift
                       for floor in (12.0, 30.0, 45.0)])
         solutions = solve_finite_horizon_batch(model, weights, r)
         # tight gaps and a slow ramp vehicle saturate the inputs
