@@ -260,7 +260,7 @@ class TestSharedRiccatiTable:
 class TestTimeBlocks:
     """Flushing the fill and gathering gains in time blocks changes no number."""
 
-    N = 150  # a multiple of none of the blocks below
+    N = 150  # a multiple of neither 7 nor 64
     PATTERNS = (
         (Lane.MAINLINE, Lane.RAMP, Lane.MAINLINE),
         (Lane.RAMP, Lane.MAINLINE, Lane.MAINLINE),
