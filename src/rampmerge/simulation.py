@@ -484,17 +484,17 @@ class _Entrance:
     next: int = 0  # the first arrival still waiting off-network
 
 
-#: the step's phases in order, each the ``_Run`` method of its name
-STEP_PHASES = ("spawn", "entry_speeds", "car_following", "mode_layer", "bar_holds",
-               "stopping_bound", "integrate_and_log", "lane_transfers",
-               "collision_audit", "exits")
+#: the step's timed phases in order, each the ``_Run`` method of its name;
+#: the spawn before them counts toward the first
+STEP_PHASES = ("car_following", "mode_layer", "stopping_bound", "integrate_and_log",
+               "lane_transfers", "collision_audit")
 
 
 class _Run:
-    """One run's state; :meth:`step` advances it one time step, phase by
-    phase, and sums each phase's host time in ``spent_ns``.  Per-vehicle
-    facts that car-following and the mode layer work out stay on the run
-    for the later phases of the same step."""
+    """One run's state; :meth:`step` spawns, then advances it one time
+    step phase by phase, and sums each phase's host time in ``spent_ns``.
+    Per-vehicle facts that car-following and the mode layer work out stay
+    on the run for the later phases of the same step."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
@@ -539,20 +539,16 @@ class _Run:
         # column 0 the mainline IDM, column 1 the ramp IDM
         self.idm_sets = idm_table(config.mainline_idm, config.ramp_idm)
         self.spent_ns = dict.fromkeys(STEP_PHASES, 0)
-        self.phase_methods = [(name, getattr(self, "_" + name)) for name in STEP_PHASES[1:]]
+        self.phase_methods = [(name, getattr(self, "_" + name)) for name in STEP_PHASES]
 
     def step(self, t: float) -> None:
         self.t = t
         self.phase = self.config.phase_at(t)
         clock, spent = time.perf_counter_ns, self.spent_ns
-        start = clock()
-        self._spawn()
         last = clock()
-        spent["spawn"] += last - start
+        self._spawn()
         if len(self.world) == 0:
             return
-        # lanes change only in the transfer phase, so this holds until then
-        self.on_ramp = self.world.lane == Lane.RAMP.code
         for name, method in self.phase_methods:
             method()
             now = clock()
@@ -585,19 +581,19 @@ class _Run:
             if paced:
                 self.ramp_entry_release = t + 1.0 / self.phase.suggested
 
-    def _entry_speeds(self) -> None:
-        world = self.world
+    def _car_following(self) -> None:
+        """Ramp vehicles' buffer-entry speeds; each vehicle's same-lane
+        predecessor, net gap and closing speed from one pass over the
+        lanes' order, then its IDM acceleration."""
+        world, n = self.world, len(self.world)
+        # lanes change only in the transfer phase, so this holds until then
+        self.on_ramp = world.lane == Lane.RAMP.code
         crossed = (
             self.on_ramp
             & np.isnan(world.entry)
             & (world.pos >= self.config.geometry.ramp_buffer_start)
         )
         world.entry[crossed] = world.v[crossed]
-
-    def _car_following(self) -> None:
-        """Each vehicle's same-lane predecessor, net gap and closing speed
-        from one pass over the lanes' order, then its IDM acceleration."""
-        world, n = self.world, len(self.world)
         self.chains = lane_orders(world.lane, world.pos)
         order = np.concatenate(tuple(self.chains.values()))
         rear, front = order[1:], order[:-1]
@@ -617,8 +613,8 @@ class _Run:
                              self.idm_sets.take(ramp_idm.view(np.int8), axis=1))
 
     def _mode_layer(self) -> None:
-        """Coordinator commands, or the metering hold; writes each vehicle's
-        control status code."""
+        """Coordinator commands, or the metering hold, then the holds at the
+        merge bar; writes each vehicle's control status code."""
         world, t = self.world, self.t
         self.status = np.zeros(len(world), dtype=np.int64)
         if self.coordinator is not None:
@@ -657,10 +653,8 @@ class _Run:
                         hold = _bar_hold(world.v[j], gap, self.config.ramp_idm)
                         self.acc[j] = min(self.acc[j], hold)
                     break
-
-    def _bar_holds(self) -> None:
         # unmerged ramp vehicles must not run off the lane end
-        world, bar = self.world, self.merge_bar
+        bar = self.merge_bar
         for j in self.chains[Lane.RAMP]:
             if world.pos[j] >= bar:
                 continue  # past the stop point; the transfer logic owns it
@@ -786,12 +780,10 @@ class _Run:
                 b = int(np.argmax(gaps <= 0.0))  # the first overlap downstream
                 raise CollisionError(self.t, int(world.ids[order[b]]), int(world.ids[order[b + 1]]),
                                      float(gaps[b]), log=self.log.arrays())
-
-    def _exits(self) -> None:
-        gone = self.world.pos > self.config.geometry.downstream_extent
+        gone = world.pos > self.config.geometry.downstream_extent
         if gone.any():
             self.counters.exited += int(np.count_nonzero(gone))
-            self.world.remove(gone)
+            world.remove(gone)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

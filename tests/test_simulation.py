@@ -2,6 +2,7 @@
 import concurrent.futures
 import math
 import pickle
+import types
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from rampmerge.simulation import (
     CollisionError,
     ControlMode,
     DemandPhase,
+    STEP_PHASES,
     STOP_MARGIN,
     ScenarioConfig,
     TrajectoryLog,
@@ -521,7 +523,6 @@ class TestSafetyLayer:
         run = _Run(small_config(mode=ControlMode.OPTIMAL))
         for vid, (x, v, lane, _) in enumerate(vehicles):
             run.world.add(vid, lane.code, x, v)
-        run.on_ramp = run.world.lane == Lane.RAMP.code
         run._car_following()
         run.status = np.array([status.code for *_, status in vehicles])
         run._stopping_bound()
@@ -569,7 +570,6 @@ class TestCarFollowing:
                     x = (ACCEL_LANE_START + 2.5 * float(rng.integers(-12, 13))
                          if rng.random() < 0.7 else float(rng.uniform(-400.0, 200.0)))
                     world.add(len(world), code, x, float(rng.uniform(0.0, 36.0)))
-            run.on_ramp = world.lane == Lane.RAMP.code
             run._car_following()
             acc, gap, pred_of, chains = car_following_by_lane(
                 world.lane, world.pos, world.v, config.vehicle_length,
@@ -652,7 +652,6 @@ class TestLaneChains:
         run.t = 0.0
         run.world.add(0, Lane.MAINLINE.code, 100.0, 10.0)
         run.world.add(1, Lane.MAINLINE.code, 80.0, 10.0)
-        run.on_ramp = run.world.lane == Lane.RAMP.code
         run._car_following()
         L = run.config.vehicle_length
         # the follower ends the step clear ahead of its leader: re-sorted,
@@ -662,3 +661,32 @@ class TestLaneChains:
             run._collision_audit()
         assert (caught.value.lead_id, caught.value.rear_id) == (0, 1)
         assert caught.value.gap == -(2.0 * L + 1.0)
+
+
+class TestStepPhases:
+    """A step spawns, then times its phases in one loop: one clock read
+    to start and one after each phase."""
+
+    def test_a_step_reads_the_clock_once_per_phase_and_once_more(self, monkeypatch):
+        reads = []
+        clock = types.SimpleNamespace(perf_counter_ns=lambda: reads.append(1) or len(reads))
+        monkeypatch.setattr("rampmerge.simulation.time", clock)
+        config = load_config(SMOKE)
+        run = _Run(config)
+        per_step = Counter()
+        for k in range(int(round(config.total_duration / config.dt))):
+            logged, before = len(run.log._steps), len(reads)
+            run.step(k * config.dt)
+            if len(run.log._steps) > logged:  # a step with vehicles logs once
+                per_step[len(reads) - before] += 1
+        assert len(STEP_PHASES) <= 6
+        assert list(per_step) == [len(STEP_PHASES) + 1]
+        assert per_step[len(STEP_PHASES) + 1] > 1000
+
+    def test_an_empty_world_ends_the_step_after_the_spawn(self):
+        run = _Run(small_config(mainline=0.0, ramp=0.0, mode=ControlMode.OPTIMAL))
+        for k in range(20):
+            run.step(k * run.config.dt)
+        assert run.spent_ns == dict.fromkeys(STEP_PHASES, 0)
+        assert not run.coordinator._density_samples
+        assert not run.log._steps
