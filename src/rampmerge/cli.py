@@ -11,8 +11,9 @@ every output, so two digests compare only when their paths match.
 Numeric fields accept either plain SI numbers or strings with an
 explicit unit suffix ("73.8 mph", "8.2 ft/s2", "600 s"); everything is
 converted to SI on load.  Exports are plain CSV with fixed six-decimal
-formatting, and a sweep's report of modes over seeds comes in both a
-machine-readable JSON form and an aligned text table.
+formatting, spelled digit by digit by place value, and a sweep's report
+of modes over seeds comes in both a machine-readable JSON form and an
+aligned text table.
 
 Exit codes: 0 success, 2 configuration error, 3 collision abort.
 """
@@ -102,25 +103,25 @@ def _to_si(value, dimension: str) -> float:
     if not isinstance(value, str):
         raise ValueError(f"expected a number or '<value> <unit>' string, got {value!r}")
     text = value.replace("−", "-").strip()
-    parts = text.split()
-    if len(parts) == 1:
+    tokens = text.split()
+    if len(tokens) == 1:
         try:
-            return float(parts[0])
+            return float(tokens[0])
         except ValueError:
             raise ValueError(f"cannot parse number from {value!r}") from None
-    if len(parts) != 2:
+    if len(tokens) != 2:
         raise ValueError(f"expected '<value> <unit>', got {value!r}")
     try:
-        magnitude = float(parts[0])
+        magnitude = float(tokens[0])
     except ValueError:
         raise ValueError(f"cannot parse number from {value!r}") from None
     if dimension == "plain":
         raise ValueError(f"field is dimensionless, drop the unit in {value!r}")
     table = _UNIT_TABLES[dimension]
-    unit = parts[1].lower()
+    unit = tokens[1].lower()
     if unit not in table:
         known = ", ".join(sorted(table))
-        raise ValueError(f"unknown {dimension} unit {parts[1]!r} (known: {known})")
+        raise ValueError(f"unknown {dimension} unit {tokens[1]!r} (known: {known})")
     return magnitude * table[unit]
 
 
@@ -290,74 +291,52 @@ _BLOCK_ROWS = 1 << 15
 _EXACT_BELOW = 1_099_511.0
 
 
-def _words(*columns) -> np.ndarray:
-    """uint32 words from four columns of ASCII codes; 0 is padding."""
-    codes = np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8)
-    return codes.view(np.uint32)[..., 0]
-
-
-_K = np.arange(1000)
-_D100, _D10, _D1 = _K // 100 + 48, _K // 10 % 10 + 48, _K % 10 + 48
-#: three-digit groups of a number: row ``k`` spells ``k`` with leading
-#: zeros; row 1000 + k without, for the group holding the first digit;
-#: row 2000 + k likewise, but blank for 0, for groups left of the last
-_GROUPS = np.concatenate([
-    _words(0, _D100, _D10, _D1),
-    _words(0, _D100 * (_K >= 100), _D10 * (_K >= 10), _D1),
-    _words(0, _D100 * (_K >= 100), _D10 * (_K >= 10), _D1 * (_K >= 1)),
-])
-_MINUS = _words(ord("-"), 0, 0, 0)
-#: a fraction's six digits, as ".ddd" and "ddd" plus the field separator
-_POINT = _words(ord("."), _D100, _D10, _D1)
-_TAIL = {sep: _words(_D100, _D10, _D1, ord(sep)) for sep in ",\n"}
-_SEPARATOR = {sep: _words(0, 0, 0, ord(sep)) for sep in ",\n"}
-
-
-def _spell_int(u: np.ndarray, negative: np.ndarray) -> list[np.ndarray]:
-    """Words spelling the non-negative ints ``u``, signed where ``negative``."""
-    words = []
-    rest, blank = u, 1000
-    while not words or rest.any():
-        high = rest // 1000
-        words.append(np.take(_GROUPS, rest - high * 1000 + blank * (high == 0)))
-        rest, blank = high, 2000
-    words[-1] = words[-1] | _MINUS * negative
-    return words[::-1]
-
-
-def _spell_fixed6(x: np.ndarray, sep: str) -> tuple[list[np.ndarray], np.ndarray]:
-    """Words spelling ``x`` as ``%.6f``, and the rows where they are exact."""
-    size = np.abs(x)
-    exact = size < _EXACT_BELOW
-    scaled = np.where(exact, size, 0.0) * 1e6
-    units = np.rint(scaled)
-    exact &= np.abs(scaled - units) < 0.5 - 1e-3
-    units = units.astype(np.int64)
-    whole = units // 1_000_000
-    frac = units - whole * 1_000_000
-    high = frac // 1000
-    words = _spell_int(whole, np.signbit(x))
-    words += [np.take(_POINT, high), np.take(_TAIL[sep], frac - high * 1000)]
-    return words, exact
+def _spell(places: np.ndarray, u: np.ndarray, shown: int) -> None:
+    """Spell the ints ``0 <= u < 10 ** len(places)`` in ASCII codes, one
+    row of ``places`` per place, most significant first; a place left of
+    the leading digit stays 0 unless it is one of the last ``shown``."""
+    u = u.astype(np.uint32 if len(places) < 10 else np.int64, copy=False)
+    for k, place in enumerate(places[::-1]):
+        high = u // 10
+        np.add(u - high * 10, 48, out=place, casting="unsafe")
+        if k >= shown:
+            place *= u != 0
+        u = high
 
 
 def _write_rows(handle, columns: list[np.ndarray]) -> None:
     """Write one block of rows exactly as ``_EXPORT_FMT % row`` spells them."""
     n = len(columns[0])
     exact = np.ones(n, dtype=bool)
-    words: list = []
-    for j, (col, dtype) in enumerate(zip(columns, TrajectoryLog.FIELDS.values())):
-        sep = "\n" if j == len(columns) - 1 else ","
+    fields = []  # each field's sign, whole part and (floats) six decimals
+    for col, dtype in zip(columns, TrajectoryLog.FIELDS.values()):
         if dtype is np.int64:
-            words += _spell_int(np.abs(col), col < 0) + [_SEPARATOR[sep]]
-        else:
-            spelled, ok = _spell_fixed6(col, sep)
-            words += spelled
-            exact &= ok
-    table = np.empty((n, len(words)), dtype=np.uint32)
-    for k, word in enumerate(words):
-        table[:, k] = word
-    text = table.view(np.uint8)
+            fields.append((col < 0, np.abs(col), None))
+            continue
+        size = np.abs(col)
+        ok = size < _EXACT_BELOW
+        scaled = np.where(ok, size, 0.0) * 1e6
+        units = np.rint(scaled)
+        exact &= ok & (np.abs(scaled - units) < 0.5 - 1e-3)
+        units = units.astype(np.int64)
+        whole = units // 1_000_000
+        fields.append((np.signbit(col), whole, units - whole * 1_000_000))
+    widths = [len(str(whole.max())) for _, whole, _ in fields]
+    places = sum(widths) + sum(2 if frac is None else 9 for _, _, frac in fields)
+    # one row per character place, so each place is written contiguously
+    text = np.zeros((places, n), dtype=np.uint8)
+    at = 0
+    for j, ((negative, whole, frac), width) in enumerate(zip(fields, widths)):
+        np.multiply(negative, np.uint8(ord("-")), out=text[at])
+        _spell(text[at + 1:at + 1 + width], whole, 1)
+        at += 1 + width
+        if frac is not None:
+            text[at] = ord(".")
+            _spell(text[at + 1:at + 7], frac, 6)
+            at += 7
+        text[at] = ord("\n" if j == len(fields) - 1 else ",")
+        at += 1
+    text = np.ascontiguousarray(text.T)
     keep = text != 0
     data = memoryview(text[keep])
     done = 0
@@ -376,10 +355,14 @@ def export_trajectories(log: dict[str, np.ndarray], path: str | Path) -> Path:
 
     Each row reads ``_EXPORT_FMT % row``: ints in ``%d`` and floats in
     ``%.6f``, rounded half to even from their exact binary values as
-    Python's ``%`` does.  Blocks of rows are spelled column by column
-    from the exactly rounded integer ``rint(|x| * 1e6)``; a row holding
-    a value this cannot spell exactly (non-finite, too large, or within
-    1e-3 of a tie at the sixth decimal) is formatted by ``%`` itself.
+    Python's ``%`` does.  A block of rows is spelled by place value into
+    a table of ASCII codes, one row per character place: a sign, the
+    digits of the block's widest value, for floats a point and six
+    decimals from the exactly rounded integer ``rint(|x| * 1e6)``, and
+    a separator.  Its transpose is written in row order, without the
+    places left of each leading digit.  A row holding a value this cannot
+    spell exactly (non-finite, too large, or within 1e-3 of a tie at the
+    sixth decimal) is formatted by ``%`` itself.
     """
     path = Path(path)
     order = np.lexsort((log["id"], log["t"]))

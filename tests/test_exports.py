@@ -14,7 +14,7 @@ same travel-time estimate as ramp members.  Since then no string in the
 120 s windows of seeds 2 to 5 re-plans, and seed 2's 180 s window
 re-plans three times.
 
-The column-wise writer is also compared byte for byte with the
+The place-value writer is also compared byte for byte with the
 ``np.savetxt`` writer it replaced (``oracles.export_trajectories_savetxt``)
 on the smoke runs, on ``tiny_log()`` and on hand-made columns that hold
 the values whose spelling is easy to get wrong.
@@ -103,6 +103,23 @@ def test_awkward_values_match_savetxt(tmp_path, monkeypatch):
     for spelled in (",-0.000000,", ",0.007812,", ",1.000000,", ",-1.000000,",
                     ",nan,", ",inf,", ",-inf,", ",-1000000000000.000000,"):
         assert spelled in text
+    # two blocks of their own: one whose widest int has ten digits, where
+    # uint32 no longer holds every value, and one whose floats % spells
+    rows = 997
+    ints = [0, 999_999_999, -999_999_999, 10**9, -10**9, 2**32 - 1, 2**32,
+            9_999_999_999, -9_999_999_999]
+    unspelled = [np.nan, np.inf, -np.inf, cli._EXACT_BELOW, -cli._EXACT_BELOW, -1e300]
+    log = {}
+    for name, dtype in TrajectoryLog.FIELDS.items():
+        if dtype is np.int64:
+            log[name] = rng.permutation(np.resize(ints, 2 * rows))
+        else:
+            log[name] = np.concatenate([np.round(rng.normal(0.0, 300.0, rows), 6),
+                                        rng.choice(unspelled, rows)])
+    # the time column sorts every unspelled row after the ten-digit block
+    log["t"] = np.concatenate([rng.uniform(0.0, 1000.0, rows),
+                               rng.choice([np.nan, np.inf, cli._EXACT_BELOW, 1e300], rows)])
+    assert_same_bytes_as_savetxt(log, tmp_path)
 
 
 REPLAN_SHA256 = "30acde9d8ee6868d91323035fdbb2aab842f3510adad03b87ecee522d11aca4c"
