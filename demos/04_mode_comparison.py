@@ -5,8 +5,8 @@ demand, simulated with coordinated control, plain ramp metering, and no
 control at all, then compared on throughput and fuel economy.
 
 Pass --full to run the complete 20-minute two-phase study of
-``configs/scenario1.yaml`` instead (roughly a minute of compute for the
-coordinated mode).
+``configs/scenario1.yaml`` instead (about 16 s of compute for all three
+modes together on a 2 vCPU host).
 """
 import sys
 from pathlib import Path

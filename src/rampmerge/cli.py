@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import Field, asdict, dataclass, field, replace
+from dataclasses import Field, asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,7 +40,6 @@ from .simulation import (
     CollisionError,
     ControlMode,
     DemandPhase,
-    RunMetrics,
     ScenarioConfig,
     TrajectoryLog,
     run_scenario,
@@ -86,43 +85,35 @@ def convert_quantity(value, dimension: str) -> float:
     fields ("plain") reject unit suffixes outright.  Infinities and NaN
     are rejected.
     """
-    si = _to_si(value, dimension)
+    if isinstance(value, bool):
+        raise ValueError("expected a number, got a boolean")
+    if isinstance(value, str):
+        tokens = value.replace("−", "-").split()
+        if len(tokens) not in (1, 2):
+            raise ValueError(f"expected '<value> <unit>', got {value!r}")
+        try:
+            si = float(tokens[0])
+        except ValueError:
+            raise ValueError(f"cannot parse number from {value!r}") from None
+        if len(tokens) == 2:
+            if dimension == "plain":
+                raise ValueError(f"field is dimensionless, drop the unit in {value!r}")
+            table = _UNIT_TABLES[dimension]
+            unit = tokens[1].lower()
+            if unit not in table:
+                known = ", ".join(sorted(table))
+                raise ValueError(f"unknown {dimension} unit {tokens[1]!r} (known: {known})")
+            si *= table[unit]
+    elif isinstance(value, (int, float)):
+        try:
+            si = float(value)
+        except OverflowError:
+            si = math.inf
+    else:
+        raise ValueError(f"expected a number or '<value> <unit>' string, got {value!r}")
     if not math.isfinite(si):
         raise ValueError(f"expected a finite number, got {value!r}")
     return si
-
-
-def _to_si(value, dimension: str) -> float:
-    if isinstance(value, bool):
-        raise ValueError("expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:
-            return math.inf
-    if not isinstance(value, str):
-        raise ValueError(f"expected a number or '<value> <unit>' string, got {value!r}")
-    text = value.replace("−", "-").strip()
-    tokens = text.split()
-    if len(tokens) == 1:
-        try:
-            return float(tokens[0])
-        except ValueError:
-            raise ValueError(f"cannot parse number from {value!r}") from None
-    if len(tokens) != 2:
-        raise ValueError(f"expected '<value> <unit>', got {value!r}")
-    try:
-        magnitude = float(tokens[0])
-    except ValueError:
-        raise ValueError(f"cannot parse number from {value!r}") from None
-    if dimension == "plain":
-        raise ValueError(f"field is dimensionless, drop the unit in {value!r}")
-    table = _UNIT_TABLES[dimension]
-    unit = tokens[1].lower()
-    if unit not in table:
-        known = ", ".join(sorted(table))
-        raise ValueError(f"unknown {dimension} unit {tokens[1]!r} (known: {known})")
-    return magnitude * table[unit]
 
 
 # ---------------------------------------------------------------------------
@@ -398,34 +389,6 @@ def load_trajectories(path: str | Path) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # manifests
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written beside every run's outputs."""
-
-    config_digest: str
-    config_path: str
-    mode: str
-    seed: int
-    started: str
-    finished: str
-    wall_seconds: float
-    outputs: dict[str, str] = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    #: the run's ``SimCounters``
-    counters: dict = field(default_factory=dict)
-    #: host seconds per step phase (``RunResult.profile``)
-    profile: dict = field(default_factory=dict)
-    #: sha256 of each file in ``outputs``, by the same names
-    sha256: dict = field(default_factory=dict)
-    #: the arithmetic the run used (:func:`numeric_path`)
-    numeric_path: dict = field(default_factory=dict)
-
-    def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-        return path
-
-
 def numeric_path() -> dict:
     """numpy's version, its BLAS and SIMD loops, and ``OPENBLAS_CORETYPE``
     if set: coordinated runs are bitwise reproducible only on one such
@@ -480,8 +443,10 @@ def _collided(exc: CollisionError, mode: str, seed: int, out_dir: Path, stem: st
     print(note, file=sys.stderr)
 
 
-def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
-             stem: str) -> tuple[RunManifest, RunMetrics]:
+def _cmd_run(args) -> int:
+    config = load_config(args.config, mode=args.mode, seed=args.seed)
+    out_dir = _out_dir(args)
+    stem = f"run_{config.mode.value}_seed{config.seed}"
     started = _utc_now()
     tic = time.perf_counter()
     try:
@@ -495,36 +460,31 @@ def _execute(config: ScenarioConfig, config_path: str, out_dir: Path,
     metrics_path.write_text(
         json.dumps(asdict(result.metrics), indent=2, sort_keys=True) + "\n")
     outputs = {"trajectories": traj_path, "metrics": metrics_path}
-    manifest = RunManifest(
-        config_digest=config_digest(config),
-        config_path=str(config_path),
-        mode=config.mode.value,
-        seed=config.seed,
-        started=started,
-        finished=_utc_now(),
-        wall_seconds=round(wall, 3),
-        outputs={kind: str(path) for kind, path in outputs.items()},
-        metrics=asdict(result.metrics.overall),
-        counters=asdict(result.counters),
-        profile=result.profile,
-        sha256={kind: _sha256(path) for kind, path in outputs.items()},
-        numeric_path=numeric_path(),
-    )
-    manifest.write(out_dir / f"{stem}_manifest.json")
-    return manifest, result.metrics
-
-
-def _cmd_run(args) -> int:
-    config = load_config(args.config, mode=args.mode, seed=args.seed)
-    out_dir = _out_dir(args)
-    stem = f"run_{config.mode.value}_seed{config.seed}"
-    manifest, metrics = _execute(config, args.config, out_dir, stem)
-    g = metrics.overall
+    manifest = {
+        "config_digest": config_digest(config),
+        "config_path": str(args.config),
+        "mode": config.mode.value,
+        "seed": config.seed,
+        "started": started,
+        "finished": _utc_now(),
+        "wall_seconds": round(wall, 3),
+        "outputs": {kind: str(path) for kind, path in outputs.items()},
+        "metrics": asdict(result.metrics.overall),
+        "counters": asdict(result.counters),
+        # host seconds per step phase
+        "profile": result.profile,
+        "sha256": {kind: _sha256(path) for kind, path in outputs.items()},
+        # the arithmetic the run used
+        "numeric_path": numeric_path(),
+    }
+    manifest_path = out_dir / f"{stem}_manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    g = result.metrics.overall
     print(f"{config.mode.value:>9}: Q {g.q_mph:6.2f} mph, VMT {g.vmt_miles:7.2f} mi, "
           f"VHT {g.vht_hours:6.2f} h, economy {g.economy_mpg:5.2f} mpg")
-    for kind, file_path in manifest.outputs.items():
+    for kind, file_path in outputs.items():
         print(f"  {kind}: {file_path}")
-    print(f"  manifest: {out_dir / (stem + '_manifest.json')}")
+    print(f"  manifest: {manifest_path}")
     return EXIT_OK
 
 

@@ -91,7 +91,7 @@ class WorldSnapshot:
     positions: np.ndarray
     speeds: np.ndarray
     entry_speeds: np.ndarray
-    orders: dict[Lane, np.ndarray]  # lane_orders(lanes, positions)
+    orders: dict[Lane, np.ndarray]  # lane_orders(lanes, positions): downstream first
 
     def __post_init__(self) -> None:
         self._index = {int(v): i for i, v in enumerate(self.ids)}
@@ -101,10 +101,6 @@ class WorldSnapshot:
 
     def has(self, vehicle_id: int) -> bool:
         return vehicle_id in self._index
-
-    def ordered(self, lane: Lane) -> np.ndarray:
-        """Indices of the lane's vehicles, downstream first."""
-        return self.orders[lane]
 
     def state(self, ids: Sequence[int]) -> np.ndarray:
         """String state of these vehicles: positions, then speeds."""
@@ -242,12 +238,6 @@ class MergeCoordinator:
         self._density_samples: deque[tuple[float, float]] = deque()
         self._last_lookahead = -math.inf
 
-    # -- public view ---------------------------------------------------
-
-    @property
-    def active_member_ids(self) -> set[int]:
-        return {vid for s in self.sets for vid in s.ids}
-
     # -- main entry ----------------------------------------------------
 
     def step(self, snap: WorldSnapshot) -> dict[int, float]:
@@ -264,7 +254,7 @@ class MergeCoordinator:
         """
         self._observe_density(snap)
         self._retire_and_shrink(snap)
-        order = snap.ordered(Lane.RAMP)
+        order = snap.orders[Lane.RAMP]
         k = 0
         while k < len(order) and int(snap.ids[order[k]]) in self.ever_controlled:
             k += 1
@@ -309,7 +299,7 @@ class MergeCoordinator:
         never above what IDM toward the vehicle ahead allows.
         """
         self.regulated_leader = None
-        order = snap.ordered(Lane.RAMP)
+        order = snap.orders[Lane.RAMP]
         if k >= len(order):
             return {}
         idx = int(order[k])
@@ -354,7 +344,7 @@ class MergeCoordinator:
     def _collect_ramp_members(self, k: int, snap: WorldSnapshot) -> list[int]:
         """The leader at rank ``k`` of the ramp queue and the ranks right
         behind it, up to the buffer-zone start and the inflow cap."""
-        order = snap.ordered(Lane.RAMP)
+        order = snap.orders[Lane.RAMP]
         members = [int(snap.ids[order[k]])]
         for idx in order[k + 1:k + inflow_group_cap(snap.q_suggested)]:
             if snap.positions[idx] < self.geometry.ramp_buffer_start:
@@ -399,7 +389,7 @@ class MergeCoordinator:
         lo = max(leader_eta - PARTNER_MARGIN, 0.0)
         hi = tail_eta + self.scoring.desired_time_headway + length / v_des
         out: list[int] = []
-        for idx in snap.ordered(Lane.MAINLINE):
+        for idx in snap.orders[Lane.MAINLINE]:
             vid = int(snap.ids[idx])
             pos = float(snap.positions[idx])
             if pos >= 0.0:

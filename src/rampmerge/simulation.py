@@ -247,21 +247,6 @@ class RunMetrics:
     ramp: GroupMetrics
 
 
-def _group_metrics(first_pos, last_pos, row_count, fuel_ml, dt) -> GroupMetrics:
-    distance = float(np.sum(last_pos - first_pos))
-    vmt = distance / METERS_PER_MILE
-    vht = row_count * dt / 3600.0
-    q = vmt / vht if vht > 0.0 else 0.0
-    return GroupMetrics(
-        n_vehicles=len(first_pos),
-        vmt_miles=vmt,
-        vht_hours=vht,
-        q_mph=q,
-        fuel_ml=fuel_ml,
-        economy_mpg=economy_mpg(distance, fuel_ml),
-    )
-
-
 def _per_vehicle(log: dict[str, np.ndarray], *names: str):
     """The named columns sorted by vehicle id, each vehicle's rows kept in
     time order, and the bounds of every vehicle's run of rows."""
@@ -288,12 +273,19 @@ def compute_metrics(log: dict[str, np.ndarray], dt: float) -> RunMetrics:
     fuel_per_id = np.add.reduceat(fuel * dt, starts)
 
     def group(mask: np.ndarray) -> GroupMetrics:
-        return _group_metrics(
-            first_pos[mask],
-            last_pos[mask],
-            int(np.sum(rows_per_id[mask])),
-            float(np.sum(fuel_per_id[mask])),
-            dt,
+        first = first_pos[mask]
+        distance = float(np.sum(last_pos[mask] - first))
+        fuel_ml = float(np.sum(fuel_per_id[mask]))
+        vmt = distance / METERS_PER_MILE
+        vht = int(np.sum(rows_per_id[mask])) * dt / 3600.0
+        q = vmt / vht if vht > 0.0 else 0.0
+        return GroupMetrics(
+            n_vehicles=len(first),
+            vmt_miles=vmt,
+            vht_hours=vht,
+            q_mph=q,
+            fuel_ml=fuel_ml,
+            economy_mpg=economy_mpg(distance, fuel_ml),
         )
 
     all_mask = np.ones(len(starts), dtype=bool)

@@ -13,7 +13,6 @@ from rampmerge.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
     EXIT_OK,
-    RunManifest,
     config_digest,
     convert_quantity,
     dump_config,
@@ -450,20 +449,6 @@ class TestTrajectoryFiles:
             load_trajectories(bad)
 
 
-class TestManifest:
-    def test_manifest_round_trip(self, tmp_path):
-        manifest = RunManifest(
-            config_digest="ab" * 32, config_path="x.yaml", mode="optimal",
-            seed=4, started="2026-01-01T00:00:00+00:00",
-            finished="2026-01-01T00:00:40+00:00", wall_seconds=40.0,
-            outputs={"trajectories": "t.csv"}, metrics={"q_mph": 50.0},
-        )
-        path = manifest.write(tmp_path / "m.json")
-        data = json.loads(path.read_text())
-        assert data["seed"] == 4 and data["mode"] == "optimal"
-        assert data["outputs"]["trajectories"] == "t.csv"
-
-
 class TestCommands:
     def test_run_and_determinism(self, tmp_path):
         out_a = tmp_path / "a"
@@ -485,6 +470,10 @@ class TestCommands:
         smoke = CONFIG_DIR + "/smoke.yaml"
         assert main(["run", "--config", smoke, "--out", str(tmp_path)]) == EXIT_OK
         manifest = json.loads((tmp_path / "run_optimal_seed3_manifest.json").read_text())
+        assert sorted(manifest) == [
+            "config_digest", "config_path", "counters", "finished", "metrics", "mode",
+            "numeric_path", "outputs", "profile", "seed", "sha256", "started",
+            "wall_seconds"]
         result = run_scenario(load_config(smoke))
         assert manifest["counters"] == asdict(result.counters)
         assert manifest["counters"]["coordinator_commands"] > 0

@@ -217,7 +217,7 @@ def test_controlled_ramp_vehicles_stay_a_queue_prefix(monkeypatch, suggested):
     seen = {"cycles": 0}
 
     def ramp_queue(coord, snap):
-        queue = [int(v) for v in snap.ids[snap.ordered(Lane.RAMP)]]
+        queue = [int(v) for v in snap.ids[snap.orders[Lane.RAMP]]]
         controlled = [vid in coord.ever_controlled for vid in queue]
         assert controlled == sorted(controlled, reverse=True), (snap.t, queue)
         return queue
@@ -277,7 +277,6 @@ class TestDecisionCycle:
         cmds = coord.step(self.trigger_snapshot())
         [cset] = coord.sets
         assert set(cset.ids) == {1, 2, 3}
-        assert coord.active_member_ids == {1, 2, 3}
         assert set(cmds) == {1, 2, 3}
         for u in cmds.values():
             assert LIMITS.acc_min - 1e-12 <= u <= LIMITS.acc_max + 1e-12
@@ -314,6 +313,19 @@ class TestDecisionCycle:
         assert set(first.ids).isdisjoint(second.ids)
         assert 9 in second.ids
         assert 11 in second.ids
+
+    def test_cycle_never_spans_a_live_string(self):
+        # the partners end at the first controlled mainline vehicle behind
+        # one: 4 arrives in the window but would interleave with 3's string
+        coord = make_coordinator()
+        coord.ever_controlled.add(3)
+        coord.step(make_snapshot(0.0, [
+            (1, Lane.RAMP, -299.5, 15.0, 15.0),
+            (2, Lane.MAINLINE, -560.0, 32.99),
+            (3, Lane.MAINLINE, -600.0, 32.99),
+            (4, Lane.MAINLINE, -640.0, 32.99),
+        ]))
+        assert cycles(coord.events)[0].data["mainline_ids"] == (2,)
 
     def test_enumeration_cap_sheds_upstream_ramp_first(self):
         # C(3+2,2)=10 exceeds a cap of 4; dropping one ramp vehicle gives
@@ -405,12 +417,10 @@ class TestDecisionCycle:
         assert np.array_equal(cset.problem.floors, problem.floors[2:])
         assert coord.sets == [cset]
         assert set(cmds) == {3}
-        assert coord.active_member_ids == {3}
         snap2 = make_snapshot(70.0, [(3, Lane.MAINLINE, 260.0, 33.0)])
         cmds2 = coord.step(snap2)
         assert coord.sets == []
         assert cmds2 == {}
-        assert coord.active_member_ids == set()
 
     def test_slow_mainline_vehicle_ahead_of_the_window_is_not_enrolled(self):
         # 200 m from the merge at 12 m/s: 16.7 s at constant speed, inside
@@ -591,6 +601,37 @@ class TestPredictionRepair:
             assert getattr(replanned, name) is getattr(cset.problem, name)
         for u in cmds.values():
             assert LIMITS.acc_min - 1e-12 <= u <= LIMITS.acc_max + 1e-12
+
+    def test_replan_is_flown_for_its_horizon_then_the_law(self):
+        # a re-plan commands the set for exactly its horizon, then the set's
+        # law resumes; the cooldown holds the next forecast off throughout
+        horizon = 4
+        scoring = ScoringContext(limits=LIMITS, horizon=horizon, max_horizon=horizon)
+        coord = MergeCoordinator(GEO, scoring, RAMP_IDM)
+        rows = [(1, Lane.RAMP, -299.5, 15.0, 15.0), (2, Lane.MAINLINE, -560.0, 32.99),
+                (3, Lane.MAINLINE, -630.0, 32.99)]
+        coord.step(make_snapshot(0.0, rows))
+        [cset] = coord.sets
+
+        def snap_at(k):
+            # half a second apart, so the lookahead cadence comes round
+            return make_snapshot(1.0 + 0.5 * k, [
+                (vid, lane, pos + 0.5 * k * v, v, *entry) for vid, lane, pos, v, *entry in rows])
+
+        first = snap_at(0)
+        coord._repair_set(cset, first.state(cset.ids), first)
+        repair = cset.repair
+        assert repair.horizon == horizon
+        for k in range(horizon + 2):
+            snap = snap_at(k)
+            assert snap.t - cset.last_repair_t < coordinator.REPAIR_COOLDOWN
+            x = snap.state(cset.ids)
+            want = repair.control(k, x) if k < horizon else cset.law.control(x)
+            cmds = coord.step(snap)
+            assert [cmds[vid] for vid in cset.ids] == np.clip(
+                want, LIMITS.acc_min, LIMITS.acc_max).tolist(), k
+        assert cset.repair is None
+        assert [e.kind for e in coord.events] == [EventKind.CYCLE, EventKind.REPLAN]
 
     @pytest.mark.parametrize("offset,replans", [(-1e-6, True), (1e-6, False)])
     def test_forecast_gap_at_the_repair_fraction(self, monkeypatch, offset, replans):

@@ -1,7 +1,8 @@
-"""The quick demos run to completion against the current API.
+"""The demos run to completion against the current API.
 
-``04_mode_comparison.py`` simulates three full modes (about 20 s) and is
-left out.
+``04_mode_comparison.py`` runs its short path: three ten-minute runs, one
+per mode, in 6-8 s on a 2 vCPU host.  It is the one demo that builds a
+``ScenarioConfig`` by hand, so it is the first to break on a config change.
 """
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_DEMOS = ("01_string_tracking.py", "02_merge_sequencing.py", "03_idm_platoon.py")
+QUICK_DEMOS = ("01_string_tracking.py", "02_merge_sequencing.py", "03_idm_platoon.py",
+               "04_mode_comparison.py")
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)
